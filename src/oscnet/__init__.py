@@ -24,6 +24,7 @@ from .dynamics import (
     evolve,
     evolve_bare,
     probe_mask,
+    probe_rows,
     quadratic_energy,
     renormalize,
 )

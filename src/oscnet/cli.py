@@ -53,7 +53,6 @@ DEFAULTS = {
         "rho1": {"squeeze_db": -1.8, "antisqueeze_db": 2.9, "axis": "q"},
         "rho2": {"squeeze_db": -1.3, "antisqueeze_db": 2.4, "axis": "p"},
     },
-    "workers": 1,
 }
 
 
@@ -131,7 +130,10 @@ def _sweep_grid(cfg: dict) -> np.ndarray:
     sweep = probe.get("sweep")
     if sweep is None:
         return np.asarray(_omega_list(cfg))
-    return np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["points"]))
+    points = int(sweep["points"])
+    if points < 1:
+        raise ConfigError("probe.sweep.points must be at least 1")
+    return np.linspace(float(sweep["start"]), float(sweep["stop"]), points)
 
 
 def _resolve_tmax(cfg: dict, graph: CouplingGraph) -> float:
@@ -221,7 +223,6 @@ def run_spectral(cfg: dict, out: Path) -> int:
         method=cfg["method"],
         env_prep=cfg.get("env_prep", "thermal"),
         sampling=sampling,
-        workers=int(cfg.get("workers", 1)),
         bilinear_env=bool(cfg.get("bilinear_env", False)),
     )
     (out / "spectral.csv").write_text(curve.to_csv())
@@ -322,7 +323,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, help="sampling repetitions")
         sp.add_argument("--seed", type=int, help="master seed")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--workers", type=int, help="parallel sweep workers")
     return parser
 
 
@@ -347,7 +347,7 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         probe["sweep"] = sweep
         cfg["probe"] = probe
         overrides["points"] = args.points
-    for name in ("method", "samples", "reps", "seed", "workers"):
+    for name in ("method", "samples", "reps", "seed"):
         val = getattr(args, name)
         if val is not None:
             cfg[name] = val

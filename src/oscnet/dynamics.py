@@ -158,6 +158,75 @@ def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
     return renormalize(evolve_bare(model, t), model)
 
 
+# probe frequencies diagonalized per batch: bounds the (batch, M, M)
+# potential and eigenvector stacks held at once
+OMEGA_BATCH = 32
+
+
+def probe_rows(
+    model: QuadraticModel, t: float | NDArray, omega_s: Sequence[float] | None = None
+) -> NDArray[np.float64]:
+    """Probe rows (q_S, p_S) of the renormalized propagator, shape (..., 2, 2M).
+
+    Row 0 and row M of ``evolve(model, t)``, without forming S(t). With
+    ``omega_s`` None the cached eigendecomposition serves a time or a time
+    grid (leading axes of ``t``). Given a 1-D grid of G probe frequencies,
+    the potentials V(omega_S), which differ only in V_SS = omega_S^2, are
+    diagonalized as stacks and the (G, 2, 2M) rows are taken at the single
+    time ``t``; a grid point whose potential is not positive definite raises
+    StabilityError.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("time must be >= 0")
+    if omega_s is None:
+        return _probe_rows(model.modes, model.freqs_normal, model.frequencies, t)
+    omega_s = np.asarray(omega_s, dtype=float)
+    batches = np.split(omega_s, np.arange(OMEGA_BATCH, len(omega_s), OMEGA_BATCH))
+    return np.concatenate([_probe_rows(*_diagonalize_at(model, w), t) for w in batches])
+
+
+def _diagonalize_at(
+    model: QuadraticModel, omega_s: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Eigenvectors, normal frequencies and bare frequencies of the model
+    with the probe frequency set to each entry of ``omega_s``."""
+    V = np.broadcast_to(model.V, omega_s.shape + model.V.shape).copy()
+    V[:, 0, 0] = omega_s**2
+    evals, modes = np.linalg.eigh(V)
+    unstable = np.flatnonzero(evals[:, 0] <= 0)
+    if unstable.size:
+        i = unstable[0]
+        raise StabilityError(
+            f"unstable network at omega_s={omega_s[i]:.6g}: potential matrix "
+            f"has eigenvalue {evals[i, 0]:.6g} <= 0"
+        )
+    bare = np.broadcast_to(model.frequencies, evals.shape).copy()
+    bare[:, 0] = omega_s
+    return modes, np.sqrt(evals), bare
+
+
+def _probe_rows(
+    modes: NDArray[np.float64],
+    om: NDArray[np.float64],
+    bare: NDArray[np.float64],
+    t: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """Probe rows from eigenvectors ``modes``, normal frequencies ``om`` and
+    bare frequencies ``bare``, broadcasting their leading axes against ``t``."""
+    phase = om * t[..., None]
+    cos, sin = np.cos(phase), np.sin(phase)
+    # row S of O f(W) O^T for f = cos, W^-1 sin, W sin
+    coef = modes[..., 0, None, :] * np.stack([cos, sin / om, sin * om], axis=-2)
+    c, sin_over, sin_times = np.moveaxis(coef @ np.swapaxes(modes, -1, -2), -2, 0)
+    # renormalized frame: entry (i, j) scaled by T_i / T_j
+    rt = np.sqrt(bare)
+    inv = 1.0 / rt
+    q_row = np.concatenate([c * (rt[..., :1] * inv), sin_over * (rt[..., :1] * rt)], axis=-1)
+    p_row = np.concatenate([-sin_times * (inv[..., :1] * inv), c * (inv[..., :1] * rt)], axis=-1)
+    return np.stack([q_row, p_row], axis=-2)
+
+
 def preparation_matrix(
     n_modes: int, prep: Sequence[tuple[int, float, float]]
 ) -> NDArray[np.float64]:

@@ -162,33 +162,49 @@ def reduce_state(state: GaussianState, mode: int) -> GaussianState:
     return GaussianState(state.mean[ix], state.cov[np.ix_(ix, ix)])
 
 
+def mean_photon_from_moments(
+    mean: NDArray[np.float64], cov: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """n = (<q^2> + <p^2> + mean_q^2 + mean_p^2 - 1) / 2 over stacks of
+    single-mode (..., 2) means and (..., 2, 2) covariances."""
+    return 0.5 * (cov[..., 0, 0] + cov[..., 1, 1] + mean[..., 0] ** 2 + mean[..., 1] ** 2 - 1.0)
+
+
 def mean_photon(state: GaussianState) -> float:
-    """n = (<q^2> + <p^2> + mean_q^2 + mean_p^2 - 1) / 2 for one mode."""
+    """Mean photon number of a single-mode state."""
     if state.n_modes != 1:
         raise StateError("mean_photon expects a single-mode state")
-    return float(
-        0.5 * (state.cov[0, 0] + state.cov[1, 1] + state.mean[0] ** 2 + state.mean[1] ** 2 - 1.0)
-    )
+    return float(mean_photon_from_moments(state.mean, state.cov))
 
 
-def fidelity(s1: GaussianState, s2: GaussianState) -> float:
-    """Uhlmann fidelity of two single-mode Gaussian states.
+def fidelity_from_moments(
+    mean1: NDArray[np.float64],
+    cov1: NDArray[np.float64],
+    mean2: NDArray[np.float64],
+    cov2: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """Uhlmann fidelity of single-mode Gaussian states given by their moments.
 
     F = exp(-1/2 du^T (S1+S2)^-1 du) / (sqrt(L + d) - sqrt(d)) with
     L = det(S1+S2) and d = 4 (det S1 - 1/4)(det S2 - 1/4); normalized so
-    pure-state fidelity is |<psi1|psi2>|^2 and F(rho, rho) = 1.
+    pure-state fidelity is |<psi1|psi2>|^2 and F(rho, rho) = 1. Broadcasts
+    over the leading axes of (..., 2) means and (..., 2, 2) covariances.
     """
+    total = cov1 + cov2
+    lam = np.linalg.det(total)
+    if np.any(lam <= 0):
+        raise StateError("sum of covariances not positive definite")
+    delta = np.maximum(4.0 * (np.linalg.det(cov1) - 0.25) * (np.linalg.det(cov2) - 0.25), 0.0)
+    du = np.broadcast_to(mean1 - mean2, total.shape[:-1])
+    quad = (du * np.linalg.solve(total, du[..., None])[..., 0]).sum(axis=-1)
+    return np.exp(-0.5 * quad) / (np.sqrt(lam + delta) - np.sqrt(delta))
+
+
+def fidelity(s1: GaussianState, s2: GaussianState) -> float:
+    """Uhlmann fidelity of two single-mode Gaussian states."""
     if s1.n_modes != 1 or s2.n_modes != 1:
         raise StateError("fidelity expects single-mode states")
-    total = s1.cov + s2.cov
-    lam = float(np.linalg.det(total))
-    if lam <= 0:
-        raise StateError("sum of covariances not positive definite")
-    delta = 4.0 * (np.linalg.det(s1.cov) - 0.25) * (np.linalg.det(s2.cov) - 0.25)
-    delta = max(float(delta), 0.0)
-    du = s1.mean - s2.mean
-    gauss = float(np.exp(-0.5 * du @ np.linalg.solve(total, du)))
-    return gauss / (np.sqrt(lam + delta) - np.sqrt(delta))
+    return float(fidelity_from_moments(s1.mean, s1.cov, s2.mean, s2.cov))
 
 
 def pure_fidelity_reference(r1: float, r2: float, phi0: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import gaussian as g
-from .dynamics import QuadraticModel, assemble_model, evolve
+from .dynamics import QuadraticModel, assemble_model, probe_rows
 from .gaussian import GaussianState, SqueezedSpec
 from .netmodel import CouplingGraph
 
@@ -145,23 +145,34 @@ def thermal_occupancy(omega: float | NDArray, temperature: float) -> float | NDA
     return 1.0 / np.expm1(np.asarray(omega) / temperature)
 
 
-def thermal_environment(model: QuadraticModel, temperature: float) -> GaussianState:
-    """Gibbs state of the environment block, node-renormalized frame.
+def _environment_state(
+    model: QuadraticModel, var_q: NDArray[np.float64], var_p: NDArray[np.float64]
+) -> GaussianState:
+    """Environment state with variances (var_q, var_p) in each normal mode,
+    node-renormalized frame.
 
-    Each environment normal mode carries occupancy N(Omega_n); the covariance
-    is rotated to node coordinates and rescaled by the bare node frequencies.
+    The normal-mode covariance is rotated to node coordinates and rescaled by
+    the bare node frequencies.
     """
     om = model.env_freqs
-    occ = np.asarray(thermal_occupancy(om, temperature)) + 0.5
     O = model.env_modes
     w_nodes = model.frequencies[1:]
     mq = np.sqrt(w_nodes)[:, None] * O / np.sqrt(om)[None, :]
     mp = (1.0 / np.sqrt(w_nodes))[:, None] * O * np.sqrt(om)[None, :]
     n = len(om)
     cov = np.zeros((2 * n, 2 * n))
-    cov[:n, :n] = (mq * occ[None, :]) @ mq.T
-    cov[n:, n:] = (mp * occ[None, :]) @ mp.T
+    cov[:n, :n] = (mq * var_q[None, :]) @ mq.T
+    cov[n:, n:] = (mp * var_p[None, :]) @ mp.T
     return GaussianState(np.zeros(2 * n), cov)
+
+
+def thermal_environment(model: QuadraticModel, temperature: float) -> GaussianState:
+    """Gibbs state of the environment block, node-renormalized frame.
+
+    Each environment normal mode carries occupancy N(Omega_n).
+    """
+    occ = np.asarray(thermal_occupancy(model.env_freqs, temperature)) + 0.5
+    return _environment_state(model, occ, occ)
 
 
 def squeezed_environment(model: QuadraticModel, temperature: float) -> GaussianState:
@@ -177,17 +188,9 @@ def squeezed_environment(model: QuadraticModel, temperature: float) -> GaussianS
     nbar = np.asarray(thermal_occupancy(om, temperature))
     r = np.arcsinh(np.sqrt(nbar))
     sign = np.where(np.arange(len(om)) % 2 == 0, 1.0, -1.0)
-    vq = 0.5 * np.exp(-2.0 * r * sign)
-    vp = 0.5 * np.exp(+2.0 * r * sign)
-    O = model.env_modes
-    w_nodes = model.frequencies[1:]
-    mq = np.sqrt(w_nodes)[:, None] * O / np.sqrt(om)[None, :]
-    mp = (1.0 / np.sqrt(w_nodes))[:, None] * O * np.sqrt(om)[None, :]
-    n = len(om)
-    cov = np.zeros((2 * n, 2 * n))
-    cov[:n, :n] = (mq * vq[None, :]) @ mq.T
-    cov[n:, n:] = (mp * vp[None, :]) @ mp.T
-    return GaussianState(np.zeros(2 * n), cov)
+    return _environment_state(
+        model, 0.5 * np.exp(-2.0 * r * sign), 0.5 * np.exp(+2.0 * r * sign)
+    )
 
 
 def _initial_state(
@@ -220,18 +223,74 @@ class SamplingOptions:
     n_reps: int = 20
     seed: int | None = 0
 
+    def __post_init__(self):
+        if self.n_samples < 2:
+            raise ValueError("need at least 2 samples per quadrature")
+        if self.n_reps < 1:
+            raise ValueError("need at least one repetition")
+
 
 def _invert_excitation(
-    omega_s: float, t_max: float, n_bath: float, n0: float, n_s: float
-) -> float:
+    omega_s: float | NDArray,
+    t_max: float,
+    n_bath: float | NDArray,
+    n0: float,
+    n_s: float | NDArray,
+) -> NDArray[np.float64]:
+    omega_s, n_bath, n_s = np.broadcast_arrays(omega_s, n_bath, n_s)
     # the log argument must stay positive: the probe occupancy may approach
     # the bath occupancy from the n0 side but not cross it
-    if (n_bath - n0) * (n_bath - n_s) <= 0:
+    saturated = np.flatnonzero((n_bath - n0) * (n_bath - n_s) <= 0)
+    if saturated.size:
+        i = saturated[0]
         raise ProbeSaturatedError(
-            f"probe occupancy {n_s:.4g} reached bath occupancy {n_bath:.4g}; "
+            f"probe occupancy {n_s.flat[i]:.4g} reached bath occupancy "
+            f"{n_bath.flat[i]:.4g} at omega_s={omega_s.flat[i]:.6g}; "
             "raise the temperature or shorten t_max"
         )
     return (omega_s / t_max) * np.log((n_bath - n0) / (n_bath - n_s))
+
+
+def _probe_path(
+    model: QuadraticModel,
+    omega: NDArray[np.float64],
+    rows: NDArray[np.float64],
+    t_max: float,
+    temperature: float,
+    probe_state: GaussianState | None,
+    env_prep: str,
+    sampling: SamplingOptions | None,
+) -> tuple[NDArray[np.float64], NDArray[np.float64] | None]:
+    """J and its stderr at each probe frequency ``omega`` from the (G, 2, 2M)
+    probe rows of the propagators to t_max.
+
+    With sampling, each point draws from its own child of the master seed,
+    so its samples do not depend on the rest of the grid.
+    """
+    probe = probe_state if probe_state is not None else g.vacuum_state(1)
+    n0 = g.mean_photon(probe)
+    n_bath = np.asarray(thermal_occupancy(omega, temperature))
+    state0 = _initial_state(model, probe, temperature, env_prep)
+    # probe moments S_p mu0 and S_p Sigma0 S_p^T
+    mean = rows @ state0.mean
+    cov = rows @ state0.cov @ np.swapaxes(rows, -1, -2)
+    if sampling is None:
+        n_s = g.mean_photon_from_moments(mean, cov)
+        return _invert_excitation(omega, t_max, n_bath, n0, n_s), None
+
+    reps, n = sampling.n_reps, sampling.n_samples
+    js = np.empty((len(omega), reps))
+    for i, seed in enumerate(np.random.SeedSequence(sampling.seed).spawn(len(omega))):
+        probe_final = GaussianState(mean[i], cov[i])
+        q, p = (
+            g.homodyne_sample(probe_final, quad, 0, reps * n, quad_seed).reshape(reps, n)
+            for quad, quad_seed in zip("qp", seed.spawn(2))
+        )
+        # sampled second moments already include the means
+        n_s = 0.5 * ((q**2).mean(axis=1) + (p**2).mean(axis=1) - 1.0)
+        js[i] = _invert_excitation(omega[i], t_max, n_bath[i], n0, n_s)
+    stderr = js.std(axis=1, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(omega))
+    return js.mean(axis=1), stderr
 
 
 def spectral_density_probe(
@@ -249,35 +308,17 @@ def spectral_density_probe(
     samples of q_S and p_S when ``sampling`` is given. Returns (J, stderr)
     with stderr = standard error over repetitions (None without sampling).
     """
-    omega_s = model.omega_s
-    probe = probe_state if probe_state is not None else g.vacuum_state(1)
-    n0 = g.mean_photon(probe)
-    n_bath = float(thermal_occupancy(omega_s, temperature))
-    state0 = _initial_state(model, probe, temperature, env_prep)
-    final = g.propagate(state0, evolve(model, t_max))
-    probe_final = g.reduce_state(final, 0)
-
-    if sampling is None:
-        n_s = g.mean_photon(probe_final)
-        return _invert_excitation(omega_s, t_max, n_bath, n0, n_s), None
-
-    if sampling.n_reps < 1:
-        raise ValueError("need at least one repetition")
-    seeds = np.random.SeedSequence(sampling.seed).spawn(2 * sampling.n_reps)
-    js = []
-    for rep in range(sampling.n_reps):
-        q2, _ = g.estimate_second_moment(
-            g.homodyne_sample(probe_final, "q", 0, sampling.n_samples, seeds[2 * rep])
-        )
-        p2, _ = g.estimate_second_moment(
-            g.homodyne_sample(probe_final, "p", 0, sampling.n_samples, seeds[2 * rep + 1])
-        )
-        n_s = 0.5 * (q2 + p2 - 1.0)  # sampled second moments already include the means
-        js.append(_invert_excitation(omega_s, t_max, n_bath, n0, n_s))
-    js = np.asarray(js)
-    if len(js) == 1:
-        return float(js[0]), 0.0
-    return float(js.mean()), float(js.std(ddof=1) / np.sqrt(len(js)))
+    j, stderr = _probe_path(
+        model,
+        np.array([model.omega_s]),
+        probe_rows(model, t_max)[None],
+        t_max,
+        temperature,
+        probe_state,
+        env_prep,
+        sampling,
+    )
+    return float(j[0]), None if stderr is None else float(stderr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +372,6 @@ def model_at(
     )
 
 
-def _probe_point(args) -> tuple[float, float | None]:
-    graph, w, t_max, temperature, probe_state, env_prep, opt, bilinear = args
-    return spectral_density_probe(
-        model_at(graph, w, bilinear), t_max, temperature, probe_state, env_prep, opt
-    )
-
-
 def sweep_spectral_density(
     graph: CouplingGraph,
     omega_grid: Sequence[float],
@@ -347,18 +381,20 @@ def sweep_spectral_density(
     probe_state: GaussianState | None = None,
     env_prep: str = "thermal",
     sampling: SamplingOptions | None = None,
-    workers: int = 1,
     bilinear_env: bool = False,
 ) -> SpectralDensityCurve:
     """Evaluate the spectral density over a frequency grid.
 
-    Every grid point is an independent computation; with sampling enabled,
-    per-point seeds are derived from the master seed, so results do not
-    depend on evaluation order or on ``workers``.
+    The probe path diagonalizes the potentials of the whole grid as one
+    stack and propagates only the probe rows. With sampling enabled,
+    per-point seeds are derived from the master seed, so a one-point sweep
+    reproduces ``spectral_density_probe`` with the same options.
     """
     if method not in ("analytic", "probe", "both"):
         raise ValueError(f"unknown method {method!r}")
     omega_grid = np.asarray(list(omega_grid), dtype=float)
+    if len(omega_grid) == 0:
+        raise ValueError("frequency grid is empty")
     ja = jp = se = None
     if method in ("analytic", "both"):
         # the kernel only involves the environment block: one model serves the grid
@@ -368,29 +404,17 @@ def sweep_spectral_density(
             )
         )
     if method in ("probe", "both"):
-        point_sampling: list[SamplingOptions | None]
-        if sampling is not None:
-            children = np.random.SeedSequence(sampling.seed).spawn(len(omega_grid))
-            point_sampling = [
-                dc_replace(sampling, seed=int(child.generate_state(1)[0]))
-                for child in children
-            ]
-        else:
-            point_sampling = [None] * len(omega_grid)
-        tasks = [
-            (graph, w, t_max, temperature, probe_state, env_prep, opt, bilinear_env)
-            for w, opt in zip(omega_grid, point_sampling)
-        ]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                vals = list(pool.map(_probe_point, tasks, chunksize=8))
-        else:
-            vals = [_probe_point(t) for t in tasks]
-        jp = np.array([v[0] for v in vals])
-        if sampling is not None:
-            se = np.array([v[1] for v in vals])
+        model = model_at(graph, omega_grid[0], bilinear_env)
+        jp, se = _probe_path(
+            model,
+            omega_grid,
+            probe_rows(model, t_max, omega_grid),
+            t_max,
+            temperature,
+            probe_state,
+            env_prep,
+            sampling,
+        )
     return SpectralDensityCurve(
         omega=omega_grid,
         method=method,
@@ -411,13 +435,12 @@ def moving_average(values: NDArray[np.float64], window: int) -> NDArray[np.float
     if window < 1 or window % 2 == 0:
         raise ValueError("smoothing window must be odd and positive")
     v = np.asarray(values, dtype=float)
-    half = window // 2
-    out = np.empty_like(v)
-    n = len(v)
-    for i in range(n):
-        a = min(half, i, n - 1 - i)
-        out[i] = v[i - a : i + a + 1].mean()
-    return out
+    i = np.arange(len(v))
+    half = np.minimum(np.minimum(i, len(v) - 1 - i), window // 2)
+    # running sums of deviations from the mean keep the differences accurate
+    ref = v.mean() if len(v) else 0.0
+    csum = np.concatenate([[0.0], np.cumsum(v - ref)])
+    return ref + (csum[i + half + 1] - csum[i - half]) / (2 * half + 1)
 
 
 @dataclass(frozen=True)
@@ -476,23 +499,25 @@ def qnm_trace(
 ) -> FidelityTrace:
     """Fidelity between two probe preparations evolving in a vacuum network.
 
-    For each time, both initial probe states (environment in vacuum) are
-    propagated with the same renormalized evolution, reduced to the probe,
-    and compared via the Gaussian fidelity.
+    Both initial probe states (environment in vacuum) are propagated with
+    the same renormalized evolution; only the probe rows of the propagator
+    are formed, for the whole grid at once, and the probe blocks are
+    compared via the Gaussian fidelity.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
-    n_env = model.n_modes - 1
-    states0 = [
-        g.product_state(g.squeezed_state(spec), g.vacuum_state(n_env))
+    rows = probe_rows(model, t_grid)
+    cols = rows[..., [0, model.n_modes]]
+    # S_p Sigma0 S_p^T with a vacuum environment: 1/2 S_p S_p^T plus the
+    # probe's excess over vacuum, carried by the probe columns of S_p
+    vacuum = 0.5 * rows @ np.swapaxes(rows, -1, -2)
+    covs = [
+        vacuum + cols @ (g.squeezed_state(spec).cov - 0.5 * np.eye(2)) @ np.swapaxes(cols, -1, -2)
         for spec in (rho1, rho2)
     ]
-    fs = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        S = evolve(model, t)
-        pair = [g.reduce_state(g.propagate(s0, S), 0) for s0 in states0]
-        fs[i] = g.fidelity(pair[0], pair[1])
+    zero = np.zeros(2)
+    fs = g.fidelity_from_moments(zero, covs[0], zero, covs[1])
     return FidelityTrace(
         t=t_grid,
         f_raw=fs,

@@ -82,6 +82,11 @@ class TestSpectral:
         assert run(args + ["--out", str(out2)]) == 0
         assert (out1 / "spectral.csv").read_bytes() == (out2 / "spectral.csv").read_bytes()
 
+    def test_empty_sweep_is_config_error(self, outdir, capsys):
+        args = ["spectral", "--config", "network1.cfg", "--points", "0", "--out", str(outdir)]
+        assert run(args) == EXIT_CONFIG
+        assert "points" in capsys.readouterr().err
+
     def test_probe_saturation_exit_code(self, tmp_path, capsys):
         graph = {
             "nodes": 1,

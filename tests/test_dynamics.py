@@ -11,6 +11,7 @@ from oscnet.dynamics import (
     evolve_bare,
     preparation_matrix,
     probe_mask,
+    probe_rows,
     quadratic_energy,
     renormalize,
 )
@@ -123,6 +124,32 @@ class TestRenormalize:
     def test_dimension_mismatch_rejected(self, net1_model):
         with pytest.raises(ValueError):
             renormalize(np.eye(4), net1_model)
+
+
+class TestProbeRows:
+    def test_matches_evolve_over_time_grid(self, networks):
+        m = assemble_model(networks[4])
+        ts = np.array([0.0, 3.7, 90.0, 500.0])
+        n = m.n_modes
+        ref = np.array([evolve(m, t)[[0, n]] for t in ts])
+        assert np.allclose(probe_rows(m, ts), ref, rtol=0.0, atol=1e-13)
+        assert np.allclose(probe_rows(m, 90.0), ref[2], rtol=0.0, atol=1e-13)
+
+    def test_matches_evolve_over_probe_frequencies(self, networks):
+        graph = networks[4]
+        m = assemble_model(graph)
+        ws = np.linspace(0.1, 1.1, 5)
+        n = m.n_modes
+        ref = np.array([evolve(on.model_at(graph, w), 90.0)[[0, n]] for w in ws])
+        assert np.allclose(probe_rows(m, 90.0, omega_s=ws), ref, rtol=0.0, atol=1e-13)
+
+    def test_unstable_probe_frequency_named(self, net1_model):
+        with pytest.raises(StabilityError, match="omega_s=0.01"):
+            probe_rows(net1_model, 10.0, omega_s=[0.3, 0.01])
+
+    def test_negative_time_rejected(self, net1_model):
+        with pytest.raises(ValueError):
+            probe_rows(net1_model, np.array([1.0, -1.0]))
 
 
 class TestPreparation:

@@ -11,6 +11,7 @@ from oscnet.gaussian import (
     db_to_r,
     estimate_second_moment,
     fidelity,
+    fidelity_from_moments,
     homodyne_sample,
     mean_photon,
     product_state,
@@ -163,6 +164,22 @@ class TestFidelity:
         for th in np.linspace(0, 2 * np.pi, 9):
             R = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
             assert np.isclose(fidelity(propagate(a, R), propagate(b, R)), base, atol=1e-10)
+
+    def test_moments_broadcast_over_a_stack(self):
+        rng = np.random.default_rng(5)
+        states = []
+        for _ in range(6):
+            r, th = rng.uniform(0.0, 0.8), rng.uniform(0.0, np.pi)
+            s = pure_squeezed(r, th)
+            states.append(GaussianState(rng.normal(0.0, 0.5, 2), s.cov))
+        a, b = states[:3], states[3:]
+        stacked = fidelity_from_moments(
+            np.array([s.mean for s in a]),
+            np.array([s.cov for s in a]),
+            np.array([s.mean for s in b]),
+            np.array([s.cov for s in b]),
+        )
+        assert np.allclose(stacked, [fidelity(x, y) for x, y in zip(a, b)], rtol=1e-14, atol=0.0)
 
     def test_multimode_rejected(self):
         with pytest.raises(StateError):

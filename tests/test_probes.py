@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import oscnet as on
-from oscnet.gaussian import SqueezedSpec, squeezed_state
+from oscnet.gaussian import (
+    SqueezedSpec,
+    fidelity,
+    mean_photon,
+    product_state,
+    propagate,
+    reduce_state,
+    squeezed_state,
+    vacuum_state,
+)
 from oscnet.probes import (
     PlateauError,
     ProbeSaturatedError,
@@ -272,11 +281,95 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_spectral_density(net1, [0.3, 0.3, 0.4], 150.0)
 
-    def test_workers_do_not_change_results(self, net1):
+
+# bundled sweep range and t_max of each network
+BUNDLED_SWEEPS = {
+    1: (0.2, 0.7, 150.0),
+    2: (0.2, 0.7, 150.0),
+    3: (0.2, 0.7, 150.0),
+    4: (0.1, 1.1, 90.0),
+    5: (0.5, 0.8, 250.0),
+}
+
+
+def oracle_fidelity_trace(model, rho1, rho2, ts):
+    """Per-time fidelity through the full propagator and validated states."""
+    states0 = [
+        product_state(squeezed_state(spec), vacuum_state(model.n_modes - 1))
+        for spec in (rho1, rho2)
+    ]
+    out = []
+    for t in ts:
+        S = on.evolve(model, t)
+        a, b = (reduce_state(propagate(s0, S), 0) for s0 in states0)
+        out.append(fidelity(a, b))
+    return np.array(out)
+
+
+def oracle_probe_j(graph, grid, t_max, environment, probe, temperature=1.0):
+    """Per-point probe-path J through the full propagator and validated states."""
+    out = []
+    for w in grid:
+        m = model_at(graph, w)
+        state0 = product_state(probe, environment(m, temperature))
+        n_s = mean_photon(reduce_state(propagate(state0, on.evolve(m, t_max)), 0))
+        n_bath = thermal_occupancy(w, temperature)
+        out.append((w / t_max) * np.log((n_bath - mean_photon(probe)) / (n_bath - n_s)))
+    return np.array(out)
+
+
+class TestBatchedEquivalence:
+    @pytest.mark.parametrize("idx", range(1, 6))
+    def test_qnm_trace_matches_per_time_oracle(self, networks, idx):
+        m = on.assemble_model(networks[idx])
+        ts = np.linspace(0, 500, 251)
+        tr = qnm_trace(m, *PAPER_STATES, ts)
+        ref = oracle_fidelity_trace(m, *PAPER_STATES, ts)
+        assert np.max(np.abs(tr.f_raw - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("squeezed_probe", [False, True])
+    @pytest.mark.parametrize("env_prep", ["thermal", "squeezed"])
+    @pytest.mark.parametrize("idx", range(1, 6))
+    def test_sweep_matches_per_point_oracle(self, networks, idx, env_prep, squeezed_probe):
+        start, stop, t_max = BUNDLED_SWEEPS[idx]
+        grid = np.linspace(start, stop, 15)
+        probe = squeezed_state(SqueezedSpec(-3.0, 3.0, "q")) if squeezed_probe else None
+        curve = sweep_spectral_density(
+            networks[idx], grid, t_max, method="probe", probe_state=probe, env_prep=env_prep
+        )
+        environment = thermal_environment if env_prep == "thermal" else squeezed_environment
+        ref = oracle_probe_j(
+            networks[idx], grid, t_max, environment, probe or vacuum_state(1)
+        )
+        assert np.max(np.abs(curve.j_probe - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_single_point_matches_sweep(self, net1):
         grid = np.linspace(0.25, 0.45, 6)
-        serial = sweep_spectral_density(net1, grid, 150.0, method="probe")
-        parallel = sweep_spectral_density(net1, grid, 150.0, method="probe", workers=2)
-        assert np.array_equal(serial.j_probe, parallel.j_probe)
+        curve = sweep_spectral_density(net1, grid, 150.0, method="probe")
+        single = [spectral_density_probe(model_at(net1, w), 150.0)[0] for w in grid]
+        assert np.allclose(curve.j_probe, single, rtol=1e-12, atol=0.0)
+
+    def test_one_point_sampled_sweep_matches_single_point(self, net1):
+        opts = SamplingOptions(n_samples=500, n_reps=4, seed=3)
+        curve = sweep_spectral_density(net1, [0.3], 150.0, method="probe", sampling=opts)
+        j, err = spectral_density_probe(model_at(net1, 0.3), 150.0, sampling=opts)
+        assert np.isclose(curve.j_probe[0], j, rtol=1e-10, atol=0.0)
+        assert np.isclose(curve.stderr[0], err, rtol=1e-8, atol=0.0)
+
+    def test_sweep_raises_stability_error(self, net1):
+        with pytest.raises(on.StabilityError):
+            sweep_spectral_density(net1, [0.01, 0.3], 150.0, method="probe")
+
+    def test_sweep_raises_saturation_naming_the_point(self):
+        # full resonant swap at omega_S = 0.25 only
+        g = on.build_explicit(1, 0.25, []).with_probe(1, 1e-3, 0.25)
+        t_full = np.pi / 2 / (1e-3 / 0.5)
+        with pytest.raises(ProbeSaturatedError, match="omega_s=0.25"):
+            sweep_spectral_density(g, [0.24, 0.25, 0.26], t_full, method="probe")
+
+    def test_empty_grid_rejected(self, net1):
+        with pytest.raises(ValueError):
+            sweep_spectral_density(net1, [], 150.0)
 
 
 class TestSmoothing:
@@ -294,6 +387,16 @@ class TestSmoothing:
         assert sm[0] == v[0]
         assert sm[1] == v[0:3].mean()
         assert sm[5] == v[3:8].mean()
+
+    def test_matches_loop_definition(self):
+        rng = np.random.default_rng(11)
+        for n, window in ((251, 51), (40, 7), (5, 9), (1, 3)):
+            v = 1.0 + 0.1 * rng.standard_normal(n)
+            ref = np.empty(n)
+            for i in range(n):
+                a = min(window // 2, i, n - 1 - i)
+                ref[i] = v[i - a : i + a + 1].mean()
+            assert np.max(np.abs(moving_average(v, window) - ref)) <= 1e-12
 
 
 class TestQnm:
