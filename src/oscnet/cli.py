@@ -24,6 +24,7 @@ from .probes import (
     PlateauError,
     ProbeSaturatedError,
     SamplingOptions,
+    _fmt,
     blp_witness,
     model_at,
     qnm_trace,
@@ -82,6 +83,11 @@ def _load_config(path: str | None) -> dict:
         user = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(user, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(user) - set(DEFAULTS) - {"network", "probe", "out_dir"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     cfg.update(user)
     cfg["_config_dir"] = str(p.parent)
     return cfg
@@ -148,10 +154,6 @@ def _out_dir(cfg: dict) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write_manifest(out: Path, cfg: dict, overrides: dict) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .netmodel import CouplingGraph
-from .symplectic import bloch_messiah, is_symplectic
+from .symplectic import bloch_messiah
 
 
 class StabilityError(ValueError):
@@ -260,14 +260,11 @@ def probe_mask(S: NDArray[np.float64], tol: float = 1e-10) -> NDArray[np.float64
 
     Returns the (2, 2M) row pair of the Bloch-Messiah R1 factor that selects
     the probe's q and p: the simulator analogue of the local-oscillator mask
-    defining the measured mode. Orthogonal symplectic inputs are used as R1
-    directly.
+    defining the measured mode. Orthogonal symplectic inputs are their own
+    R1.
     """
     n = S.shape[0] // 2
-    if np.linalg.norm(S.T @ S - np.eye(2 * n)) < tol and is_symplectic(S, tol)[0]:
-        r1 = S
-    else:
-        r1 = bloch_messiah(S, tol).r1
+    r1 = bloch_messiah(S, tol).r1
     return np.vstack([r1[0, :], r1[n, :]])
 
 

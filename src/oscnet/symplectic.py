@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import polar
 
 SYMPLECTIC_TOL = 1e-10
 PAIR_TOL = 1e-10
@@ -86,17 +85,20 @@ class BlochMessiahFactors:
 def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochMessiahFactors:
     """Bloch-Messiah (Euler) decomposition of a symplectic matrix.
 
-    Route: polar decomposition S = P O (P symmetric positive-definite
-    symplectic, O orthogonal symplectic), then symplectic diagonalization
-    P = R1 Delta R1^T from the eigenvectors of P, finally R2 = R1^T O.
+    Route: one SVD S = U Sigma V^T. U is an eigenbasis of the positive polar
+    factor P = U Sigma U^T and Sigma its spectrum, in descending order. The
+    singular values come in (d, 1/d) pairs and Omega maps the d-singular
+    space onto the 1/d one, so an orthonormal basis v_i of the singular
+    vectors with d_i > 1, completed with -Omega v_i, is an orthogonal
+    symplectic R1 with P = R1 Delta R1^T. The (near-)unit singular space is
+    filled from its orthogonal projector applied to the canonical basis,
+    in order. Finally R2 = Delta^-1 R1^T S.
 
-    For P its eigenvalues come in (d, 1/d) pairs and Omega maps the
-    d-eigenspace onto the 1/d-eigenspace, so choosing an orthonormal
-    eigenbasis v_i for all eigenvalues d_i > 1 and completing with
-    -Omega v_i yields an orthogonal symplectic R1. Eigenvalue-1 directions
-    are filled with a deterministic symplectic basis of that subspace.
-    Column signs are fixed so each of the first M columns of R1 has a
-    positive leading entry (paired column signs follow).
+    Each candidate column is projected off all accepted pairs
+    (u, -Omega u) at once, twice, which pins R1's orthogonality and pairing
+    to machine precision even for clustered singular values. Column signs
+    are fixed so each of the first M columns of R1 has a positive leading
+    entry (paired column signs follow). Passive S is returned as R1.
     """
     ok, res = is_symplectic(S, tol)
     if not ok:
@@ -108,62 +110,43 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
         # passive transformation: all squeezing in R1 by convention
         return BlochMessiahFactors(r1=S.copy(), d=np.ones(n), r2=np.eye(2 * n))
 
-    O, P = polar(S, side="left")  # S = P @ O
-    P = 0.5 * (P + P.T)
-    evals, vecs = np.linalg.eigh(P)
+    vecs, evals, _ = np.linalg.svd(S)
 
     hi = 1.0 + PAIR_TOL
     lo = 1.0 / hi
-    squeezed_idx = sorted(np.flatnonzero(evals > hi), key=lambda i: -evals[i])
-    small_idx = np.flatnonzero(evals < lo)
-    unit_idx = np.flatnonzero((evals >= lo) & (evals <= hi))
-    if len(squeezed_idx) != len(small_idx):
-        raise SymplecticError("eigenvalues of the polar factor do not pair reciprocally")
-
-    # candidate q-columns: squeezed eigenvectors (descending d), then a
-    # deterministic filling of the (near-)unit eigenspace from projected
-    # canonical basis vectors
-    candidates: list[tuple[np.ndarray, float, bool]] = [
-        (vecs[:, i], float(evals[i]), True) for i in squeezed_idx
-    ]
-    if len(candidates) < n:
-        U = vecs[:, unit_idx]
-        proj = U @ U.T
-        candidates.extend((proj @ e, 1.0, False) for e in np.eye(2 * n))
-
-    # symplectic Gram-Schmidt: each accepted column v is orthonormalized
-    # against all previous pairs (u, -Omega u), pinning R1's orthogonality
-    # and pairing to machine precision even for clustered eigenvalues
-    q_cols: list[np.ndarray] = []
-    d_list: list[float] = []
-    for v, dval, required in candidates:
-        if len(q_cols) == n:
-            break
-        w = v.copy()
-        for _ in range(2):  # twice is enough (classical GS refinement)
-            for b in q_cols:
-                w -= (b @ w) * b
-                ob = omega @ b
-                w -= (ob @ w) * ob
-        norm = np.linalg.norm(w)
-        if norm < 1e-8:
-            if required:
-                raise SymplecticError("degenerate squeezed eigendirections collapsed")
-            continue
-        q_cols.append(w / norm)
-        d_list.append(dval)
-    if len(q_cols) != n:
-        raise SymplecticError("failed to build a symplectic eigenbasis of the polar factor")
+    n_squeezed = int(np.count_nonzero(evals > hi))
+    if n_squeezed != np.count_nonzero(evals < lo):
+        raise SymplecticError("singular values do not pair reciprocally")
+    unit = vecs[:, (evals >= lo) & (evals <= hi)]
+    # candidate q-columns: squeezed singular vectors (descending d), then the
+    # columns of the projector onto the (near-)unit singular space
+    candidates = np.hstack([vecs[:, :n_squeezed], unit @ unit.T])
 
     r1 = np.empty((2 * n, 2 * n))
-    for m, v in enumerate(q_cols):
-        lead = np.flatnonzero(np.abs(v) > 1e-12)
-        if lead.size and v[lead[0]] < 0:
-            v = -v
-        r1[:, m] = v
-        r1[:, n + m] = -omega @ v
+    k = 0
+    for j in range(candidates.shape[1]):
+        if k == n:
+            break
+        basis = np.hstack([r1[:, :k], r1[:, n : n + k]])
+        w = candidates[:, j]
+        for _ in range(2):  # twice is enough (classical GS refinement)
+            w = w - basis @ (basis.T @ w)
+        norm = np.linalg.norm(w)
+        if norm < 1e-8:
+            if j < n_squeezed:
+                raise SymplecticError("degenerate squeezed singular directions collapsed")
+            continue
+        w /= norm
+        lead = np.flatnonzero(np.abs(w) > 1e-12)
+        if lead.size and w[lead[0]] < 0:
+            w = -w
+        r1[:, k] = w
+        r1[:, n + k] = -omega @ w
+        k += 1
+    if k != n:
+        raise SymplecticError("failed to build a symplectic singular basis")
 
-    d = np.asarray(d_list)
+    d = np.concatenate([evals[:n_squeezed], np.ones(n - n_squeezed)])
     delta = np.concatenate([d, 1.0 / d])
     r2 = (r1 / delta[None, :]).T @ S  # R2 = Delta^-1 R1^T S
     return BlochMessiahFactors(r1=r1, d=d, r2=r2)

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscnet
 from oscnet.cli import EXIT_CONFIG, EXIT_SATURATED, EXIT_UNSTABLE, bundled_config_path, main
 
 
@@ -46,6 +50,22 @@ class TestValidate:
 
     def test_missing_config_is_config_error(self, outdir, capsys):
         assert run(["validate", "--config", "nope.cfg", "--out", str(outdir)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cfg: {**cfg, "temprature": 5.0}, "temprature"),
+            (lambda cfg: [cfg], "JSON object"),
+        ],
+        ids=["unknown-key", "not-an-object"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, outdir, capsys, edit, message):
+        cfg = json.loads(bundled_config_path("network2.cfg").read_text())
+        p = tmp_path / "bad.cfg"
+        p.write_text(json.dumps(edit(cfg)))
+        assert run(["validate", "--config", str(p), "--out", str(outdir)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (outdir / "manifest.json").exists()
 
 
 class TestSpectral:
@@ -225,3 +245,12 @@ def test_outdir_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("OSCNET_OUT", str(target))
     assert run(["validate", "--config", "network1.cfg"]) == 0
     assert (target / "validate.txt").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(oscnet.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import oscnet.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

@@ -81,12 +81,27 @@ class TestBlochMessiah:
 
     def test_degenerate_singular_values(self):
         rng = np.random.default_rng(5)
-        r = np.array([0.4, 0.4, 0.0])
-        delta = np.diag(np.exp(np.concatenate([r, -r])))
-        S = random_orthogonal_symplectic(3, rng) @ delta @ random_orthogonal_symplectic(3, rng)
-        f = bloch_messiah(S)
-        assert np.linalg.norm(f.reconstruct() - S) < 1e-10
-        assert np.allclose(np.sort(f.d), np.sort(np.exp(r)), atol=1e-10)
+        for r in (
+            [0.4, 0.4, 0.0],
+            # squeezing just above PAIR_TOL, alone and next to clusters
+            [1e-8, 0.3, 0.0],
+            [5e-9, 5e-9, 0.7, 0.7, 0.0],
+            [2e-10, 0.5, 0.5],
+        ):
+            r = np.array(r)
+            m = len(r)
+            delta = np.diag(np.exp(np.concatenate([r, -r])))
+            S = (
+                random_orthogonal_symplectic(m, rng)
+                @ delta
+                @ random_orthogonal_symplectic(m, rng)
+            )
+            f = bloch_messiah(S)
+            assert np.linalg.norm(f.reconstruct() - S) < 1e-10
+            assert np.allclose(np.sort(f.d), np.sort(np.exp(r)), atol=1e-10)
+            for R in (f.r1, f.r2):
+                assert np.linalg.norm(R @ R.T - np.eye(2 * m)) < 1e-10
+                assert is_symplectic(R, 1e-10)[0]
 
     def test_deterministic_output(self):
         S = random_symplectic(4, np.random.default_rng(11))
