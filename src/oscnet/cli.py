@@ -57,6 +57,18 @@ DEFAULTS = {
 }
 
 
+# keys of the fixed-shape config blocks; the network block is not listed
+# because its keys depend on the recipe kind
+_BLOCK_KEYS = {
+    "probe": {"site", "k", "omega_s", "sweep"},
+    "probe.sweep": {"start", "stop", "points"},
+    "time_grid": {"start", "stop", "points"},
+    "states": {"rho1", "rho2"},
+    "states.rho1": {"squeeze_db", "antisqueeze_db", "axis"},
+    "states.rho2": {"squeeze_db", "antisqueeze_db", "axis"},
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -86,6 +98,15 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(user) - set(DEFAULTS) - {"network", "probe", "out_dir"})
+    for path, keys in _BLOCK_KEYS.items():
+        block = user
+        for part in path.split("."):
+            block = block.get(part) if isinstance(block, dict) else None
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            raise ConfigError(f"config block '{path}' must be a JSON object")
+        unknown += [f"{path}.{key}" for key in sorted(set(block) - keys)]
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     cfg.update(user)
@@ -140,6 +161,18 @@ def _sweep_grid(cfg: dict) -> np.ndarray:
     if points < 1:
         raise ConfigError("probe.sweep.points must be at least 1")
     return np.linspace(float(sweep["start"]), float(sweep["stop"]), points)
+
+
+def _sampling(cfg: dict) -> SamplingOptions | None:
+    """Homodyne sampling options; ``samples`` 0 means exact moments."""
+    samples, reps = int(cfg["samples"]), int(cfg["reps"])
+    if samples < 0 or samples == 1:
+        raise ConfigError(f"samples must be 0 (exact moments) or at least 2, got {samples}")
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
+    if samples == 0:
+        return None
+    return SamplingOptions(n_samples=samples, n_reps=reps, seed=int(cfg["seed"]))
 
 
 def _resolve_tmax(cfg: dict, graph: CouplingGraph) -> float:
@@ -211,12 +244,8 @@ def run_validate(cfg: dict, out: Path) -> int:
 def run_spectral(cfg: dict, out: Path) -> int:
     graph = _build_graph(cfg)
     grid = _sweep_grid(cfg)
+    sampling = _sampling(cfg)
     t_max = _resolve_tmax(cfg, graph)
-    sampling = None
-    if int(cfg.get("samples", 0)) > 0:
-        sampling = SamplingOptions(
-            n_samples=int(cfg["samples"]), n_reps=int(cfg["reps"]), seed=int(cfg["seed"])
-        )
     curve = sweep_spectral_density(
         graph,
         grid,

@@ -217,7 +217,13 @@ def _initial_state(
 @dataclass(frozen=True)
 class SamplingOptions:
     """Finite-statistics homodyne emulation: n_samples per quadrature,
-    n_reps repetitions, deterministic seed."""
+    n_reps repetitions, deterministic seed.
+
+    Each repetition's sample second moment of q_S and of p_S is drawn from
+    its exact law, the (noncentral) chi-square distribution of the mean of
+    n_samples squared Gaussian outcomes, so the cost does not grow with
+    n_samples.
+    """
 
     n_samples: int
     n_reps: int = 20
@@ -228,6 +234,16 @@ class SamplingOptions:
             raise ValueError("need at least 2 samples per quadrature")
         if self.n_reps < 1:
             raise ValueError("need at least one repetition")
+
+
+def _sample_second_moments(
+    mean: float, var: float, n_samples: int, n_reps: int, seed: np.random.SeedSequence
+) -> NDArray[np.float64]:
+    """``n_reps`` draws of (1/n) sum_i x_i^2 over n = ``n_samples`` outcomes
+    x_i ~ N(mean, var): (var/n) times a chi-square with n degrees of freedom
+    and noncentrality n mean^2 / var."""
+    rng = np.random.default_rng(seed)
+    return rng.noncentral_chisquare(n_samples, n_samples * mean**2 / var, n_reps) * var / n_samples
 
 
 def _invert_excitation(
@@ -264,8 +280,11 @@ def _probe_path(
     """J and its stderr at each probe frequency ``omega`` from the (G, 2, 2M)
     probe rows of the propagators to t_max.
 
-    With sampling, each point draws from its own child of the master seed,
-    so its samples do not depend on the rest of the grid.
+    With sampling, each repetition's homodyne second moments of q_S and p_S
+    are drawn from their exact (noncentral) chi-square law given the probe
+    moments, and J is inverted per repetition. Each point draws from its own
+    child of the master seed, split into one grandchild per quadrature, so
+    its samples do not depend on the rest of the grid.
     """
     probe = probe_state if probe_state is not None else g.vacuum_state(1)
     n0 = g.mean_photon(probe)
@@ -278,17 +297,20 @@ def _probe_path(
         n_s = g.mean_photon_from_moments(mean, cov)
         return _invert_excitation(omega, t_max, n_bath, n0, n_s), None
 
+    asym = np.abs(cov[:, 0, 1] - cov[:, 1, 0])
+    if np.any(asym > g.COV_SYMMETRY_TOL * np.maximum(1.0, np.abs(cov).max(axis=(1, 2)))):
+        raise g.StateError(f"probe covariance asymmetric by {asym.max():.3e}")
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    if not np.all(var > 0):
+        raise g.StateError("probe quadrature variance is not positive")
     reps, n = sampling.n_reps, sampling.n_samples
-    js = np.empty((len(omega), reps))
+    # sample second moments of q_S and p_S per point and rep; they include the means
+    m2 = np.empty((len(omega), 2, reps))
     for i, seed in enumerate(np.random.SeedSequence(sampling.seed).spawn(len(omega))):
-        probe_final = GaussianState(mean[i], cov[i])
-        q, p = (
-            g.homodyne_sample(probe_final, quad, 0, reps * n, quad_seed).reshape(reps, n)
-            for quad, quad_seed in zip("qp", seed.spawn(2))
-        )
-        # sampled second moments already include the means
-        n_s = 0.5 * ((q**2).mean(axis=1) + (p**2).mean(axis=1) - 1.0)
-        js[i] = _invert_excitation(omega[i], t_max, n_bath[i], n0, n_s)
+        for k, quad_seed in enumerate(seed.spawn(2)):
+            m2[i, k] = _sample_second_moments(mean[i, k], var[i, k], n, reps, quad_seed)
+    n_s = 0.5 * (m2.sum(axis=1) - 1.0)
+    js = _invert_excitation(omega[:, None], t_max, n_bath[:, None], n0, n_s)
     stderr = js.std(axis=1, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(omega))
     return js.mean(axis=1), stderr
 
@@ -304,9 +326,11 @@ def spectral_density_probe(
     """Recover J(omega_S) from the probe's excitation gain.
 
     The probe (default vacuum) and thermally populated environment evolve to
-    t_max; the occupancy n_S is read from exact moments, or from homodyne
-    samples of q_S and p_S when ``sampling`` is given. Returns (J, stderr)
-    with stderr = standard error over repetitions (None without sampling).
+    t_max; the occupancy n_S is read from exact moments, or, when
+    ``sampling`` is given, from each repetition's homodyne second moments of
+    q_S and p_S, drawn from their exact (noncentral) chi-square law. Returns
+    (J, stderr) with stderr = standard error over repetitions (None without
+    sampling).
     """
     j, stderr = _probe_path(
         model,
@@ -395,16 +419,14 @@ def sweep_spectral_density(
     omega_grid = np.asarray(list(omega_grid), dtype=float)
     if len(omega_grid) == 0:
         raise ValueError("frequency grid is empty")
+    # one model serves the grid and both paths: the analytic kernel only
+    # involves the environment block, and the probe rows are diagonalized at
+    # each grid frequency
+    model = assemble_model(graph, bilinear_env=bilinear_env)
     ja = jp = se = None
     if method in ("analytic", "both"):
-        # the kernel only involves the environment block: one model serves the grid
-        ja = np.asarray(
-            spectral_density_analytic(
-                assemble_model(graph, bilinear_env=bilinear_env), omega_grid, t_max
-            )
-        )
+        ja = np.asarray(spectral_density_analytic(model, omega_grid, t_max))
     if method in ("probe", "both"):
-        model = model_at(graph, omega_grid[0], bilinear_env)
         jp, se = _probe_path(
             model,
             omega_grid,

@@ -56,8 +56,32 @@ class TestValidate:
         [
             (lambda cfg: {**cfg, "temprature": 5.0}, "temprature"),
             (lambda cfg: [cfg], "JSON object"),
+            (
+                lambda cfg: {**cfg, "time_grid": {"start": 0.0, "stop": 500.0, "pointz": 11}},
+                "time_grid.pointz",
+            ),
+            (lambda cfg: {**cfg, "probe": {**cfg["probe"], "sitee": 3}}, "probe.sitee"),
+            (
+                lambda cfg: {
+                    **cfg,
+                    "probe": {**cfg["probe"], "sweep": {**cfg["probe"]["sweep"], "step": 0.1}},
+                },
+                "probe.sweep.step",
+            ),
+            (lambda cfg: {**cfg, "states": {"rho1": {}, "rho3": {}}}, "states.rho3"),
+            (lambda cfg: {**cfg, "states": {"rho1": {}, "rho2": {"angle": 0.3}}}, "states.rho2.angle"),
+            (lambda cfg: {**cfg, "time_grid": [0.0, 500.0, 251]}, "'time_grid' must be"),
         ],
-        ids=["unknown-key", "not-an-object"],
+        ids=[
+            "unknown-key",
+            "not-an-object",
+            "time-grid-key",
+            "probe-key",
+            "sweep-key",
+            "states-key",
+            "state-key",
+            "block-not-an-object",
+        ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, outdir, capsys, edit, message):
         cfg = json.loads(bundled_config_path("network2.cfg").read_text())
@@ -106,6 +130,21 @@ class TestSpectral:
         args = ["spectral", "--config", "network1.cfg", "--points", "0", "--out", str(outdir)]
         assert run(args) == EXIT_CONFIG
         assert "points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--samples", "1"], "samples"),
+            (["--samples", "-5"], "samples"),
+            (["--samples", "100", "--reps", "0"], "reps"),
+        ],
+        ids=["samples-1", "samples-negative", "reps-0"],
+    )
+    def test_bad_sampling_option_is_config_error(self, outdir, capsys, options, message):
+        args = ["spectral", "--config", "network1.cfg", "--method", "probe", "--points", "2"]
+        assert run(args + options + ["--out", str(outdir)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (outdir / "manifest.json").exists()
 
     def test_probe_saturation_exit_code(self, tmp_path, capsys):
         graph = {

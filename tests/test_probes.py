@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import oscnet as on
 from oscnet.gaussian import (
+    GaussianState,
     SqueezedSpec,
     fidelity,
+    homodyne_sample,
     mean_photon,
     product_state,
     propagate,
@@ -29,6 +32,7 @@ from oscnet.probes import (
     thermal_environment,
     thermal_occupancy,
 )
+from oscnet.probes import _sample_second_moments
 
 from conftest import PAPER_STATES
 
@@ -256,6 +260,38 @@ class TestSampling:
         a = spectral_density_probe(m, 150.0, 1.0, sampling=opts)
         b = spectral_density_probe(m, 150.0, 1.0, sampling=opts)
         assert a == b
+
+    @pytest.mark.parametrize("mean", [0.0, 1.3], ids=["centered", "displaced"])
+    def test_second_moments_match_squared_homodyne_samples(self, mean):
+        var, n, reps = 0.7, 20, 3000
+        drawn = _sample_second_moments(mean, var, n, reps, np.random.SeedSequence(5))
+        state = GaussianState(np.array([mean, 0.0]), np.diag([var, 0.5]))
+        squared = homodyne_sample(state, "q", 0, n * reps, 6).reshape(reps, n) ** 2
+        assert ks_2samp(drawn, squared.mean(axis=1)).pvalue > 0.01
+
+    def test_second_moment_spread_follows_chi_square_law(self):
+        var, n = 0.5 * 10 ** (-0.18), 10_000
+        drawn = _sample_second_moments(0.0, var, n, 400, np.random.SeedSequence(13))
+        law = var * np.sqrt(2.0 / n)
+        assert abs(drawn.std(ddof=1) - law) < 0.1 * law
+
+    def test_sampled_J_of_displaced_probe_consistent_with_exact(self, net1):
+        m = model_at(net1, 0.3)
+        probe = GaussianState(np.array([1.0, -0.5]), 0.5 * np.eye(2))
+        j_exact, _ = spectral_density_probe(m, 150.0, 1.0, probe_state=probe)
+        j_sampled, err = spectral_density_probe(
+            m, 150.0, 1.0, probe_state=probe,
+            sampling=SamplingOptions(n_samples=20_000, n_reps=20, seed=8),
+        )
+        assert err > 0
+        assert abs(j_sampled - j_exact) < 5 * err
+
+    def test_cost_does_not_grow_with_sample_count(self, net1):
+        # n_samples normals per quadrature and rep would need about 160 GB here
+        opts = SamplingOptions(n_samples=10**9, n_reps=10, seed=2)
+        curve = sweep_spectral_density(net1, [0.3], 150.0, method="probe", sampling=opts)
+        assert np.isfinite(curve.j_probe[0])
+        assert curve.stderr[0] > 0
 
 
 class TestSweep:
