@@ -8,6 +8,7 @@ overrides are recorded in the emitted manifest. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
@@ -25,6 +26,7 @@ from .probes import (
     ProbeSaturatedError,
     SamplingOptions,
     _fmt,
+    _fmt_rows,
     blp_witness,
     model_at,
     qnm_trace,
@@ -300,8 +302,7 @@ def run_evolve(cfg: dict, out: Path) -> int:
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
             f"t={_fmt(t_max)} omega_s={_fmt(w)}"
         )
-        body = "\n".join(" ".join(_fmt(x) for x in row) for row in S)
-        (out / f"evolution_w{w:g}_t{t_max:g}.txt").write_text(header + "\n" + body + "\n")
+        (out / f"evolution_w{w:g}_t{t_max:g}.txt").write_text(header + "\n" + _fmt_rows(S, " "))
         sys.stdout.write(f"wrote evolution matrix at omega_s={w:g}, t={t_max:g}\n")
     return 0
 
@@ -313,11 +314,13 @@ def run_masks(cfg: dict, out: Path) -> int:
         model = model_at(graph, w, bool(cfg.get("bilinear_env", False)))
         pair = probe_mask(evolve(model, t_max))
         n = model.n_modes
+        # the float mode numbers print as integers under %.17g
+        modes = np.arange(1.0, n + 1)
         for row, quad in ((0, "q"), (1, "p")):
-            lines = ["mode,q_coefficient,p_coefficient"]
-            for m in range(n):
-                lines.append(f"{m + 1},{_fmt(pair[row, m])},{_fmt(pair[row, n + m])}")
-            (out / f"mask_{quad}_w{w:g}_t{t_max:g}.csv").write_text("\n".join(lines) + "\n")
+            table = np.column_stack([modes, pair[row, :n], pair[row, n:]])
+            (out / f"mask_{quad}_w{w:g}_t{t_max:g}.csv").write_text(
+                "mode,q_coefficient,p_coefficient\n" + _fmt_rows(table, ",")
+            )
         sys.stdout.write(f"wrote mask pair at omega_s={w:g}, t={t_max:g}\n")
     return 0
 
@@ -335,7 +338,9 @@ RUNNERS = {
 # argument handling
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oscnet",
         description="Probe-and-network simulator: spectral density and "

@@ -7,7 +7,19 @@ import numpy as np
 import pytest
 
 import oscnet
-from oscnet.cli import EXIT_CONFIG, EXIT_SATURATED, EXIT_UNSTABLE, bundled_config_path, main
+from oscnet.cli import (
+    EXIT_CONFIG,
+    EXIT_SATURATED,
+    EXIT_UNSTABLE,
+    _build_graph,
+    _load_config,
+    _omega_list,
+    _parser,
+    _resolve_tmax,
+    bundled_config_path,
+    main,
+)
+from oscnet.probes import _fmt, model_at
 
 
 def run(args):
@@ -115,6 +127,20 @@ class TestSpectral:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["config"]["protocol"] == "spectral"
         assert manifest["overrides"] == {"method": "both", "out_dir": str(outdir)}
+
+    def test_cached_parser_leaks_no_flag_into_later_call(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        args = ["spectral", "--config", "network1.cfg", "--samples", "10", "--seed", "5"]
+        # a short sweep: 10 samples saturate the probe somewhere on the full one
+        args += ["--method", "both", "--points", "5", "--reps", "4"]
+        assert run(args + ["--out", str(first)]) == 0
+        assert len(json.loads((first / "manifest.json").read_text())["overrides"]) == 6
+        assert run(["spectral", "--config", "network1.cfg", "--out", str(second)]) == 0
+        assert _parser() is _parser()
+        manifest = json.loads((second / "manifest.json").read_text())
+        assert manifest["overrides"] == {"out_dir": str(second)}
+        assert manifest["config"]["samples"] == 0
+        assert manifest["config"]["probe"]["sweep"]["points"] == 120
 
     def test_seeded_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -249,6 +275,17 @@ class TestMasks:
         )
         assert np.allclose(got, golden, atol=1e-12)
 
+    def test_mask_bytes_match_per_number_format(self, outdir, net1):
+        assert run(["masks", "--config", "network1.cfg", "--out", str(outdir)]) == 0
+        pair = oscnet.probe_mask(oscnet.evolve(oscnet.assemble_model(net1), 150.0))
+        n = pair.shape[1] // 2
+        for row, quad in ((0, "q"), (1, "p")):
+            lines = ["mode,q_coefficient,p_coefficient"] + [
+                f"{m + 1},{_fmt(pair[row, m])},{_fmt(pair[row, n + m])}" for m in range(n)
+            ]
+            got = (outdir / f"mask_{quad}_w0.58_t150.csv").read_text()
+            assert got == "\n".join(lines) + "\n"
+
 
 class TestEvolve:
     def test_matrix_dump_header_and_shape(self, outdir):
@@ -269,6 +306,25 @@ class TestEvolve:
         from oscnet.symplectic import is_symplectic
 
         assert is_symplectic(mat, 1e-9)[0]
+
+    @pytest.mark.parametrize("idx", [1, 4])
+    def test_matrix_bytes_match_per_number_format(self, outdir, idx):
+        config = f"network{idx}.cfg"
+        assert run(["evolve", "--config", config, "--out", str(outdir)]) == 0
+        cfg = _load_config(config)
+        graph = _build_graph(cfg)
+        t_max = _resolve_tmax(cfg, graph)
+        (w,) = _omega_list(cfg)
+        S = oscnet.evolve(model_at(graph, w), t_max)
+        n = S.shape[0] // 2
+        expected = (
+            f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
+            f"t={_fmt(t_max)} omega_s={_fmt(w)}\n"
+            + "\n".join(" ".join(_fmt(x) for x in row) for row in S)
+            + "\n"
+        )
+        path = outdir / f"evolution_w{w:g}_t{t_max:g}.txt"
+        assert path.read_text() == expected
 
 
 def test_bundled_configs_exist_and_parse():

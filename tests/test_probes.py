@@ -32,9 +32,15 @@ from oscnet.probes import (
     thermal_environment,
     thermal_occupancy,
 )
-from oscnet.probes import _sample_second_moments
+from oscnet.probes import (
+    _KERNEL_BLOCK,
+    _damping_kernel_grid,
+    _fmt,
+    _fmt_rows,
+    _sample_second_moments,
+)
 
-from conftest import PAPER_STATES
+from conftest import PAPER_STATES, random_stable_graph
 
 
 def single_node_probe(k=0.001, omega0=0.25, omega_s=None):
@@ -88,6 +94,114 @@ class TestSuggestTmax:
         g = on.build_explicit(2, 0.25, [(1, 2, 0.05)]).with_probe(1, 0.0, 0.3)
         with pytest.raises(PlateauError):
             suggest_tmax(on.assemble_model(g))
+
+    def test_horizon_shorter_than_window_rejected(self, net1_model):
+        # default window: two periods of the slowest mode, about 50 here
+        with pytest.raises(PlateauError, match="shorter than the envelope window"):
+            suggest_tmax(net1_model, horizon=10.0)
+
+
+def oracle_suggest_tmax(
+    model, horizon=600.0, theta=0.05, window=None, plateau_factor=1.15, floor_quantile=0.10, dt=0.05
+):
+    """The t_max heuristic with the direct-cosine kernel and one max per window."""
+    amp = model.bath_couplings() ** 2 / model.env_freqs**2
+    gamma0 = amp.sum()
+    if gamma0 == 0.0:
+        raise PlateauError("probe is uncoupled; damping kernel vanishes")
+    if window is None:
+        window = 2.0 * 2.0 * np.pi / model.env_freqs.min()
+    ts = np.arange(0.0, horizon + dt, dt)
+    gam = np.abs(damping_kernel(model, ts))
+    w_n = max(int(round(window / dt)), 1)
+    step = max(int(round(1.0 / dt)), 1)
+    idx = np.arange(w_n, len(ts), step)
+    if len(idx) == 0:
+        raise PlateauError("search horizon shorter than the envelope window")
+    env = np.array([gam[j - w_n : j + 1].max() for j in idx])
+    floor = float(np.quantile(env, floor_quantile))
+    if floor > 0.5 * gamma0:
+        raise PlateauError(
+            "damping kernel shows no plateau within the horizon; set t_max manually"
+        )
+    threshold = max(plateau_factor * floor, theta * gamma0)
+    hits = np.flatnonzero(env <= threshold)
+    if len(hits) == 0:
+        raise PlateauError(
+            "damping-kernel envelope never flattens below threshold; set t_max manually"
+        )
+    return float(ts[idx[hits[0]]])
+
+
+def outcome(fn, *args, **kwargs):
+    """The returned value, or the PlateauError message."""
+    try:
+        return fn(*args, **kwargs)
+    except PlateauError as exc:
+        return f"PlateauError: {exc}"
+
+
+# non-default searches; the first grid is an exact multiple of the kernel
+# block (128 points), the others are not
+TMAX_SEARCHES = [
+    {"horizon": 12.7, "dt": 0.1, "window": 5.0},
+    {},
+    {"horizon": 300.0, "dt": 0.1},
+    {"window": 40.0},
+    {"horizon": 400.0, "dt": 0.04, "window": 25.0, "theta": 0.1},
+    {"horizon": 10.0},
+]
+
+
+class TestSuggestTmaxEquivalence:
+    def test_searches_cover_both_grid_shapes(self):
+        lengths = [len(np.arange(0.0, s.get("horizon", 600.0) + s.get("dt", 0.05), s.get("dt", 0.05)))
+                   for s in TMAX_SEARCHES]
+        assert lengths[0] % _KERNEL_BLOCK == 0
+        assert all(n % _KERNEL_BLOCK for n in lengths[1:])
+
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("search", TMAX_SEARCHES)
+    def test_networks_match_direct_oracle(self, networks, idx, search):
+        m = on.assemble_model(networks[idx])
+        assert outcome(suggest_tmax, m, **search) == outcome(oracle_suggest_tmax, m, **search)
+
+    def test_random_graphs_match_direct_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            m = on.assemble_model(random_stable_graph(rng))
+            assert outcome(suggest_tmax, m) == outcome(oracle_suggest_tmax, m)
+
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dt,horizon", [(0.05, 600.0), (0.1, 12.7), (0.04, 400.0)])
+    def test_grid_kernel_matches_direct_kernel(self, networks, idx, dt, horizon):
+        m = on.assemble_model(networks[idx])
+        ts = np.arange(0.0, horizon + dt, dt)
+        got = _damping_kernel_grid(m, dt, len(ts))
+        assert got.shape == ts.shape
+        assert np.max(np.abs(got - damping_kernel(m, ts))) <= 1e-13 * damping_kernel(m, 0.0)
+
+
+class TestRowFormatter:
+    ADVERSARIAL = [
+        np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.225e-308, 1e-300, -1e-300,
+        1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 12.0, 0.1, 1 / 3,
+    ]
+
+    @pytest.mark.parametrize("sep", [" ", ","])
+    def test_matches_per_number_format(self, sep):
+        rng = np.random.default_rng(7)
+        values = np.concatenate([
+            self.ADVERSARIAL,
+            rng.standard_normal(46) * 10.0 ** rng.integers(-300, 300, 46),
+        ])
+        table = rng.permutation(values).reshape(16, 4)
+        expected = "".join(sep.join(_fmt(x) for x in row) + "\n" for row in table)
+        assert _fmt_rows(table, sep) == expected
+
+    def test_numpy_scalars_format_as_floats(self):
+        row = [np.float64(-0.0), np.float64(2.5e-310), np.float64(7.0), 3]
+        assert _fmt_rows([row], ",") == ",".join(_fmt(x) for x in row) + "\n"
 
 
 class TestAnalyticJ:
