@@ -20,35 +20,25 @@ from .dynamics import (
     QuadraticModel,
     StabilityError,
     assemble_model,
-    compose_preparation,
     evolve,
-    evolve_bare,
     probe_mask,
     probe_rows,
-    quadratic_energy,
-    renormalize,
 )
 from .symplectic import (
     BlochMessiahFactors,
     SymplecticError,
     bloch_messiah,
-    discard_passive,
     is_symplectic,
-    random_orthogonal_symplectic,
-    random_symplectic,
     symplectic_form,
 )
 from .gaussian import (
     GaussianState,
     SqueezedSpec,
     StateError,
-    estimate_second_moment,
     fidelity,
-    homodyne_sample,
     mean_photon,
     product_state,
     propagate,
-    pure_fidelity_reference,
     reduce_state,
     squeezed_state,
     thermal_state,
@@ -62,7 +52,6 @@ from .probes import (
     SpectralDensityCurve,
     WitnessReport,
     blp_witness,
-    damping_kernel,
     model_at,
     moving_average,
     qnm_trace,

@@ -50,7 +50,6 @@ DEFAULTS = {
     "seed": 0,
     "smooth_window": 51,
     "env_prep": "thermal",
-    "bilinear_env": False,
     "time_grid": {"start": 0.0, "stop": 500.0, "points": 251},
     "states": {
         "rho1": {"squeeze_db": -1.8, "antisqueeze_db": 2.9, "axis": "q"},
@@ -154,15 +153,33 @@ def _omega_list(cfg: dict) -> list[float]:
     raise ConfigError("this protocol needs 'probe.omega_s'")
 
 
+def _tagged_omegas(cfg: dict) -> dict[str, float]:
+    """Probe frequencies by output file tag ``{w:g}``, for the verbs that
+    write one file set per frequency; a shared tag would overwrite files."""
+    omegas = _omega_list(cfg)
+    tagged = {f"{w:g}": w for w in omegas}
+    if len(tagged) < len(omegas):
+        raise ConfigError(
+            f"probe.omega_s values {omegas} share an output file tag; "
+            "they must differ when rounded to 6 significant digits"
+        )
+    return tagged
+
+
 def _sweep_grid(cfg: dict) -> np.ndarray:
     probe = cfg.get("probe") or {}
     sweep = probe.get("sweep")
     if sweep is None:
-        return np.asarray(_omega_list(cfg))
-    points = int(sweep["points"])
-    if points < 1:
-        raise ConfigError("probe.sweep.points must be at least 1")
-    return np.linspace(float(sweep["start"]), float(sweep["stop"]), points)
+        grid = np.asarray(_omega_list(cfg))
+    else:
+        points = int(sweep["points"])
+        if points < 1:
+            raise ConfigError("probe.sweep.points must be at least 1")
+        grid = np.linspace(float(sweep["start"]), float(sweep["stop"]), points)
+    if np.any(np.diff(grid) <= 0):
+        source = "probe.omega_s" if sweep is None else "probe.sweep"
+        raise ConfigError(f"{source} must give strictly increasing frequencies")
+    return grid
 
 
 def _sampling(cfg: dict) -> SamplingOptions | None:
@@ -177,10 +194,29 @@ def _sampling(cfg: dict) -> SamplingOptions | None:
     return SamplingOptions(n_samples=samples, n_reps=reps, seed=int(cfg["seed"]))
 
 
-def _resolve_tmax(cfg: dict, graph: CouplingGraph) -> float:
-    t = cfg.get("t_max", "auto")
+def _check_tmax(cfg: dict) -> None:
+    """t_max, from the flag or the config file, is 'auto' or a finite time.
+
+    The spectral inversion divides by t_max, so it needs t_max > 0; the
+    propagator verbs also take t_max = 0, where S = I.
+    """
+    t = cfg["t_max"]
     if t == "auto":
-        return suggest_tmax(assemble_model(graph, bilinear_env=bool(cfg.get("bilinear_env", False))))
+        return
+    positive = cfg["protocol"] == "spectral"
+    try:
+        ok = np.isfinite(float(t)) and (float(t) > 0 if positive else float(t) >= 0)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"t_max must be 'auto' or a finite time {bound}, got {t!r}")
+
+
+def _resolve_tmax(cfg: dict, graph: CouplingGraph) -> float:
+    t = cfg["t_max"]
+    if t == "auto":
+        return suggest_tmax(assemble_model(graph))
     return float(t)
 
 
@@ -205,7 +241,7 @@ def _write_manifest(out: Path, cfg: dict, overrides: dict) -> None:
 
 
 def _states(cfg: dict) -> tuple[SqueezedSpec, SqueezedSpec]:
-    blocks = cfg.get("states", DEFAULTS["states"])
+    blocks = cfg["states"]
 
     def mk(b: dict) -> SqueezedSpec:
         return SqueezedSpec(
@@ -227,7 +263,7 @@ def run_validate(cfg: dict, out: Path) -> int:
         f"connected = {str(graph.is_connected()).lower()}",
     ]
     # raises StabilityError when the network is unstable
-    model = assemble_model(graph, bilinear_env=bool(cfg.get("bilinear_env", False)))
+    model = assemble_model(graph)
     env = model.env_freqs
     lines.append("stable = true")
     lines.append(f"band = [{_fmt(env.min())}, {_fmt(env.max())}]")
@@ -254,9 +290,8 @@ def run_spectral(cfg: dict, out: Path) -> int:
         t_max,
         temperature=float(cfg["temperature"]),
         method=cfg["method"],
-        env_prep=cfg.get("env_prep", "thermal"),
+        env_prep=cfg["env_prep"],
         sampling=sampling,
-        bilinear_env=bool(cfg.get("bilinear_env", False)),
     )
     (out / "spectral.csv").write_text(curve.to_csv())
     if curve.method == "both":
@@ -279,12 +314,10 @@ def run_qnm(cfg: dict, out: Path) -> int:
     tg = cfg["time_grid"]
     t_grid = np.linspace(float(tg["start"]), float(tg["stop"]), int(tg["points"]))
     rho1, rho2 = _states(cfg)
-    window = int(cfg.get("smooth_window", 51))
-    for w in _omega_list(cfg):
-        model = model_at(graph, w, bool(cfg.get("bilinear_env", False)))
-        trace = qnm_trace(model, rho1, rho2, t_grid, window=window)
+    window = int(cfg["smooth_window"])
+    for tag, w in _tagged_omegas(cfg).items():
+        trace = qnm_trace(model_at(graph, w), rho1, rho2, t_grid, window=window)
         report = blp_witness(trace, use_smoothed=True)
-        tag = f"{w:g}"
         (out / f"qnm_w{tag}.csv").write_text(trace.to_csv())
         (out / f"witness_w{tag}.txt").write_text(report.to_text())
         sys.stdout.write(f"omega_s={tag}: N={_fmt(report.value)}\n")
@@ -294,34 +327,32 @@ def run_qnm(cfg: dict, out: Path) -> int:
 def run_evolve(cfg: dict, out: Path) -> int:
     graph = _build_graph(cfg)
     t_max = _resolve_tmax(cfg, graph)
-    for w in _omega_list(cfg):
-        model = model_at(graph, w, bool(cfg.get("bilinear_env", False)))
-        S = evolve(model, t_max)
-        n = model.n_modes
+    for tag, w in _tagged_omegas(cfg).items():
+        S = evolve(model_at(graph, w), t_max)
+        n = S.shape[0] // 2
         header = (
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
             f"t={_fmt(t_max)} omega_s={_fmt(w)}"
         )
-        (out / f"evolution_w{w:g}_t{t_max:g}.txt").write_text(header + "\n" + _fmt_rows(S, " "))
-        sys.stdout.write(f"wrote evolution matrix at omega_s={w:g}, t={t_max:g}\n")
+        (out / f"evolution_w{tag}_t{t_max:g}.txt").write_text(header + "\n" + _fmt_rows(S, " "))
+        sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={t_max:g}\n")
     return 0
 
 
 def run_masks(cfg: dict, out: Path) -> int:
     graph = _build_graph(cfg)
     t_max = _resolve_tmax(cfg, graph)
-    for w in _omega_list(cfg):
-        model = model_at(graph, w, bool(cfg.get("bilinear_env", False)))
-        pair = probe_mask(evolve(model, t_max))
-        n = model.n_modes
+    for tag, w in _tagged_omegas(cfg).items():
+        pair = probe_mask(evolve(model_at(graph, w), t_max))
+        n = pair.shape[1] // 2
         # the float mode numbers print as integers under %.17g
         modes = np.arange(1.0, n + 1)
         for row, quad in ((0, "q"), (1, "p")):
             table = np.column_stack([modes, pair[row, :n], pair[row, n:]])
-            (out / f"mask_{quad}_w{w:g}_t{t_max:g}.csv").write_text(
+            (out / f"mask_{quad}_w{tag}_t{t_max:g}.csv").write_text(
                 "mode,q_coefficient,p_coefficient\n" + _fmt_rows(table, ",")
             )
-        sys.stdout.write(f"wrote mask pair at omega_s={w:g}, t={t_max:g}\n")
+        sys.stdout.write(f"wrote mask pair at omega_s={tag}, t={t_max:g}\n")
     return 0
 
 
@@ -372,7 +403,10 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["probe"] = probe
         overrides["omega_s"] = probe["omega_s"]
     if args.t_max is not None:
-        cfg["t_max"] = args.t_max if args.t_max == "auto" else float(args.t_max)
+        try:
+            cfg["t_max"] = float(args.t_max)
+        except ValueError:
+            cfg["t_max"] = args.t_max  # 'auto', or rejected by _check_tmax
         overrides["t_max"] = cfg["t_max"]
     if args.points is not None:
         probe = dict(cfg.get("probe") or {})
@@ -400,6 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         cfg["protocol"] = args.protocol
         overrides = _apply_overrides(cfg, args)
+        _check_tmax(cfg)
         out = _out_dir(cfg)
         code = RUNNERS[args.protocol](cfg, out)
         _write_manifest(out, cfg, overrides)

@@ -71,12 +71,13 @@ class QuadraticModel:
         return self.coupling * self.env_modes[self.site, :]
 
 
-def assemble_model(graph: CouplingGraph, bilinear_env: bool = False) -> QuadraticModel:
+def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     """Build the quadratic model for a probed network.
 
-    ``bilinear_env`` switches the environment internal coupling from the
-    default spring (Laplacian) form to a bare q_i q_j bilinear, for
-    experimentation; the bundled network parameter sets are unstable there.
+    The environment block uses spring (Laplacian) coupling and the probe
+    couples through the bare bilinear V_Sl = k; both eigendecompositions are
+    cached. Raises StabilityError when V or its environment block is not
+    positive definite.
     """
     if graph.probe is None:
         raise ValueError("graph has no probe attached")
@@ -85,14 +86,10 @@ def assemble_model(graph: CouplingGraph, bilinear_env: bool = False) -> Quadrati
     VE = np.zeros((n, n))
     np.fill_diagonal(VE, w**2)
     for (i, j), g in graph.couplings.items():
-        if bilinear_env:
-            VE[i, j] -= g
-            VE[j, i] -= g
-        else:
-            VE[i, i] += g
-            VE[j, j] += g
-            VE[i, j] -= g
-            VE[j, i] -= g
+        VE[i, i] += g
+        VE[j, j] += g
+        VE[i, j] -= g
+        VE[j, i] -= g
 
     probe = graph.probe
     V = np.zeros((n + 1, n + 1))
@@ -123,7 +120,7 @@ def assemble_model(graph: CouplingGraph, bilinear_env: bool = False) -> Quadrati
     )
 
 
-def evolve_bare(model: QuadraticModel, t: float) -> NDArray[np.float64]:
+def _evolve_bare(model: QuadraticModel, t: float) -> NDArray[np.float64]:
     """Physical-frame propagator at time t >= 0.
 
     Closed harmonic form S(t) = [[cos Wt, W^-1 sin Wt], [-W sin Wt, cos Wt]]
@@ -145,17 +142,14 @@ def renormalization_scaling(model: QuadraticModel) -> NDArray[np.float64]:
     return np.concatenate([rt, 1.0 / rt])
 
 
-def renormalize(S_bare: NDArray[np.float64], model: QuadraticModel) -> NDArray[np.float64]:
-    """Conjugate a physical-frame propagator into the renormalized frame."""
-    if S_bare.shape != (2 * model.n_modes, 2 * model.n_modes):
-        raise ValueError("propagator dimension does not match the model")
-    T = renormalization_scaling(model)
-    return S_bare * np.outer(T, 1.0 / T)
-
-
 def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
-    """Renormalized-frame propagator at time t."""
-    return renormalize(evolve_bare(model, t), model)
+    """Renormalized-frame propagator at time t >= 0.
+
+    The physical-frame closed form ``_evolve_bare`` conjugated by
+    T = ``renormalization_scaling``: entry (i, j) is scaled by T_i / T_j.
+    """
+    T = renormalization_scaling(model)
+    return _evolve_bare(model, t) * np.outer(T, 1.0 / T)
 
 
 # probe frequencies diagonalized per batch: bounds the (batch, M, M)
@@ -227,34 +221,6 @@ def _probe_rows(
     return np.stack([q_row, p_row], axis=-2)
 
 
-def preparation_matrix(
-    n_modes: int, prep: Sequence[tuple[int, float, float]]
-) -> NDArray[np.float64]:
-    """Block-diagonal single-mode squeezers S_in.
-
-    ``prep`` lists (mode, r, theta): mode squeezed by e^-r along the axis at
-    angle theta in its (q, p) plane. Modes not listed stay identity.
-    """
-    S = np.eye(2 * n_modes)
-    for mode, r, theta in prep:
-        if not 0 <= mode < n_modes:
-            raise ValueError(f"prep mode {mode} out of range")
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        block = rot @ np.diag([np.exp(-r), np.exp(r)]) @ rot.T
-        ix = np.array([mode, n_modes + mode])
-        S[np.ix_(ix, ix)] = block
-    return S
-
-
-def compose_preparation(
-    S_renorm: NDArray[np.float64], prep: Sequence[tuple[int, float, float]]
-) -> NDArray[np.float64]:
-    """S_eff = S(t) @ S_in with S_in the per-mode squeezers of ``prep``."""
-    n = S_renorm.shape[0] // 2
-    return S_renorm @ preparation_matrix(n, prep)
-
-
 def probe_mask(S: NDArray[np.float64], tol: float = 1e-10) -> NDArray[np.float64]:
     """Measurement-basis coefficients for the probe quadratures.
 
@@ -266,23 +232,3 @@ def probe_mask(S: NDArray[np.float64], tol: float = 1e-10) -> NDArray[np.float64
     n = S.shape[0] // 2
     r1 = bloch_messiah(S, tol).r1
     return np.vstack([r1[0, :], r1[n, :]])
-
-
-def quadratic_energy(
-    model: QuadraticModel,
-    mean: NDArray[np.float64],
-    cov: NDArray[np.float64],
-    renormalized: bool = True,
-) -> float:
-    """Energy <H> = 1/2 <x^T H_mat x> of a Gaussian state under the model.
-
-    ``renormalized`` marks the frame the moments are expressed in.
-    """
-    n = model.n_modes
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = model.V
-    H[n:, n:] = np.eye(n)
-    if renormalized:
-        T = renormalization_scaling(model)
-        H = H / np.outer(T, T)
-    return 0.5 * float(np.trace(H @ cov) + mean @ H @ mean)

@@ -1,5 +1,5 @@
 """Gaussian-state calculus: preparation, propagation, reduction, photon
-number, fidelity, and finite-sample homodyne emulation.
+number and fidelity.
 
 Convention: hbar = 1, [q, p] = i, vacuum covariance = I/2. Quadrature order
 (q_1..q_M, p_1..p_M). Squeezing in dB is anchored to the vacuum variance 1/2,
@@ -205,43 +205,3 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> float:
     if s1.n_modes != 1 or s2.n_modes != 1:
         raise StateError("fidelity expects single-mode states")
     return float(fidelity_from_moments(s1.mean, s1.cov, s2.mean, s2.cov))
-
-
-def pure_fidelity_reference(r1: float, r2: float, phi0: float) -> float:
-    """Closed form for two pure squeezed vacua with relative phase phi0.
-
-    F = 2 / sqrt(2 (1 + cosh 2r1 cosh 2r2 - cos phi0 sinh 2r1 sinh 2r2)).
-    Used as an independent oracle against ``fidelity``.
-    """
-    arg = 1.0 + np.cosh(2 * r1) * np.cosh(2 * r2) - np.cos(phi0) * np.sinh(2 * r1) * np.sinh(2 * r2)
-    return float(2.0 / np.sqrt(2.0 * arg))
-
-
-def homodyne_sample(
-    state: GaussianState,
-    quadrature: str = "q",
-    mode: int = 0,
-    n_samples: int = 2,
-    seed: int | np.random.SeedSequence | None = None,
-) -> NDArray[np.float64]:
-    """Draw homodyne outcomes from the exact Gaussian marginal.
-
-    Deterministic for a given seed; no global RNG state is touched.
-    """
-    if n_samples < 2:
-        raise StateError("need at least 2 samples")
-    if quadrature not in ("q", "p"):
-        raise StateError("quadrature must be 'q' or 'p'")
-    M = state.n_modes
-    idx = mode if quadrature == "q" else M + mode
-    rng = np.random.default_rng(seed)
-    return rng.normal(state.mean[idx], np.sqrt(state.cov[idx, idx]), n_samples)
-
-
-def estimate_second_moment(samples: NDArray[np.float64]) -> tuple[float, float]:
-    """Unbiased estimate of <x^2> and its standard error."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise StateError("need at least 2 samples")
-    sq = samples**2
-    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(sq.size))

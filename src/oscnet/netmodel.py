@@ -95,13 +95,6 @@ class CouplingGraph:
     def n_edges(self) -> int:
         return len(self.couplings)
 
-    def coupling_matrix(self) -> np.ndarray:
-        """Dense symmetric N x N matrix of edge weights g_ij."""
-        G = np.zeros((self.n_nodes, self.n_nodes))
-        for (i, j), g in self.couplings.items():
-            G[i, j] = G[j, i] = g
-        return G
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=int)
         for i, j in self.couplings:

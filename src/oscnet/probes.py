@@ -58,20 +58,6 @@ def _fmt_rows(table: NDArray, sep: str) -> str:
 # damping kernel and t_max heuristic
 
 
-def damping_kernel(model: QuadraticModel, t: float | NDArray) -> float | NDArray:
-    """Memory kernel gamma(t) of the probe's reduced dynamics.
-
-    Direct form, one cosine per time and environment mode, for arbitrary t;
-    ``suggest_tmax`` evaluates its uniform grid with ``_damping_kernel_grid``.
-    """
-    c = model.bath_couplings()
-    om = model.env_freqs
-    amp = c**2 / om**2
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = (amp[None, :] * np.cos(np.outer(tarr, om))).sum(axis=1)
-    return float(out[0]) if np.isscalar(t) else out
-
-
 def _damping_kernel_grid(model: QuadraticModel, dt: float, n_points: int) -> NDArray:
     """gamma(i dt) for i < n_points by angle addition.
 
@@ -416,16 +402,11 @@ class SpectralDensityCurve:
         return ",".join(cols) + "\n" + _fmt_rows(np.column_stack(series), ",")
 
 
-def model_at(
-    graph: CouplingGraph, omega_s: float, bilinear_env: bool = False
-) -> QuadraticModel:
+def model_at(graph: CouplingGraph, omega_s: float) -> QuadraticModel:
     """Assemble the model with the probe frequency replaced."""
     if graph.probe is None:
         raise ValueError("graph has no probe attached")
-    return assemble_model(
-        dc_replace(graph, probe=dc_replace(graph.probe, omega_s=omega_s)),
-        bilinear_env=bilinear_env,
-    )
+    return assemble_model(dc_replace(graph, probe=dc_replace(graph.probe, omega_s=omega_s)))
 
 
 def sweep_spectral_density(
@@ -437,7 +418,6 @@ def sweep_spectral_density(
     probe_state: GaussianState | None = None,
     env_prep: str = "thermal",
     sampling: SamplingOptions | None = None,
-    bilinear_env: bool = False,
 ) -> SpectralDensityCurve:
     """Evaluate the spectral density over a frequency grid.
 
@@ -454,7 +434,7 @@ def sweep_spectral_density(
     # one model serves the grid and both paths: the analytic kernel only
     # involves the environment block, and the probe rows are diagonalized at
     # each grid frequency
-    model = assemble_model(graph, bilinear_env=bilinear_env)
+    model = assemble_model(graph)
     ja = jp = se = None
     if method in ("analytic", "both"):
         ja = np.asarray(spectral_density_analytic(model, omega_grid, t_max))

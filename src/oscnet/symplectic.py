@@ -25,17 +25,13 @@ class SymplecticError(ValueError):
 
 
 @lru_cache(maxsize=32)
-def _omega_cached(n_modes: int) -> NDArray[np.float64]:
+def symplectic_form(n_modes: int) -> NDArray[np.float64]:
+    """The 2M x 2M form Omega = [[0, I], [-I, 0]], cached and read-only."""
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
     out = np.block([[zero, eye], [-eye, zero]])
     out.setflags(write=False)
     return out
-
-
-def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """The 2M x 2M form Omega = [[0, I], [-I, 0]]."""
-    return _omega_cached(n_modes)
 
 
 def symplectic_residual(S: NDArray[np.float64]) -> float:
@@ -72,11 +68,6 @@ class BlochMessiahFactors:
     @property
     def delta(self) -> NDArray[np.float64]:
         return np.diag(np.concatenate([self.d, 1.0 / self.d]))
-
-    @property
-    def squeezing(self) -> NDArray[np.float64]:
-        """Per-mode squeezing parameters r_i = ln d_i."""
-        return np.log(self.d)
 
     def reconstruct(self) -> NDArray[np.float64]:
         return self.r1 @ self.delta @ self.r2
@@ -150,35 +141,3 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
     delta = np.concatenate([d, 1.0 / d])
     r2 = (r1 / delta[None, :]).T @ S  # R2 = Delta^-1 R1^T S
     return BlochMessiahFactors(r1=r1, d=d, r2=r2)
-
-
-def discard_passive(factors: BlochMessiahFactors, vacuum: float = 0.5) -> NDArray[np.float64]:
-    """Covariance R1 Delta (vacuum*I) Delta^T R1^T obtained by dropping R2.
-
-    Equals S (vacuum*I) S^T for the decomposed S: with a vacuum input the
-    trailing passive factor has no effect.
-    """
-    delta2 = np.concatenate([factors.d**2, factors.d**-2])
-    return vacuum * (factors.r1 * delta2[None, :]) @ factors.r1.T
-
-
-def random_orthogonal_symplectic(n_modes: int, rng: np.random.Generator) -> NDArray[np.float64]:
-    """Haar-random orthogonal symplectic matrix (image of a random unitary)."""
-    z = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
-    q, r = np.linalg.qr(z)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
-    x, y = u.real, u.imag
-    return np.block([[x, -y], [y, x]])
-
-
-def random_symplectic(
-    n_modes: int, rng: np.random.Generator, max_squeeze: float = 1.0
-) -> NDArray[np.float64]:
-    """Random symplectic matrix built as R Delta R' with bounded squeezing."""
-    r = rng.uniform(-max_squeeze, max_squeeze, n_modes)
-    delta = np.diag(np.exp(np.concatenate([r, -r])))
-    return (
-        random_orthogonal_symplectic(n_modes, rng)
-        @ delta
-        @ random_orthogonal_symplectic(n_modes, rng)
-    )

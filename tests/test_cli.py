@@ -83,6 +83,8 @@ class TestValidate:
             (lambda cfg: {**cfg, "states": {"rho1": {}, "rho3": {}}}, "states.rho3"),
             (lambda cfg: {**cfg, "states": {"rho1": {}, "rho2": {"angle": 0.3}}}, "states.rho2.angle"),
             (lambda cfg: {**cfg, "time_grid": [0.0, 500.0, 251]}, "'time_grid' must be"),
+            (lambda cfg: {**cfg, "bilinear_env": False}, "bilinear_env"),
+            (lambda cfg: {**cfg, "t_max": -5}, "t_max must be"),
         ],
         ids=[
             "unknown-key",
@@ -93,6 +95,8 @@ class TestValidate:
             "states-key",
             "state-key",
             "block-not-an-object",
+            "removed-bilinear-env",
+            "negative-t-max",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, outdir, capsys, edit, message):
@@ -325,6 +329,44 @@ class TestEvolve:
         )
         path = outdir / f"evolution_w{w:g}_t{t_max:g}.txt"
         assert path.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "--omega-s", "0.6,0.5"], "strictly increasing"),
+        (["spectral", "--omega-s", "0.5,0.5"], "strictly increasing"),
+        (["qnm", "--omega-s", "0.58,0.5800000001"], "file tag"),
+        (["evolve", "--omega-s", "0.58,0.58", "--t-max", "10"], "file tag"),
+        (["masks", "--omega-s", "0.7,0.58,0.70000001", "--t-max", "10"], "file tag"),
+        (["spectral", "--t-max", "-5"], "t_max must be"),
+        (["evolve", "--t-max", "-5"], "t_max must be"),
+        (["spectral", "--t-max", "0"], "t_max must be"),
+        (["spectral", "--t-max", "abc"], "t_max must be"),
+        (["evolve", "--t-max", "abc"], "t_max must be"),
+        (["spectral", "--t-max", "nan"], "t_max must be"),
+        (["evolve", "--t-max", "nan"], "t_max must be"),
+        (["masks", "--t-max", "inf"], "t_max must be"),
+    ],
+    ids=[
+        "spectral-decreasing-omegas", "spectral-repeated-omega", "qnm-shared-tag",
+        "evolve-shared-tag", "masks-shared-tag", "spectral-tmax-negative",
+        "evolve-tmax-negative", "spectral-tmax-zero", "spectral-tmax-abc", "evolve-tmax-abc",
+        "spectral-tmax-nan", "evolve-tmax-nan", "masks-tmax-inf",
+    ],
+)
+def test_bad_command_line_is_config_error(outdir, capsys, argv, message):
+    assert run(argv + ["--config", "network1.cfg", "--out", str(outdir)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("150", 150.0), ("auto", "auto"), ("0", 0.0)])
+def test_valid_tmax_flag_recorded_as_before(outdir, flag, value):
+    assert run(["evolve", "--config", "network1.cfg", "--t-max", flag, "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["overrides"]["t_max"] == value
+    assert manifest["config"]["t_max"] == value
 
 
 def test_bundled_configs_exist_and_parse():

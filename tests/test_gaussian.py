@@ -9,20 +9,23 @@ from oscnet.gaussian import (
     SqueezedSpec,
     StateError,
     db_to_r,
-    estimate_second_moment,
     fidelity,
     fidelity_from_moments,
-    homodyne_sample,
     mean_photon,
     product_state,
     propagate,
-    pure_fidelity_reference,
     reduce_state,
     squeezed_state,
     thermal_state,
     vacuum_state,
 )
-from oscnet.symplectic import random_orthogonal_symplectic
+
+from oracles import (
+    estimate_second_moment,
+    homodyne_sample,
+    pure_fidelity_reference,
+    random_orthogonal_symplectic,
+)
 
 
 def pure_squeezed(r: float, angle: float = 0.0) -> GaussianState:

@@ -7,7 +7,6 @@ from oscnet.gaussian import (
     GaussianState,
     SqueezedSpec,
     fidelity,
-    homodyne_sample,
     mean_photon,
     product_state,
     propagate,
@@ -20,7 +19,6 @@ from oscnet.probes import (
     ProbeSaturatedError,
     SamplingOptions,
     blp_witness,
-    damping_kernel,
     model_at,
     moving_average,
     qnm_trace,
@@ -41,6 +39,7 @@ from oscnet.probes import (
 )
 
 from conftest import PAPER_STATES, random_stable_graph
+from oracles import damping_kernel, homodyne_sample
 
 
 def single_node_probe(k=0.001, omega0=0.25, omega_s=None):

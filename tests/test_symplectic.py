@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 import oscnet as on
-from oscnet.symplectic import (
-    SymplecticError,
-    bloch_messiah,
-    discard_passive,
-    is_symplectic,
-    random_orthogonal_symplectic,
-    random_symplectic,
-    symplectic_form,
-)
+from oscnet.symplectic import SymplecticError, bloch_messiah, is_symplectic, symplectic_form
+
+from oracles import discard_passive, random_orthogonal_symplectic, random_symplectic
 
 RNG = np.random.default_rng(20240817)
 
