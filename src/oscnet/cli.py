@@ -8,6 +8,7 @@ overrides are recorded in the emitted manifest. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import importlib.resources
 import json
@@ -19,8 +20,9 @@ import numpy as np
 
 from . import __version__
 from .dynamics import StabilityError, assemble_model, evolve, probe_mask
-from .gaussian import SqueezedSpec
+from .gaussian import SqueezedSpec, StateError
 from .netmodel import CouplingGraph, GraphError, from_recipe, load_graph, save_graph
+from .netmodel import _POSITIVE, _at_least, _Field, _one_of, _value_error
 from .probes import (
     PlateauError,
     ProbeSaturatedError,
@@ -40,38 +42,94 @@ EXIT_SATURATED = 4
 
 OUTDIR_ENV = "OSCNET_OUT"
 
-DEFAULTS = {
-    "protocol": "validate",
-    "t_max": "auto",
-    "temperature": 1.0,
-    "method": "analytic",
-    "samples": 0,
-    "reps": 20,
-    "seed": 0,
-    "smooth_window": 51,
-    "env_prep": "thermal",
-    "time_grid": {"start": 0.0, "stop": 500.0, "points": 251},
-    "states": {
-        "rho1": {"squeeze_db": -1.8, "antisqueeze_db": 2.9, "axis": "q"},
-        "rho2": {"squeeze_db": -1.3, "antisqueeze_db": 2.4, "axis": "p"},
-    },
-}
-
-
-# keys of the fixed-shape config blocks; the network block is not listed
-# because its keys depend on the recipe kind
-_BLOCK_KEYS = {
-    "probe": {"site", "k", "omega_s", "sweep"},
-    "probe.sweep": {"start", "stop", "points"},
-    "time_grid": {"start", "stop", "points"},
-    "states": {"rho1", "rho2"},
-    "states.rho1": {"squeeze_db", "antisqueeze_db", "axis"},
-    "states.rho2": {"squeeze_db", "antisqueeze_db", "axis"},
-}
-
 
 class ConfigError(ValueError):
     pass
+
+
+_SQUEEZE = _Field("number", ..., lambda v: v <= 0, "<= 0")
+_ANTISQUEEZE = _Field("number", ..., *_at_least(0))
+_AXIS = _Field("string or number", "q", lambda v: v in ("q", "p") or not isinstance(v, str),
+               '"q", "p" or an angle')
+
+# The run-config format, every key by dotted name, a block before its keys.
+# Top-level defaults are merged shallowly: a block that is given replaces its
+# default whole, so the keys of a given block are required (an omitted axis
+# is SqueezedSpec's "q"). The network block belongs to netmodel.
+SCHEMA: dict[str, _Field] = {
+    "protocol": _Field("string", None),  # set from the verb
+    "network": _Field("object"),
+    "probe": _Field("object", None),
+    "probe.site": _Field("integer", ..., *_at_least(1)),
+    "probe.k": _Field("number", ..., *_at_least(0)),
+    "probe.omega_s": _Field("number or numbers", None, *_POSITIVE),
+    "probe.sweep": _Field("object", None),
+    "probe.sweep.start": _Field("number", ..., *_POSITIVE),
+    "probe.sweep.stop": _Field("number", ..., *_POSITIVE),
+    "probe.sweep.points": _Field("integer", ..., *_at_least(1)),
+    "t_max": _Field("number or string", "auto", lambda v: v == "auto" if isinstance(v, str)
+                    else v >= 0, '"auto" or a time >= 0'),
+    "temperature": _Field("number", 1.0, *_POSITIVE),
+    "method": _Field("string", "analytic", *_one_of("analytic", "probe", "both")),
+    "samples": _Field("integer", 0, lambda v: v == 0 or v >= 2, "0 (exact moments) or >= 2"),
+    "reps": _Field("integer", 20, *_at_least(1)),
+    "seed": _Field("integer", 0, *_at_least(0)),
+    "smooth_window": _Field("integer", 51, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"),
+    "env_prep": _Field("string", "thermal", *_one_of("thermal", "squeezed", "vacuum")),
+    "time_grid": _Field("object", {"start": 0.0, "stop": 500.0, "points": 251}),
+    "time_grid.start": _Field("number", ..., *_at_least(0)),
+    "time_grid.stop": _Field("number", ..., *_POSITIVE),
+    "time_grid.points": _Field("integer", ..., *_at_least(2)),
+    "states": _Field("object", {
+        "rho1": {"squeeze_db": -1.8, "antisqueeze_db": 2.9, "axis": "q"},
+        "rho2": {"squeeze_db": -1.3, "antisqueeze_db": 2.4, "axis": "p"},
+    }),
+    "states.rho1": _Field("object"),
+    "states.rho1.squeeze_db": _SQUEEZE,
+    "states.rho1.antisqueeze_db": _ANTISQUEEZE,
+    "states.rho1.axis": _AXIS,
+    "states.rho2": _Field("object"),
+    "states.rho2.squeeze_db": _SQUEEZE,
+    "states.rho2.antisqueeze_db": _ANTISQUEEZE,
+    "states.rho2.axis": _AXIS,
+    "out_dir": _Field("string", None),
+}
+
+
+def _block(cfg: dict, path: str) -> object:
+    """The value at a dotted path ('' the whole config), None where absent."""
+    for part in filter(None, path.split(".")):
+        cfg = cfg.get(part) if isinstance(cfg, dict) else None
+    return cfg
+
+
+def _check_config(cfg: dict) -> None:
+    """Check a merged run config against SCHEMA: every unknown key in the tree
+    first, then the first missing key of a given block, value of the wrong
+    JSON type, non-finite number or value out of range, by its dotted name."""
+    known: dict[str, set[str]] = {"": {"_config_dir"}}  # key names by block
+    for path in SCHEMA:
+        parent, _, name = path.rpartition(".")
+        known.setdefault(parent, set()).add(name)
+    blocks = {path: _block(cfg, path) for path in known}
+    unknown = []
+    for path, names in known.items():  # a block without listed keys is not ours
+        if isinstance(blocks[path], dict):
+            unknown += sorted(f"{path}.{k}".lstrip(".") for k in blocks[path] if k not in names)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    for path, key in SCHEMA.items():  # a block comes before its keys
+        parent, _, name = path.rpartition(".")
+        block = blocks[parent]
+        if block is None or name not in block:
+            if block is not None and key.default is ...:
+                raise ConfigError(f"config key '{path}' is missing")
+            continue
+        problem = _value_error(path, block[name], key)
+        if problem:
+            raise ConfigError(problem)
+    if cfg["protocol"] == "spectral" and cfg["t_max"] == 0:
+        raise ConfigError("t_max must be > 0 for spectral, which divides by it")
 
 
 def bundled_config_path(name: str) -> Path:
@@ -80,50 +138,35 @@ def bundled_config_path(name: str) -> Path:
 
 
 def _load_config(path: str | None) -> dict:
-    cfg = dict(DEFAULTS)
-    cfg["states"] = json.loads(json.dumps(DEFAULTS["states"]))
-    cfg["time_grid"] = dict(DEFAULTS["time_grid"])
+    defaults = {k: key.default for k, key in SCHEMA.items() if "." not in k}
+    cfg = copy.deepcopy({k: v for k, v in defaults.items() if v is not None and v is not ...})
     if path is None:
         return cfg
     p = Path(path)
-    if not p.exists():
-        candidate = bundled_config_path(path)
-        if candidate.exists():
-            p = candidate
-        else:
+    if not p.is_file():
+        p = bundled_config_path(path)
+        if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
     try:
         user = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(user) - set(DEFAULTS) - {"network", "probe", "out_dir"})
-    for path, keys in _BLOCK_KEYS.items():
-        block = user
-        for part in path.split("."):
-            block = block.get(part) if isinstance(block, dict) else None
-        if block is None:
-            continue
-        if not isinstance(block, dict):
-            raise ConfigError(f"config block '{path}' must be a JSON object")
-        unknown += [f"{path}.{key}" for key in sorted(set(block) - keys)]
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     cfg.update(user)
     cfg["_config_dir"] = str(p.parent)
     return cfg
 
 
 def _build_graph(cfg: dict) -> CouplingGraph:
-    net = cfg.get("network")
-    if net is None:
-        raise ConfigError("config has no 'network' block")
+    net = cfg["network"]
     if "file" in net:
+        if set(net) != {"file"} or not isinstance(net["file"], str):
+            raise ConfigError("a network block with 'file' holds only that path string")
         path = Path(net["file"])
         if not path.is_absolute() and "_config_dir" in cfg:
             path = Path(cfg["_config_dir"]) / path
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"graph document not found: {path}")
         graph = load_graph(path.read_text())
     else:
@@ -136,7 +179,7 @@ def _build_graph(cfg: dict) -> CouplingGraph:
         if omega_s is None:
             sweep = probe.get("sweep")
             omega_s = sweep["start"] if sweep else graph.omega[0]
-        graph = graph.with_probe(int(probe["site"]), float(probe["k"]), float(omega_s))
+        graph = graph.with_probe(probe["site"], probe["k"], omega_s)
     if graph.probe is None:
         raise ConfigError("no probe attached: add a 'probe' block")
     cfg["_graph_doc"] = save_graph(graph)  # echoed in the manifest
@@ -144,13 +187,10 @@ def _build_graph(cfg: dict) -> CouplingGraph:
 
 
 def _omega_list(cfg: dict) -> list[float]:
-    probe = cfg.get("probe") or {}
-    omega_s = probe.get("omega_s")
-    if isinstance(omega_s, list):
-        return [float(w) for w in omega_s]
-    if omega_s is not None:
-        return [float(omega_s)]
-    raise ConfigError("this protocol needs 'probe.omega_s'")
+    omega_s = (cfg.get("probe") or {}).get("omega_s")
+    if omega_s is None:
+        raise ConfigError("this protocol needs 'probe.omega_s'")
+    return omega_s if isinstance(omega_s, list) else [omega_s]
 
 
 def _tagged_omegas(cfg: dict) -> dict[str, float]:
@@ -166,89 +206,51 @@ def _tagged_omegas(cfg: dict) -> dict[str, float]:
     return tagged
 
 
-def _sweep_grid(cfg: dict) -> np.ndarray:
-    probe = cfg.get("probe") or {}
-    sweep = probe.get("sweep")
-    if sweep is None:
-        grid = np.asarray(_omega_list(cfg))
-    else:
-        points = int(sweep["points"])
-        if points < 1:
-            raise ConfigError("probe.sweep.points must be at least 1")
-        grid = np.linspace(float(sweep["start"]), float(sweep["stop"]), points)
+def _increasing(grid: np.ndarray, source: str) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
-        source = "probe.omega_s" if sweep is None else "probe.sweep"
-        raise ConfigError(f"{source} must give strictly increasing frequencies")
+        raise ConfigError(f"{source} must give strictly increasing values")
     return grid
+
+
+def _sweep_grid(cfg: dict) -> np.ndarray:
+    sweep = (cfg.get("probe") or {}).get("sweep")
+    if sweep is None:
+        return _increasing(np.asarray(_omega_list(cfg)), "probe.omega_s")
+    grid = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
+    return _increasing(grid, "probe.sweep")
 
 
 def _sampling(cfg: dict) -> SamplingOptions | None:
     """Homodyne sampling options; ``samples`` 0 means exact moments."""
-    samples, reps = int(cfg["samples"]), int(cfg["reps"])
-    if samples < 0 or samples == 1:
-        raise ConfigError(f"samples must be 0 (exact moments) or at least 2, got {samples}")
-    if reps < 1:
-        raise ConfigError(f"reps must be at least 1, got {reps}")
-    if samples == 0:
+    if cfg["samples"] == 0:
         return None
-    return SamplingOptions(n_samples=samples, n_reps=reps, seed=int(cfg["seed"]))
-
-
-def _check_tmax(cfg: dict) -> None:
-    """t_max, from the flag or the config file, is 'auto' or a finite time.
-
-    The spectral inversion divides by t_max, so it needs t_max > 0; the
-    propagator verbs also take t_max = 0, where S = I.
-    """
-    t = cfg["t_max"]
-    if t == "auto":
-        return
-    positive = cfg["protocol"] == "spectral"
-    try:
-        ok = np.isfinite(float(t)) and (float(t) > 0 if positive else float(t) >= 0)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"t_max must be 'auto' or a finite time {bound}, got {t!r}")
+    return SamplingOptions(n_samples=cfg["samples"], n_reps=cfg["reps"], seed=cfg["seed"])
 
 
 def _resolve_tmax(cfg: dict, graph: CouplingGraph) -> float:
     t = cfg["t_max"]
-    if t == "auto":
-        return suggest_tmax(assemble_model(graph))
-    return float(t)
+    return suggest_tmax(assemble_model(graph)) if t == "auto" else t
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = cfg.get("out_dir") or os.environ.get(OUTDIR_ENV, "oscnet-out")
-    path = Path(out)
+    path = Path(cfg.get("out_dir") or os.environ.get(OUTDIR_ENV, "oscnet-out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _write_manifest(out: Path, cfg: dict, overrides: dict) -> None:
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    manifest = {
-        "tool": "oscnet",
-        "version": __version__,
-        "config": echo,
-        "overrides": overrides,
-    }
+    manifest = {"tool": "oscnet", "version": __version__, "config": echo, "overrides": overrides}
     if "_graph_doc" in cfg:
         manifest["graph"] = cfg["_graph_doc"]  # resolved input, run is self-contained
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _states(cfg: dict) -> tuple[SqueezedSpec, SqueezedSpec]:
-    blocks = cfg["states"]
-
-    def mk(b: dict) -> SqueezedSpec:
-        return SqueezedSpec(
-            float(b["squeeze_db"]), float(b["antisqueeze_db"]), b.get("axis", "q")
-        )
-
-    return mk(blocks["rho1"]), mk(blocks["rho2"])
+def _state(cfg: dict, name: str) -> SqueezedSpec:
+    try:
+        return SqueezedSpec(**cfg["states"][name])
+    except StateError as exc:
+        raise ConfigError(f"states.{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +298,15 @@ def run_spectral(cfg: dict, out: Path) -> int:
     (out / "spectral.csv").write_text(curve.to_csv())
     if curve.method == "both":
         # deviation statistics over the significant-J region only
-        mask = curve.j_analytic > 0.1 * np.max(curve.j_analytic)
+        j_max = np.max(curve.j_analytic)
+        mask = curve.j_analytic > 0.1 * j_max
         rel = np.abs(curve.j_probe[mask] - curve.j_analytic[mask]) / curve.j_analytic[mask]
         summary = (
             f"cross-path deviation (J > 0.1 max): median {_fmt(float(np.median(rel)))}, "
             f"max {_fmt(float(rel.max()))}, "
             f"corr {_fmt(float(np.corrcoef(curve.j_analytic, curve.j_probe)[0, 1]))}\n"
+            if mask.any()
+            else f"cross-path deviation (J > 0.1 max): no such point, max J_analytic {_fmt(j_max)}\n"
         )
         (out / "crosspath.txt").write_text(summary)
         sys.stdout.write(summary)
@@ -312,11 +317,10 @@ def run_spectral(cfg: dict, out: Path) -> int:
 def run_qnm(cfg: dict, out: Path) -> int:
     graph = _build_graph(cfg)
     tg = cfg["time_grid"]
-    t_grid = np.linspace(float(tg["start"]), float(tg["stop"]), int(tg["points"]))
-    rho1, rho2 = _states(cfg)
-    window = int(cfg["smooth_window"])
+    t_grid = _increasing(np.linspace(tg["start"], tg["stop"], tg["points"]), "time_grid")
+    rho1, rho2 = _state(cfg, "rho1"), _state(cfg, "rho2")
     for tag, w in _tagged_omegas(cfg).items():
-        trace = qnm_trace(model_at(graph, w), rho1, rho2, t_grid, window=window)
+        trace = qnm_trace(model_at(graph, w), rho1, rho2, t_grid, window=cfg["smooth_window"])
         report = blp_witness(trace, use_smoothed=True)
         (out / f"qnm_w{tag}.csv").write_text(trace.to_csv())
         (out / f"witness_w{tag}.txt").write_text(report.to_text())
@@ -389,42 +393,37 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--samples", type=int, help="homodyne samples per quadrature")
         sp.add_argument("--reps", type=int, help="sampling repetitions")
         sp.add_argument("--seed", type=int, help="master seed")
-        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--out", dest="out_dir", help="output directory")
     return parser
+
+
+def _flag_number(text: str) -> float | str:
+    """A numeric flag as a float, or as its text for the schema to reject."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if args.omega_s is not None:
-        vals = [float(v) for v in args.omega_s.split(",")]
-        probe = dict(cfg.get("probe") or {})
-        probe["omega_s"] = vals if len(vals) > 1 else vals[0]
+        vals = [_flag_number(v) for v in args.omega_s.split(",")]
+        probe = dict(cfg["probe"]) if isinstance(cfg.get("probe"), dict) else {}
         probe.pop("sweep", None)
+        probe["omega_s"] = overrides["omega_s"] = vals if len(vals) > 1 else vals[0]
         cfg["probe"] = probe
-        overrides["omega_s"] = probe["omega_s"]
     if args.t_max is not None:
-        try:
-            cfg["t_max"] = float(args.t_max)
-        except ValueError:
-            cfg["t_max"] = args.t_max  # 'auto', or rejected by _check_tmax
-        overrides["t_max"] = cfg["t_max"]
+        cfg["t_max"] = overrides["t_max"] = _flag_number(args.t_max)
     if args.points is not None:
-        probe = dict(cfg.get("probe") or {})
-        sweep = dict(probe.get("sweep") or {})
-        if not sweep:
+        probe = cfg.get("probe")
+        if not isinstance(probe, dict) or not isinstance(probe.get("sweep"), dict):
             raise ConfigError("--points needs a sweep block in the config")
-        sweep["points"] = args.points
-        probe["sweep"] = sweep
-        cfg["probe"] = probe
+        cfg["probe"] = {**probe, "sweep": {**probe["sweep"], "points": args.points}}
         overrides["points"] = args.points
-    for name in ("method", "samples", "reps", "seed"):
-        val = getattr(args, name)
-        if val is not None:
-            cfg[name] = val
-            overrides[name] = val
-    if args.out is not None:
-        cfg["out_dir"] = args.out
-        overrides["out_dir"] = args.out
+    for name in ("method", "samples", "reps", "seed", "out_dir"):
+        if getattr(args, name) is not None:
+            cfg[name] = overrides[name] = getattr(args, name)
     return overrides
 
 
@@ -434,12 +433,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         cfg["protocol"] = args.protocol
         overrides = _apply_overrides(cfg, args)
-        _check_tmax(cfg)
+        _check_config(cfg)
         out = _out_dir(cfg)
         code = RUNNERS[args.protocol](cfg, out)
         _write_manifest(out, cfg, overrides)
         return code
-    except (ConfigError, GraphError, PlateauError, KeyError, json.JSONDecodeError) as exc:
+    except (ConfigError, GraphError, PlateauError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StabilityError as exc:

@@ -126,8 +126,8 @@ def _evolve_bare(model: QuadraticModel, t: float) -> NDArray[np.float64]:
     Closed harmonic form S(t) = [[cos Wt, W^-1 sin Wt], [-W sin Wt, cos Wt]]
     with W = V^(1/2), evaluated through the cached eigendecomposition.
     """
-    if t < 0:
-        raise ValueError("time must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError("time must be finite and >= 0")
     O = model.modes
     om = model.freqs_normal
     cos = (O * np.cos(om * t)[None, :]) @ O.T
@@ -171,8 +171,8 @@ def probe_rows(
     StabilityError.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be >= 0")
+    if not np.all((0 <= t) & (t < np.inf)):
+        raise ValueError("time must be finite and >= 0")
     if omega_s is None:
         return _probe_rows(model.modes, model.freqs_normal, model.frequencies, t)
     omega_s = np.asarray(omega_s, dtype=float)

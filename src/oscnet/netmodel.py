@@ -9,8 +9,9 @@ reports, 0-based internally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +20,104 @@ MAX_REWIRE_ATTEMPTS = 100
 
 class GraphError(ValueError):
     """Invalid graph construction or document."""
+
+
+# ---------------------------------------------------------------------------
+# JSON document formats: the recipe and graph documents here, the run config
+# in ``cli``
+
+
+def _is_integer(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON value types by name: how messages say them, and the test
+_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "integer": ("an integer", _is_integer),
+    "number": ("a number", _is_number),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+    "numbers": (
+        "a non-empty list of numbers",
+        lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
+    ),
+    "edges": (
+        "a list of [i, j, g] edges",
+        lambda v: isinstance(v, list) and all(
+            isinstance(e, list) and len(e) == 3
+            and _is_integer(e[0]) and _is_integer(e[1]) and _is_number(e[2])
+            for e in v
+        ),
+    ),
+}
+
+
+class _Field(NamedTuple):
+    """One key of a JSON document format: its JSON types (names in
+    ``_JSON_TYPES`` joined by " or "), its default (``...``: required;
+    None: optional without one) and the range of its value, or of each
+    entry of a list of numbers, as a test and as text."""
+
+    types: str
+    default: object = ...
+    ok: Callable[[object], bool] | None = None
+    text: str = ""
+
+
+def _at_least(lo: float) -> tuple:
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+def _one_of(*choices: str) -> tuple:
+    return (lambda v: v in choices), " or ".join(map(json.dumps, choices))
+
+
+_POSITIVE = ((lambda v: v > 0), "> 0")
+
+
+def _value_error(name: str, value: object, field: _Field) -> str | None:
+    """What is wrong with ``value`` as the value of ``field`` (its JSON type,
+    a number that is not finite, or its range), or None."""
+    types = field.types.split(" or ")
+    for t in types:
+        if _JSON_TYPES[t][1](value):
+            break
+    else:
+        what = " or ".join(_JSON_TYPES[t][0] for t in types)
+        return f"'{name}' must be {what}, got {json.dumps(value)}"
+    for v in value if "numbers" in types and isinstance(value, list) else (value,):
+        if isinstance(v, float) and not math.isfinite(v):
+            return f"{name} must be finite, got {json.dumps(value)}"
+        if field.ok is not None and not field.ok(v):
+            return f"{name} must be {field.text}, got {json.dumps(value)}"
+    return None
+
+
+def _fields(doc: object, fields: Mapping[str, _Field], where: str) -> dict:
+    """The fields of a JSON object, checked against ``fields``, with the
+    defaults filled in and numbers as floats; GraphError names an unknown,
+    missing or malformed field."""
+    if not isinstance(doc, Mapping):
+        raise GraphError(f"{where} must be a JSON object, got {json.dumps(doc)}")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise GraphError(f"{where} has unknown field(s): {', '.join(unknown)}")
+    out = {}
+    for name, spec in fields.items():
+        if name not in doc:
+            if spec.default is ...:
+                raise GraphError(f"{where} is missing field '{name}'")
+            out[name] = spec.default
+            continue
+        problem = _value_error(name, doc[name], spec)
+        if problem:
+            raise GraphError(f"{where}: {problem}")
+        out[name] = float(doc[name]) if spec.types == "number" else doc[name]
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,21 +174,21 @@ class CouplingGraph:
             raise GraphError("graph needs at least one node")
         if len(self.omega) != self.n_nodes:
             raise GraphError("omega list length != n_nodes")
-        if any(w <= 0 for w in self.omega):
-            raise GraphError("all node frequencies must be > 0")
+        if not all(0 < w < np.inf for w in self.omega):
+            raise GraphError("all node frequencies must be finite and > 0")
         for (i, j), g in self.couplings.items():
             if not (0 <= i < j < self.n_nodes):
                 raise GraphError(f"bad edge ({i}, {j}): indices out of range or not i < j")
-            if g <= 0:
-                raise GraphError(f"edge ({i}, {j}) has non-positive weight {g}")
+            if not 0 < g < np.inf:
+                raise GraphError(f"edge ({i}, {j}) has weight {g}, not finite and > 0")
         if self.probe is not None:
             p = self.probe
             if not 0 <= p.site < self.n_nodes:
                 raise GraphError(f"probe site {p.site} out of range")
-            if p.k < 0:
-                raise GraphError("probe coupling k must be >= 0")
-            if p.omega_s <= 0:
-                raise GraphError("probe frequency must be > 0")
+            if not 0 <= p.k < np.inf:
+                raise GraphError("probe coupling k must be finite and >= 0")
+            if not 0 < p.omega_s < np.inf:
+                raise GraphError("probe frequency must be finite and > 0")
 
     @property
     def n_edges(self) -> int:
@@ -107,7 +206,8 @@ class CouplingGraph:
 
     def with_probe(self, site_1based: int, k: float, omega_s: float) -> "CouplingGraph":
         """Return a copy with the probe attached at a 1-based node index."""
-        return replace(self, probe=ProbeSpec(site=site_1based - 1, k=k, omega_s=omega_s))
+        probe = ProbeSpec(site=site_1based - 1, k=float(k), omega_s=float(omega_s))
+        return replace(self, probe=probe)
 
 
 def _connected(n: int, edges) -> bool:
@@ -139,8 +239,8 @@ def build_linear_chain(n: int, pattern: Sequence[float], omega0: float) -> Coupl
         raise GraphError("chain needs n >= 2")
     if not pattern:
         raise GraphError("empty coupling pattern")
-    if any(g <= 0 for g in pattern):
-        raise GraphError("pattern entries must be > 0")
+    if not all(0 < g < np.inf for g in pattern):
+        raise GraphError("pattern entries must be finite and > 0")
     couplings = {(i, i + 1): float(pattern[i % len(pattern)]) for i in range(n - 1)}
     recipe = NetworkRecipe("linear-periodic", {"n": n, "pattern": list(map(float, pattern)), "omega0": omega0})
     return CouplingGraph(n, (float(omega0),) * n, couplings, recipe=recipe)
@@ -162,8 +262,8 @@ def build_watts_strogatz(
         raise GraphError("need 0 < K < n")
     if not 0.0 <= p <= 1.0:
         raise GraphError("rewiring probability must be in [0, 1]")
-    if g <= 0:
-        raise GraphError("coupling weight must be > 0")
+    if not 0 < g < np.inf:
+        raise GraphError("coupling weight must be finite and > 0")
 
     for attempt in range(MAX_REWIRE_ATTEMPTS):
         # attempt 0 uses the seed itself, retries use derived child sequences
@@ -216,8 +316,8 @@ def build_barabasi_albert(
     """
     if not 1 <= kappa <= m0 < n:
         raise GraphError("need 1 <= kappa <= m0 < n")
-    if g <= 0:
-        raise GraphError("coupling weight must be > 0")
+    if not 0 < g < np.inf:
+        raise GraphError("coupling weight must be finite and > 0")
     rng = np.random.default_rng(seed)
     deg = np.zeros(n)
     couplings: dict[tuple[int, int], float] = {}
@@ -248,35 +348,76 @@ def build_explicit(
     omega_t = (float(omega),) * n if np.isscalar(omega) else tuple(float(w) for w in omega)
     couplings: dict[tuple[int, int], float] = {}
     for i, j, g in edges:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise GraphError(f"edge ({i}, {j}) references missing node")
         if i == j:
             raise GraphError(f"self-loop on node {i}")
         a, b = min(i, j) - 1, max(i, j) - 1
         if (a, b) in couplings and couplings[(a, b)] != g:
-            raise GraphError(f"conflicting weights for edge ({i}, {j})")
+            raise GraphError(f"asymmetric weights for edge ({i}, {j}): {couplings[(a, b)]} vs {g}")
         couplings[(a, b)] = float(g)
     return CouplingGraph(n, omega_t, couplings, probe=probe, recipe=NetworkRecipe("explicit"))
 
 
+def _barabasi_albert(n, kappa, m0, g, omega0, seed) -> CouplingGraph:
+    return build_barabasi_albert(n, kappa, kappa if m0 is None else m0, g, omega0, seed)
+
+
+def _explicit(n, omega, omega0, edges) -> CouplingGraph:
+    if (omega is None) == (omega0 is None):
+        raise GraphError("an explicit graph needs exactly one of 'omega' and 'omega0'")
+    return build_explicit(n, omega0 if omega is None else omega, [tuple(e) for e in edges])
+
+
+_N = _Field("integer", ..., *_at_least(1))
+_G = _Field("number", ..., *_POSITIVE)
+_OMEGA0 = _Field("number", ..., *_POSITIVE)
+_SEED = _Field("integer", ..., *_at_least(0))
+
+# recipe kind -> builder and its fields, which the builder takes by name
+_RECIPES: dict[str, tuple[Callable[..., CouplingGraph], dict[str, _Field]]] = {
+    "linear-periodic": (
+        build_linear_chain,
+        {"n": _N, "pattern": _Field("numbers", ..., *_POSITIVE), "omega0": _OMEGA0},
+    ),
+    "watts-strogatz": (
+        build_watts_strogatz,
+        {
+            "n": _N, "K": _Field("integer", 4), "p": _Field("number"), "g": _G,
+            "omega0": _OMEGA0, "seed": _SEED,
+        },
+    ),
+    "barabasi-albert": (
+        _barabasi_albert,
+        {
+            "n": _N, "kappa": _Field("integer"), "m0": _Field("integer", None), "g": _G,
+            "omega0": _OMEGA0, "seed": _SEED,
+        },
+    ),
+    "explicit": (
+        _explicit,
+        {
+            "n": _N, "omega": _Field("number or numbers", None, *_POSITIVE),
+            "omega0": _Field("number", None, *_POSITIVE), "edges": _Field("edges"),
+        },
+    ),
+}
+
+
+def _recipe(doc: object) -> tuple[Callable[..., CouplingGraph], dict]:
+    """The builder of a recipe and its checked fields."""
+    kind = doc.get("kind") if isinstance(doc, Mapping) else None
+    if not isinstance(kind, str) or kind not in _RECIPES:
+        raise GraphError(f"unknown recipe kind: {kind!r}; one of {', '.join(_RECIPES)}")
+    build, fields = _RECIPES[kind]
+    given = {k: v for k, v in doc.items() if k != "kind"}
+    return build, _fields(given, fields, f"{kind} recipe")
+
+
 def from_recipe(doc: Mapping[str, object]) -> CouplingGraph:
     """Build a graph from a recipe dictionary (the `recipe` document block)."""
-    kind = doc.get("kind")
-    if kind == "linear-periodic":
-        return build_linear_chain(int(doc["n"]), list(doc["pattern"]), float(doc["omega0"]))
-    if kind == "watts-strogatz":
-        return build_watts_strogatz(
-            int(doc["n"]), int(doc.get("K", 4)), float(doc["p"]),
-            float(doc["g"]), float(doc["omega0"]), int(doc["seed"]),
-        )
-    if kind == "barabasi-albert":
-        kappa = int(doc["kappa"])
-        return build_barabasi_albert(
-            int(doc["n"]), kappa, int(doc.get("m0", kappa)),
-            float(doc["g"]), float(doc["omega0"]), int(doc["seed"]),
-        )
-    if kind == "explicit":
-        omega = doc.get("omega", doc.get("omega0"))
-        return build_explicit(int(doc["n"]), omega, [tuple(e) for e in doc["edges"]])
-    raise GraphError(f"unknown recipe kind: {kind!r}")
+    build, fields = _recipe(doc)
+    return build(**fields)
 
 
 def save_graph(graph: CouplingGraph) -> dict:
@@ -299,45 +440,39 @@ def save_graph(graph: CouplingGraph) -> dict:
     return doc
 
 
+_PROBE_FIELDS = {
+    "site": _Field("integer", ..., *_at_least(1)),
+    "k": _Field("number", ..., *_at_least(0)),
+    "omega_s": _Field("number", ..., *_POSITIVE),
+}
+
+_DOCUMENT_FIELDS = {
+    "nodes": _N,
+    "omega0": _Field("number", None, *_POSITIVE),
+    "omega": _Field("numbers", None, *_POSITIVE),
+    "edges": _Field("edges", []),
+    "probe": _Field("object", None),
+    "recipe": _Field("object", None),
+}
+
+
 def load_graph(doc: Mapping[str, object] | str) -> CouplingGraph:
     """Parse a graph document (dict or JSON text). Rejects asymmetric or
     non-positive weights; a missing probe block leaves the probe unset."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
-    if "nodes" not in doc:
-        raise GraphError("document missing 'nodes'")
-    n = int(doc["nodes"])
-    if "omega0" in doc:
-        omega: object = float(doc["omega0"])
-    elif "omega" in doc:
-        omega = [float(w) for w in doc["omega"]]
-        if len(omega) != n:
-            raise GraphError("per-node omega list length != nodes")
-    else:
-        raise GraphError("document missing 'omega0' or 'omega'")
-
-    seen: dict[tuple[int, int], float] = {}
-    edges = []
-    for entry in doc.get("edges", []):
-        if len(entry) != 3:
-            raise GraphError(f"malformed edge entry: {entry!r}")
-        i, j, g = int(entry[0]), int(entry[1]), float(entry[2])
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphError(f"edge ({i}, {j}) references missing node")
-        key = (min(i, j), max(i, j))
-        if key in seen and seen[key] != g:
-            raise GraphError(f"asymmetric weights for edge {key}: {seen[key]} vs {g}")
-        seen[key] = g
-        edges.append((i, j, g))
-
-    probe = None
-    if "probe" in doc:
-        p = doc["probe"]
-        probe = ProbeSpec(site=int(p["site"]) - 1, k=float(p["k"]), omega_s=float(p["omega_s"]))
-    graph = build_explicit(n, omega, edges, probe=probe)
-    if "recipe" in doc:
-        r = dict(doc["recipe"])
-        kind = r.pop("kind", "explicit")
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise GraphError(f"graph document is not valid JSON: {exc}") from exc
+    f = _fields(doc, _DOCUMENT_FIELDS, "graph document")
+    graph = _explicit(f["nodes"], f["omega"], f["omega0"], f["edges"])
+    if f["probe"] is not None:
+        p = _fields(f["probe"], _PROBE_FIELDS, "graph document probe")
+        graph = graph.with_probe(p["site"], p["k"], p["omega_s"])
+    if f["recipe"] is not None:
+        _recipe(f["recipe"])  # provenance, kept as given once it checks
+        r = dict(f["recipe"])
+        kind = r.pop("kind")
         seed = r.pop("seed", None)
         graph = replace(graph, recipe=NetworkRecipe(kind, r, seed))
     return graph

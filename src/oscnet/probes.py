@@ -162,8 +162,8 @@ def spectral_density_analytic(
 
 def thermal_occupancy(omega: float | NDArray, temperature: float) -> float | NDArray:
     """Bose-Einstein occupancy N(omega) = 1/(exp(omega/T) - 1)."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+    if not 0 < temperature < np.inf:
+        raise ValueError("temperature must be finite and > 0")
     return 1.0 / np.expm1(np.asarray(omega) / temperature)
 
 

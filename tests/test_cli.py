@@ -8,6 +8,7 @@ import pytest
 
 import oscnet
 from oscnet.cli import (
+    SCHEMA,
     EXIT_CONFIG,
     EXIT_SATURATED,
     EXIT_UNSTABLE,
@@ -85,6 +86,31 @@ class TestValidate:
             (lambda cfg: {**cfg, "time_grid": [0.0, 500.0, 251]}, "'time_grid' must be"),
             (lambda cfg: {**cfg, "bilinear_env": False}, "bilinear_env"),
             (lambda cfg: {**cfg, "t_max": -5}, "t_max must be"),
+            (
+                lambda cfg: {**cfg, "probe": {"sitee": 8, "k": 0.01}},
+                "unknown config key(s): probe.sitee",
+            ),
+            (lambda cfg: {**cfg, "temperature": "1.0"}, "'temperature' must be a number"),
+            (lambda cfg: {**cfg, "seed": 1.5}, "'seed' must be an integer"),
+            (lambda cfg: {**cfg, "reps": True}, "'reps' must be an integer"),
+            (lambda cfg: {**cfg, "t_max": None}, "'t_max' must be a number or a string"),
+            (lambda cfg: {**cfg, "temperature": float("nan")}, "temperature must be finite"),
+            (lambda cfg: {**cfg, "smooth_window": 50}, "smooth_window must be odd"),
+            (lambda cfg: {**cfg, "method": "exact"}, "method must be"),
+            (lambda cfg: {**cfg, "probe": {"k": 0.01, "omega_s": 0.45}}, "'probe.site' is missing"),
+            (lambda cfg: {**cfg, "probe": {**cfg["probe"], "site": 8.0}}, "'probe.site' must be"),
+            (lambda cfg: {**cfg, "probe": {**cfg["probe"], "omega_s": []}}, "'probe.omega_s'"),
+            (
+                lambda cfg: {**cfg, "states": {"rho1": {"squeeze_db": -1.8}, "rho2": {}}},
+                "'states.rho1.antisqueeze_db' is missing",
+            ),
+            (
+                lambda cfg: {**cfg, "states": {"rho1": {"squeeze_db": 1.0, "antisqueeze_db": 2.9}}},
+                "states.rho1.squeeze_db must be <= 0",
+            ),
+            (lambda cfg: {**cfg, "network": {**cfg["network"], "pattern": [0.1, "0.05"]}}, "'pattern'"),
+            (lambda cfg: {**cfg, "network": {**cfg["network"], "size": 3}}, "unknown field(s): size"),
+            (lambda cfg: {k: v for k, v in cfg.items() if k != "network"}, "'network' is missing"),
         ],
         ids=[
             "unknown-key",
@@ -97,6 +123,22 @@ class TestValidate:
             "block-not-an-object",
             "removed-bilinear-env",
             "negative-t-max",
+            "unknown-before-missing",
+            "string-number",
+            "fractional-integer",
+            "bool-integer",
+            "null",
+            "nan",
+            "even-window",
+            "unknown-method",
+            "missing-in-given-block",
+            "float-site",
+            "empty-omega-list",
+            "missing-state-key",
+            "squeeze-out-of-range",
+            "recipe-field-type",
+            "recipe-unknown-field",
+            "no-network",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, outdir, capsys, edit, message):
@@ -347,12 +389,16 @@ class TestEvolve:
         (["spectral", "--t-max", "nan"], "t_max must be"),
         (["evolve", "--t-max", "nan"], "t_max must be"),
         (["masks", "--t-max", "inf"], "t_max must be"),
+        (["qnm", "--omega-s", "0.58,abc"], "probe.omega_s"),
+        (["qnm", "--omega-s", "nan"], "probe.omega_s must be finite"),
+        (["spectral", "--omega-s", "0.5,nan"], "probe.omega_s must be finite"),
     ],
     ids=[
         "spectral-decreasing-omegas", "spectral-repeated-omega", "qnm-shared-tag",
         "evolve-shared-tag", "masks-shared-tag", "spectral-tmax-negative",
         "evolve-tmax-negative", "spectral-tmax-zero", "spectral-tmax-abc", "evolve-tmax-abc",
-        "spectral-tmax-nan", "evolve-tmax-nan", "masks-tmax-inf",
+        "spectral-tmax-nan", "evolve-tmax-nan", "masks-tmax-inf", "qnm-omega-not-a-number",
+        "qnm-omega-nan", "spectral-omega-nan",
     ],
 )
 def test_bad_command_line_is_config_error(outdir, capsys, argv, message):
@@ -391,3 +437,109 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_sweep_without_significant_j_writes_crosspath_note(outdir):
+    # J_analytic(0.2) is slightly negative on network 1, so no point has
+    # J > 0.1 max and the deviation statistics have no support
+    args = ["spectral", "--config", "network1.cfg", "--points", "1", "--out", str(outdir)]
+    assert run(args) == 0
+    assert "no such point" in (outdir / "crosspath.txt").read_text()
+
+
+def _write_config(tmp_path, cfg):
+    p = tmp_path / "run.cfg"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+RHO1 = {"squeeze_db": -1.8, "antisqueeze_db": 2.9}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            {"states": {"rho1": RHO1, "rho2": {"squeeze_db": -3.0, "antisqueeze_db": 1.0}}},
+            "states.rho2: variance product",
+        ),
+        (
+            {"time_grid": {"start": 10.0, "stop": 5.0, "points": 3}},
+            "time_grid must give strictly increasing",
+        ),
+    ],
+    ids=["state-below-uncertainty", "decreasing-time-grid"],
+)
+def test_qnm_rule_across_keys_is_config_error(tmp_path, outdir, capsys, edit, message):
+    cfg = {**json.loads(bundled_config_path("network1.cfg").read_text()), **edit}
+    assert run(["qnm", "--config", _write_config(tmp_path, cfg), "--out", str(outdir)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+
+
+def test_graph_document_errors_are_config_errors(tmp_path, outdir, capsys):
+    (tmp_path / "g.json").write_text('{"nodes": 2, "omega0": 0.25,')
+    cfg = {"network": {"file": "g.json"}, "probe": {"site": 1, "k": 0.01, "omega_s": 0.5}}
+    argv = ["validate", "--config", _write_config(tmp_path, cfg), "--out", str(outdir)]
+    assert run(argv) == EXIT_CONFIG
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_config_error(monkeypatch, outdir):
+    def broken(cfg, out):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(oscnet.cli.RUNNERS, "validate", broken)
+    with pytest.raises(KeyError):
+        run(["validate", "--config", "network1.cfg", "--out", str(outdir)])
+
+
+# bounded JSON values for the single-key mutations; huge integers are left
+# out, since a size such as "n": 1e300 is not bounded by the schema
+MUTATION_VALUES = [
+    None, True, False, 0, 1, -1, 2, 3, 0.5, -0.5, 1.5, 7, 100, "", "x", "auto", "q",
+    float("nan"), float("inf"), float("-inf"), [], [0.5], [1, 2], {}, {"x": 1},
+]
+_DELETE = object()
+
+
+def _key_paths(block, prefix=()):
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def test_main_never_raises_on_a_single_key_mutation(tmp_path):
+    base = json.loads(bundled_config_path("network1.cfg").read_text())
+    base["probe"]["sweep"]["points"] = 3
+    base["time_grid"]["points"] = 5
+    verbs = ("validate", "spectral", "qnm", "masks")
+    run_id = 0
+    for path in _key_paths(base):
+        for value in MUTATION_VALUES + [_DELETE]:
+            cfg = json.loads(json.dumps(base))
+            block = cfg
+            for key in path[:-1]:
+                block = block[key]
+            if value is _DELETE:
+                del block[path[-1]]
+            else:
+                block[path[-1]] = value
+            # every (key, value) pair runs once, the verbs in turn
+            verb = verbs[run_id % len(verbs)]
+            argv = [verb, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / str(run_id))]
+            try:
+                code = run(argv)
+            except Exception as exc:  # the assertion names the mutation
+                raise AssertionError(f"{verb} with {'.'.join(path)} = {value!r} raised {exc!r}") from exc
+            assert code in (0, EXIT_CONFIG, EXIT_UNSTABLE, EXIT_SATURATED)
+            run_id += 1
+
+
+def test_readme_config_table_lists_the_schema_keys(request):
+    readme = (request.path.parents[1] / "README.md").read_text()
+    table = readme.split("| key | type | default | range | read by |")[1].split("\n\n")[0]
+    keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+    assert sorted(keys) == sorted(SCHEMA)
+    assert len(keys) == len(set(keys))

@@ -205,3 +205,13 @@ def test_symplecticity_over_networks(networks):
         for t in (0.0, 3.0, 90.0):
             ok, res = is_symplectic(evolve(m, t), 1e-10)
             assert ok, f"network {idx} at t={t}: residual {res}"
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_time_that_is_not_finite_and_nonnegative_rejected(net1_model, t):
+    with pytest.raises(ValueError, match="time must be"):
+        _evolve_bare(net1_model, t)
+    with pytest.raises(ValueError, match="time must be"):
+        probe_rows(net1_model, np.array([1.0, t]))
+    with pytest.raises(ValueError, match="time must be"):
+        probe_rows(net1_model, t, omega_s=[0.5])

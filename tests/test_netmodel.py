@@ -183,3 +183,97 @@ def test_ws_invariants_hold(seed, p):
     assert g.n_edges == 48
     assert all(v == 0.05 for v in g.couplings.values())
     assert g.is_connected()
+
+
+BAD_NUMBERS = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("x", BAD_NUMBERS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: on.CouplingGraph(2, (0.25, x), {(0, 1): 0.1}),
+        lambda x: on.CouplingGraph(2, (0.25, 0.25), {(0, 1): x}),
+        lambda x: on.build_linear_chain(4, [0.1], 0.25).with_probe(1, x, 0.5),
+        lambda x: on.build_linear_chain(4, [0.1], 0.25).with_probe(1, 0.01, x),
+        lambda x: on.build_linear_chain(4, [0.1], x),
+        lambda x: on.build_linear_chain(4, [0.1, x], 0.25),
+        lambda x: on.build_watts_strogatz(10, 4, 0.1, x, 0.25, 1),
+        lambda x: on.build_barabasi_albert(10, 2, 2, x, 0.25, 1),
+    ],
+    ids=["omega", "g", "k", "omega_s", "omega0", "chain-pattern", "ws-g", "ba-g"],
+)
+def test_non_finite_value_rejected(make, x):
+    with pytest.raises(GraphError):
+        make(x)
+
+
+LINEAR = {"kind": "linear-periodic", "n": 16, "pattern": [0.1, 0.05], "omega0": 0.25}
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({**LINEAR, "kind": "ring"}, "unknown recipe kind"),
+        ({**LINEAR, "kind": ["linear-periodic"]}, "unknown recipe kind"),
+        ({**LINEAR, "size": 3}, "unknown field(s): size"),
+        ({k: v for k, v in LINEAR.items() if k != "omega0"}, "missing field 'omega0'"),
+        ({**LINEAR, "n": 16.0}, "'n' must be an integer"),
+        ({**LINEAR, "n": True}, "'n' must be an integer"),
+        ({**LINEAR, "omega0": "0.25"}, "'omega0' must be a number"),
+        ({**LINEAR, "omega0": None}, "'omega0' must be a number"),
+        ({**LINEAR, "pattern": [0.1, None]}, "'pattern' must be"),
+        ({"kind": "explicit", "n": 2, "edges": [[1, 2, 0.1]]}, "exactly one of"),
+        ({"kind": "explicit", "n": 2, "omega0": 0.25, "edges": [[1, 2.0, 0.1]]}, "'edges' must be"),
+        (
+            {"kind": "watts-strogatz", "n": 20, "p": 0.1, "g": 0.08, "omega0": 0.25},
+            "missing field 'seed'",
+        ),
+    ],
+    ids=[
+        "unknown-kind", "unhashable-kind", "unknown-field", "missing-field", "float-integer",
+        "bool-integer", "string-number", "null", "pattern-entry", "explicit-no-omega",
+        "explicit-bad-edge", "ws-no-seed",
+    ],
+)
+def test_malformed_recipe_rejected(recipe, message):
+    with pytest.raises(GraphError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        on.from_recipe(recipe)
+
+
+def test_recipe_defaults_and_integer_numbers():
+    ws = on.from_recipe({"kind": "watts-strogatz", "n": 20, "p": 0, "g": 1, "omega0": 1, "seed": 5})
+    assert ws.recipe.params == {"n": 20, "K": 4, "p": 0.0, "g": 1.0, "omega0": 1.0}
+    ba = on.from_recipe(
+        {"kind": "barabasi-albert", "n": 20, "kappa": 2, "g": 0.02, "omega0": 0.25, "seed": 3}
+    )
+    assert ba.recipe.params["m0"] == 2
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"nodes": 2, "omega0": 0.25', "not valid JSON"),
+        ({"nodes": 2, "omega0": 0.25, "colour": "red"}, r"unknown field\(s\): colour"),
+        ({"omega0": 0.25}, "missing field 'nodes'"),
+        ({"nodes": "2", "omega0": 0.25}, "'nodes' must be an integer"),
+        ({"nodes": 2, "omega0": 0.25, "edges": [[1, 2]]}, "'edges' must be"),
+        ({"nodes": 2, "omega0": 0.25, "edges": [[1, 3, 0.1]]}, "missing node"),
+        ({"nodes": 2, "omega0": 0.25, "probe": {"site": 1, "k": 0.01}}, "missing field 'omega_s'"),
+        ({"nodes": 2, "omega0": 0.25, "omega": [0.25, 0.3]}, "exactly one of"),
+    ],
+    ids=[
+        "bad-json", "unknown-field", "no-nodes", "string-nodes", "short-edge", "edge-node",
+        "probe-field", "two-omegas",
+    ],
+)
+def test_malformed_document_rejected(doc, message):
+    with pytest.raises(GraphError, match=message):
+        on.load_graph(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+def test_document_recipe_block_is_checked_as_a_recipe():
+    doc = on.save_graph(on.build_watts_strogatz(20, 4, 0.1, 0.08, 0.25, seed=5))
+    doc["recipe"]["seed"] = "five"
+    with pytest.raises(GraphError, match="'seed' must be an integer"):
+        on.load_graph(doc)

@@ -623,3 +623,9 @@ class TestWitness:
         w_pi = witness_at(np.pi)
         for phi0 in (np.pi / 4, np.pi / 2, 3 * np.pi / 4):
             assert w_pi >= witness_at(phi0)
+
+
+@pytest.mark.parametrize("temperature", [np.nan, np.inf, 0.0, -1.0])
+def test_temperature_that_is_not_finite_and_positive_rejected(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        thermal_occupancy(np.array([0.25, 0.5]), temperature)
