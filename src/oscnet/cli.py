@@ -103,17 +103,25 @@ def _block(cfg: dict, path: str) -> object:
     return cfg
 
 
+def _block_keys() -> dict[str, set[str]]:
+    """SCHEMA's key names by block, '' the top level, blocks in SCHEMA order."""
+    known: dict[str, set[str]] = {"": {"_config_dir"}}
+    for path in SCHEMA:
+        parent, _, name = path.rpartition(".")
+        known.setdefault(parent, set()).add(name)
+    return known
+
+
+_BLOCK_KEYS = _block_keys()
+
+
 def _check_config(cfg: dict) -> None:
     """Check a merged run config against SCHEMA: every unknown key in the tree
     first, then the first missing key of a given block, value of the wrong
     JSON type, non-finite number or value out of range, by its dotted name."""
-    known: dict[str, set[str]] = {"": {"_config_dir"}}  # key names by block
-    for path in SCHEMA:
-        parent, _, name = path.rpartition(".")
-        known.setdefault(parent, set()).add(name)
-    blocks = {path: _block(cfg, path) for path in known}
+    blocks = {path: _block(cfg, path) for path in _BLOCK_KEYS}
     unknown = []
-    for path, names in known.items():  # a block without listed keys is not ours
+    for path, names in _BLOCK_KEYS.items():  # a block without listed keys is not ours
         if isinstance(blocks[path], dict):
             unknown += sorted(f"{path}.{k}".lstrip(".") for k in blocks[path] if k not in names)
     if unknown:
@@ -234,7 +242,10 @@ def _resolve_tmax(cfg: dict, graph: CouplingGraph) -> float:
 
 def _out_dir(cfg: dict) -> Path:
     path = Path(cfg.get("out_dir") or os.environ.get(OUTDIR_ENV, "oscnet-out"))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
     return path
 
 
@@ -300,14 +311,22 @@ def run_spectral(cfg: dict, out: Path) -> int:
         # deviation statistics over the significant-J region only
         j_max = np.max(curve.j_analytic)
         mask = curve.j_analytic > 0.1 * j_max
-        rel = np.abs(curve.j_probe[mask] - curve.j_analytic[mask]) / curve.j_analytic[mask]
-        summary = (
-            f"cross-path deviation (J > 0.1 max): median {_fmt(float(np.median(rel)))}, "
-            f"max {_fmt(float(rel.max()))}, "
-            f"corr {_fmt(float(np.corrcoef(curve.j_analytic, curve.j_probe)[0, 1]))}\n"
-            if mask.any()
-            else f"cross-path deviation (J > 0.1 max): no such point, max J_analytic {_fmt(j_max)}\n"
-        )
+        if mask.any():
+            rel = np.abs(curve.j_probe[mask] - curve.j_analytic[mask]) / curve.j_analytic[mask]
+            # a correlation needs two points
+            corr = (
+                _fmt(float(np.corrcoef(curve.j_analytic, curve.j_probe)[0, 1]))
+                if len(grid) > 1
+                else "n/a (one point)"
+            )
+            summary = (
+                f"cross-path deviation (J > 0.1 max): median {_fmt(float(np.median(rel)))}, "
+                f"max {_fmt(float(rel.max()))}, corr {corr}\n"
+            )
+        else:
+            summary = (
+                f"cross-path deviation (J > 0.1 max): no such point, max J_analytic {_fmt(j_max)}\n"
+            )
         (out / "crosspath.txt").write_text(summary)
         sys.stdout.write(summary)
     sys.stdout.write(f"spectral sweep done: {len(grid)} points, t_max={_fmt(t_max)}\n")

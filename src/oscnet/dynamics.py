@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .netmodel import CouplingGraph
-from .symplectic import bloch_messiah
+from .symplectic import SYMPLECTIC_TOL, SymplecticError, bloch_messiah
 
 
 class StabilityError(ValueError):
@@ -152,9 +152,13 @@ def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
     return _evolve_bare(model, t) * np.outer(T, 1.0 / T)
 
 
-# probe frequencies diagonalized per batch: bounds the (batch, M, M)
-# potential and eigenvector stacks held at once
-OMEGA_BATCH = 32
+# Chebyshev vectors T_k(V~) e_S held per block; each full block is folded
+# into the three row sums by one GEMM
+_CHEB_BLOCK = 16
+
+# largest DCT size of the expansion: bounds its arrays to about 25 MB and the
+# recurrence to about 2^17 steps, i.e. t sqrt(lambda_max) <= 2.6e5
+_CHEB_MAX_POINTS = 2**18
 
 
 def probe_rows(
@@ -165,60 +169,164 @@ def probe_rows(
     Row 0 and row M of ``evolve(model, t)``, without forming S(t). With
     ``omega_s`` None the cached eigendecomposition serves a time or a time
     grid (leading axes of ``t``). Given a 1-D grid of G probe frequencies,
-    the potentials V(omega_S), which differ only in V_SS = omega_S^2, are
-    diagonalized as stacks and the (G, 2, 2M) rows are taken at the single
-    time ``t``; a grid point whose potential is not positive definite raises
-    StabilityError.
+    the (G, 2, 2M) rows are taken at the single time ``t`` from a Chebyshev
+    expansion in the potentials V(omega_S), which differ from V only in
+    V_SS = omega_S^2; a grid point whose potential is not positive definite
+    raises StabilityError. Rows that break the commutator
+    q_row . Omega . p_row^T = 1 raise SymplecticError.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((0 <= t) & (t < np.inf)):
         raise ValueError("time must be finite and >= 0")
     if omega_s is None:
-        return _probe_rows(model.modes, model.freqs_normal, model.frequencies, t)
-    omega_s = np.asarray(omega_s, dtype=float)
-    batches = np.split(omega_s, np.arange(OMEGA_BATCH, len(omega_s), OMEGA_BATCH))
-    return np.concatenate([_probe_rows(*_diagonalize_at(model, w), t) for w in batches])
+        rows = _eigen_rows(model, t)
+        bare = model.frequencies
+    else:
+        if t.ndim:
+            raise ValueError("a probe-frequency grid takes a single time")
+        omega_s = np.asarray(omega_s, dtype=float)
+        _check_schur_margin(model, omega_s)
+        rows = _chebyshev_rows(model, float(t), omega_s)
+        bare = np.broadcast_to(model.frequencies, (len(omega_s), model.n_modes)).copy()
+        bare[:, 0] = omega_s
+    rows = _renormalized(*rows, bare)
+    _check_commutator(rows)
+    return rows
 
 
-def _diagonalize_at(
-    model: QuadraticModel, omega_s: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Eigenvectors, normal frequencies and bare frequencies of the model
-    with the probe frequency set to each entry of ``omega_s``."""
-    V = np.broadcast_to(model.V, omega_s.shape + model.V.shape).copy()
-    V[:, 0, 0] = omega_s**2
-    evals, modes = np.linalg.eigh(V)
-    unstable = np.flatnonzero(evals[:, 0] <= 0)
+def _check_schur_margin(model: QuadraticModel, omega_s: NDArray[np.float64]) -> None:
+    """Raise StabilityError at the first probe frequency whose potential is
+    not positive definite. The environment block is (``assemble_model``), so
+    V(omega_S) is iff its Schur complement omega_S^2 - sum c_n^2/Omega_n^2 is."""
+    margin = omega_s**2 - np.sum((model.bath_couplings() / model.env_freqs) ** 2)
+    unstable = np.flatnonzero(margin <= 0)
     if unstable.size:
         i = unstable[0]
         raise StabilityError(
-            f"unstable network at omega_s={omega_s[i]:.6g}: potential matrix "
-            f"has eigenvalue {evals[i, 0]:.6g} <= 0"
+            f"unstable network at omega_s={omega_s[i]:.6g}: probe Schur complement "
+            f"{margin[i]:.6g} <= 0"
         )
-    bare = np.broadcast_to(model.frequencies, evals.shape).copy()
-    bare[:, 0] = omega_s
-    return modes, np.sqrt(evals), bare
 
 
-def _probe_rows(
-    modes: NDArray[np.float64],
-    om: NDArray[np.float64],
-    bare: NDArray[np.float64],
-    t: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """Probe rows from eigenvectors ``modes``, normal frequencies ``om`` and
-    bare frequencies ``bare``, broadcasting their leading axes against ``t``."""
+def _eigen_rows(model: QuadraticModel, t: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Rows S of cos(tW), W^-1 sin(tW) and W sin(tW), W = V^(1/2), as a
+    (3, ..., M) stack over the axes of ``t``, from the cached
+    eigendecomposition of V."""
+    O, om = model.modes, model.freqs_normal
     phase = om * t[..., None]
     cos, sin = np.cos(phase), np.sin(phase)
-    # row S of O f(W) O^T for f = cos, W^-1 sin, W sin
-    coef = modes[..., 0, None, :] * np.stack([cos, sin / om, sin * om], axis=-2)
-    c, sin_over, sin_times = np.moveaxis(coef @ np.swapaxes(modes, -1, -2), -2, 0)
-    # renormalized frame: entry (i, j) scaled by T_i / T_j
+    # row S of O f(W) O^T
+    coef = O[0] * np.stack([cos, sin / om, sin * om], axis=-2)
+    return np.moveaxis(coef @ O.T, -2, 0)
+
+
+def _chebyshev_rows(
+    model: QuadraticModel, t: float, omega_s: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Rows S of cos(tW), W^-1 sin(tW) and W sin(tW), W = V(omega_S)^(1/2),
+    as a (3, G, M) stack over the G probe frequencies.
+
+    Each f(V) e_S = sum_k a_k T_k(V~) e_S with V~ = 2V/b - I on the spectral
+    interval [0, b] (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+    One recurrence step is one (G, M) @ (M, M) product with V plus the
+    rank-one fix of column S by omega_S^2 - V_SS.
+    """
+    V = model.V
+    shift = omega_s**2 - V[0, 0]
+    # Gershgorin bound over the grid: only row S depends on omega_S
+    radius = np.abs(V).sum(axis=1)
+    radius[0] += shift.max(initial=-np.inf)  # an empty grid drops row S
+    b = radius.max()
+    coef = _chebyshev_coefficients(t, b)
+    n = coef.shape[1] - 1
+    # T_{k+1} = 2 V~ T_k - T_{k-1}, kept in a ring of _CHEB_BLOCK slots
+    two_vt = (4.0 / b) * V - 2.0 * np.eye(len(V))
+    fix = (4.0 / b) * shift
+    ring = np.zeros((_CHEB_BLOCK, len(omega_s), len(V)))
+    col = ring[:, :, 0]  # the S entries, a view
+    col[0] = 1.0
+    ring[1] = 0.5 * two_vt[0]
+    col[1] += 0.5 * fix
+    sums = np.zeros((3, ring[0].size))
+    for start in range(0, n + 1, _CHEB_BLOCK):
+        stop = min(start + _CHEB_BLOCK, n + 1)
+        for k in range(max(start, 2), stop):
+            slot = k - start  # slot - 1 and slot - 2 wrap to the previous block
+            cur = ring[slot]
+            np.dot(ring[slot - 1], two_vt, out=cur)
+            col[slot] += fix * col[slot - 1]
+            cur -= ring[slot - 2]
+        sums += coef[:, start:stop] @ ring[: stop - start].reshape(stop - start, -1)
+    return sums.reshape(3, *ring.shape[1:])
+
+
+def _chebyshev_coefficients(t: float, b: float) -> NDArray[np.float64]:
+    """Chebyshev coefficients on [0, b] of cos(t sqrt x), sin(t sqrt x)/sqrt x
+    and sqrt x sin(t sqrt x), shape (3, n+1), cut at the round-off plateau.
+
+    One DCT-I (an FFT of the even extension) over Chebyshev-Lobatto points
+    y = cos(theta), where sqrt x = sqrt(b) cos(theta/2) is exact to round-off.
+    The coefficients fall off like the Bessel functions J_2k(t sqrt b), so
+    past k ~ t sqrt(b)/2 + 6 (t sqrt(b)/2)^(1/3) they reach round-off; twice
+    that many points keep the aliasing below it, and the upper half of the
+    coefficients measures the plateau (its largest entry, doubled).
+    """
+    half = t * np.sqrt(b) / 2
+    points = 2 ** int(np.ceil(np.log2(2 * (half + 6 * np.cbrt(half)) + 32)))
+    if points > _CHEB_MAX_POINTS:
+        raise ValueError(
+            f"probe-frequency grid at t={t:.6g}: the Chebyshev expansion on [0, {b:.6g}] "
+            f"needs t sqrt(b) = {2 * half:.6g} <= 2.6e5"
+        )
+    s = np.sqrt(b) * np.cos(np.pi / (2 * points) * np.arange(points + 1))
+    f = np.empty((3, 2 * points))  # even extension, f(theta) = f(2 pi - theta)
+    f[0, : points + 1] = np.cos(t * s)
+    sin = np.sin(t * s)
+    np.divide(sin, s, out=f[1, : points + 1], where=s > 0)
+    f[1, points] = t  # sin(t s)/s at s = 0, whatever cos(pi/2) rounds to
+    f[2, : points + 1] = s * sin
+    f[:, points + 1 :] = f[:, points - 1 : 0 : -1]
+    a = np.fft.rfft(f).real / points
+    a[:, 0] /= 2
+    a[:, points] /= 2
+    # cut before the first two successive orders at the plateau for all three
+    mag = np.abs(a)
+    flat = (mag <= 2 * mag[:, points // 2 :].max(axis=1, keepdims=True)).all(axis=0)
+    return a[:, : np.argmax(flat[:-1] & flat[1:])]
+
+
+def _renormalized(
+    c: NDArray[np.float64],
+    sin_over: NDArray[np.float64],
+    sin_times: NDArray[np.float64],
+    bare: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """Probe rows (..., 2, 2M) of the renormalized propagator from rows S of
+    cos(tW), W^-1 sin(tW) and W sin(tW) and the bare frequencies ``bare``."""
+    # entry (i, j) scaled by T_i / T_j
     rt = np.sqrt(bare)
     inv = 1.0 / rt
     q_row = np.concatenate([c * (rt[..., :1] * inv), sin_over * (rt[..., :1] * rt)], axis=-1)
     p_row = np.concatenate([-sin_times * (inv[..., :1] * inv), c * (inv[..., :1] * rt)], axis=-1)
     return np.stack([q_row, p_row], axis=-2)
+
+
+def _check_commutator(rows: NDArray[np.float64]) -> None:
+    """Raise SymplecticError when some row pair breaks q_row . Omega . p_row^T = 1
+    by SYMPLECTIC_TOL; both kernels stay below 1e-13 on the bundled networks."""
+    q, p = rows[..., 0, :], rows[..., 1, :]
+    m = q.shape[-1] // 2
+    residual = np.abs(
+        np.einsum("...i,...i", q[..., :m], p[..., m:])
+        - np.einsum("...i,...i", q[..., m:], p[..., :m])
+        - 1.0
+    )
+    worst = residual.max(initial=0.0)
+    if not worst <= SYMPLECTIC_TOL:
+        raise SymplecticError(
+            f"probe rows break q_row . Omega . p_row^T = 1 by {worst:.3e} "
+            f"> {SYMPLECTIC_TOL:.0e}"
+        )
 
 
 def probe_mask(S: NDArray[np.float64], tol: float = 1e-10) -> NDArray[np.float64]:

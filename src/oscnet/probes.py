@@ -421,8 +421,9 @@ def sweep_spectral_density(
 ) -> SpectralDensityCurve:
     """Evaluate the spectral density over a frequency grid.
 
-    The probe path diagonalizes the potentials of the whole grid as one
-    stack and propagates only the probe rows. With sampling enabled,
+    The probe path takes the probe rows of the whole grid from one Chebyshev
+    recurrence in the potentials V(omega_S) (``probe_rows``), with no
+    per-point diagonalization. With sampling enabled,
     per-point seeds are derived from the master seed, so a one-point sweep
     reproduces ``spectral_density_probe`` with the same options.
     """
@@ -432,8 +433,8 @@ def sweep_spectral_density(
     if len(omega_grid) == 0:
         raise ValueError("frequency grid is empty")
     # one model serves the grid and both paths: the analytic kernel only
-    # involves the environment block, and the probe rows are diagonalized at
-    # each grid frequency
+    # involves the environment block, and the potential at each grid
+    # frequency differs from the model's only in V_SS
     model = assemble_model(graph)
     ja = jp = se = None
     if method in ("analytic", "both"):

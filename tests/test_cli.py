@@ -21,6 +21,7 @@ from oscnet.cli import (
     main,
 )
 from oscnet.probes import _fmt, model_at
+from oscnet.symplectic import SymplecticError
 
 
 def run(args):
@@ -445,6 +446,32 @@ def test_sweep_without_significant_j_writes_crosspath_note(outdir):
     args = ["spectral", "--config", "network1.cfg", "--points", "1", "--out", str(outdir)]
     assert run(args) == 0
     assert "no such point" in (outdir / "crosspath.txt").read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_point_sweep_reports_no_correlation(outdir, capsys):
+    args = ["spectral", "--config", "network1.cfg", "--omega-s", "0.58", "--out", str(outdir)]
+    assert run(args) == 0
+    summary = (outdir / "crosspath.txt").read_text()
+    assert summary.startswith("cross-path deviation (J > 0.1 max): median ")
+    assert summary.endswith(", corr n/a (one point)\n")
+    assert "nan" not in capsys.readouterr().out
+
+
+def test_outdir_that_is_a_file_is_config_error(tmp_path, capsys):
+    target = tmp_path / "afile"
+    target.write_text("keep")
+    assert run(["validate", "--config", "network1.cfg", "--out", str(target)]) == EXIT_CONFIG
+    assert "output directory" in capsys.readouterr().err
+    assert target.read_text() == "keep"
+
+
+def test_broken_probe_rows_are_not_a_config_error(monkeypatch, outdir):
+    # rows scaled by 1.001 break q_row . Omega . p_row^T = 1 by about 2e-3
+    kernel = oscnet.dynamics._chebyshev_rows
+    monkeypatch.setattr(oscnet.dynamics, "_chebyshev_rows", lambda *a: 1.001 * kernel(*a))
+    with pytest.raises(SymplecticError):
+        run(["spectral", "--config", "network1.cfg", "--points", "3", "--out", str(outdir)])
 
 
 def _write_config(tmp_path, cfg):

@@ -1,20 +1,40 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oscnet as on
+from oscnet.cli import bundled_config_path
 from oscnet.dynamics import (
     StabilityError,
+    _check_commutator,
     _evolve_bare,
     assemble_model,
     evolve,
     probe_mask,
     probe_rows,
 )
-from oscnet.symplectic import is_symplectic
+from oscnet.symplectic import SymplecticError, is_symplectic
 
 from conftest import random_stable_graph
-from oracles import compose_preparation, preparation_matrix, quadratic_energy
+from oracles import compose_preparation, preparation_matrix, probe_rows_eigh, quadratic_energy
+
+
+def bundled_sweep(idx):
+    """t_max and the probe-frequency sweep of the bundled network<idx>.cfg."""
+    cfg = json.loads(bundled_config_path(f"network{idx}.cfg").read_text())
+    sweep = cfg["probe"]["sweep"]
+    return cfg["t_max"], np.linspace(sweep["start"], sweep["stop"], sweep["points"])
+
+
+def commutator_residual(rows):
+    """|q_row . Omega . p_row^T - 1| for each row pair of a (..., 2, 2M) stack."""
+    m = rows.shape[-1] // 2
+    q, p = rows[..., 0, :], rows[..., 1, :]
+    return np.abs((q[..., :m] * p[..., m:]).sum(-1) - (q[..., m:] * p[..., :m]).sum(-1) - 1.0)
 
 
 def single_oscillator(omega_s=0.25, k=0.0, omega0=0.25):
@@ -123,14 +143,60 @@ class TestProbeRows:
         assert np.allclose(probe_rows(m, ts), ref, rtol=0.0, atol=1e-13)
         assert np.allclose(probe_rows(m, 90.0), ref[2], rtol=0.0, atol=1e-13)
 
-    def test_matches_evolve_over_probe_frequencies(self, networks):
-        graph = networks[4]
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    def test_matches_evolve_over_probe_frequencies(self, networks, idx):
+        graph = networks[idx]
+        t_max, ws = bundled_sweep(idx)
         m = assemble_model(graph)
-        # more points than one diagonalization batch
-        ws = np.linspace(0.1, 1.1, 70)
         n = m.n_modes
-        ref = np.array([evolve(on.model_at(graph, w), 90.0)[[0, n]] for w in ws])
-        assert np.allclose(probe_rows(m, 90.0, omega_s=ws), ref, rtol=0.0, atol=1e-13)
+        ref = np.array([evolve(on.model_at(graph, w), t_max)[[0, n]] for w in ws])
+        rows = probe_rows(m, t_max, omega_s=ws)
+        assert np.allclose(rows, ref, rtol=0.0, atol=1e-13)
+        assert commutator_residual(rows).max() <= 1e-13
+
+    @pytest.mark.parametrize("idx", [1, 4, 5])
+    def test_empty_one_point_and_time_zero_grids(self, networks, idx):
+        m = assemble_model(networks[idx])
+        t_max, ws = bundled_sweep(idx)
+        assert probe_rows(m, t_max, omega_s=[]).shape == (0, 2, 2 * m.n_modes)
+        one = probe_rows(m, t_max, omega_s=ws[:1])
+        assert one.shape == (1, 2, 2 * m.n_modes)
+        assert np.allclose(one, probe_rows_eigh(m, t_max, ws[:1]), rtol=0.0, atol=1e-13)
+        # S(0) = I: the rows are the unit vectors of q_S and p_S
+        eye = np.eye(2 * m.n_modes)[[0, m.n_modes]]
+        assert np.allclose(probe_rows(m, 0.0, omega_s=ws), eye, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("idx", [1, 4, 5])
+    def test_matches_eigh_oracle_at_auto_tmax_horizon(self, networks, idx):
+        # t = 600 is the far end of the t_max search; the rows' round-off
+        # grows with t on both paths
+        m = assemble_model(networks[idx])
+        _, ws = bundled_sweep(idx)
+        rows = probe_rows(m, 600.0, omega_s=ws)
+        assert np.allclose(rows, probe_rows_eigh(m, 600.0, ws), rtol=0.0, atol=1e-12)
+        assert commutator_residual(rows).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.floats(0.0, 300.0),
+        ws=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=8),
+    )
+    def test_matches_eigh_oracle_on_random_networks(self, seed, t, ws):
+        m = assemble_model(random_stable_graph(np.random.default_rng(seed)))
+        ws = np.array(ws)
+        ws = ws[ws**2 > np.sum((m.bath_couplings() / m.env_freqs) ** 2) + 1e-3]
+        assume(ws.size)
+        rows = probe_rows(m, t, omega_s=ws)
+        assert np.allclose(rows, probe_rows_eigh(m, t, ws), rtol=0.0, atol=1e-12)
+        assert commutator_residual(rows).max() <= 1e-12
+
+    def test_frequency_grid_takes_one_bounded_time(self, net1_model):
+        with pytest.raises(ValueError, match="single time"):
+            probe_rows(net1_model, np.array([1.0, 2.0]), omega_s=[0.5, 0.6])
+        # refused before any array of the expansion's length is made
+        with pytest.raises(ValueError, match="Chebyshev expansion"):
+            probe_rows(net1_model, 1e9, omega_s=[0.5])
 
     def test_unstable_probe_frequency_named(self, net1_model):
         with pytest.raises(StabilityError, match="omega_s=0.01"):
@@ -139,6 +205,22 @@ class TestProbeRows:
     def test_negative_time_rejected(self, net1_model):
         with pytest.raises(ValueError):
             probe_rows(net1_model, np.array([1.0, -1.0]))
+
+    def test_commutator_residual_on_time_grid(self, networks):
+        for graph in networks.values():
+            rows = probe_rows(assemble_model(graph), np.linspace(0.0, 500.0, 251))
+            assert commutator_residual(rows).max() <= 1e-13
+
+    def test_commutator_check_rejects_corrupted_rows(self, net1_model):
+        rows = probe_rows(net1_model, np.array([0.0, 90.0]))
+        _check_commutator(rows * (1 + 1e-11))  # inside the tolerance
+        bad = rows.copy()
+        bad[1, 0] *= 1 + 1e-9  # q row of one pair: q . Omega . p = 1 + 1e-9
+        with pytest.raises(SymplecticError, match="q_row . Omega . p_row"):
+            _check_commutator(bad)
+        bad[1, 0] = np.nan
+        with pytest.raises(SymplecticError):
+            _check_commutator(bad)
 
 
 class TestPreparation:
