@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import StabilityError, assemble_model, evolve, probe_mask
+from .dynamics import ExpansionRangeError, StabilityError, assemble_model, evolve, probe_mask
 from .gaussian import SqueezedSpec, StateError
 from .netmodel import CouplingGraph, GraphError, from_recipe, load_graph, save_graph
 from .netmodel import _POSITIVE, _at_least, _Field, _one_of, _value_error
@@ -297,15 +297,18 @@ def run_spectral(cfg: dict, out: Path) -> int:
     grid = _sweep_grid(cfg)
     sampling = _sampling(cfg)
     t_max = _resolve_tmax(cfg, graph)
-    curve = sweep_spectral_density(
-        graph,
-        grid,
-        t_max,
-        temperature=float(cfg["temperature"]),
-        method=cfg["method"],
-        env_prep=cfg["env_prep"],
-        sampling=sampling,
-    )
+    try:
+        curve = sweep_spectral_density(
+            graph,
+            grid,
+            t_max,
+            temperature=float(cfg["temperature"]),
+            method=cfg["method"],
+            env_prep=cfg["env_prep"],
+            sampling=sampling,
+        )
+    except ExpansionRangeError as exc:
+        raise ConfigError(f"t_max {_fmt(t_max)} is too long for the probe path: {exc}") from exc
     (out / "spectral.csv").write_text(curve.to_csv())
     if curve.method == "both":
         # deviation statistics over the significant-J region only

@@ -14,7 +14,8 @@ vacua have covariance I/2 and free evolution is a phase rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +29,14 @@ class StabilityError(ValueError):
     """Assembled potential matrix is not positive definite."""
 
 
+class ExpansionRangeError(ValueError):
+    """Time too long for the Chebyshev expansion of a probe-frequency grid."""
+
+
 @dataclass(frozen=True)
 class QuadraticModel:
-    """Potential matrix of probe + network with cached eigendecompositions.
+    """Potential matrix of probe + network; its eigendecompositions are
+    computed on first read and cached.
 
     Attributes
     ----------
@@ -44,19 +50,17 @@ class QuadraticModel:
     coupling:
         Probe coupling strength k.
     modes / freqs_normal:
-        Orthogonal eigenvectors and eigenfrequencies of V.
+        Orthogonal eigenvectors and eigenfrequencies of V, from one ``eigh``
+        on first read of either (propagators and time-grid probe rows).
     env_modes / env_freqs:
-        Same for the environment-only block.
+        Same for the environment block V[1:, 1:] (bath couplings, damping
+        kernel, environment states).
     """
 
     V: NDArray[np.float64]
     frequencies: NDArray[np.float64]
     site: int
     coupling: float
-    modes: NDArray[np.float64] = field(repr=False)
-    freqs_normal: NDArray[np.float64] = field(repr=False)
-    env_modes: NDArray[np.float64] = field(repr=False)
-    env_freqs: NDArray[np.float64] = field(repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -66,18 +70,67 @@ class QuadraticModel:
     def omega_s(self) -> float:
         return float(self.frequencies[0])
 
+    @cached_property
+    def _normal(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        return _decompose(self.V, "potential matrix")
+
+    @cached_property
+    def _env(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        return _decompose(self.V[1:, 1:], "environment block")
+
+    @cached_property
+    def modes(self) -> NDArray[np.float64]:
+        return self._normal[0]
+
+    @cached_property
+    def freqs_normal(self) -> NDArray[np.float64]:
+        return self._normal[1]
+
+    @cached_property
+    def env_modes(self) -> NDArray[np.float64]:
+        return self._env[0]
+
+    @cached_property
+    def env_freqs(self) -> NDArray[np.float64]:
+        return self._env[1]
+
     def bath_couplings(self) -> NDArray[np.float64]:
         """Normal-mode couplings c_n = k * O_{l,n} of the environment block."""
         return self.coupling * self.env_modes[self.site, :]
+
+
+def _unstable(name: str, lowest: float) -> StabilityError:
+    return StabilityError(f"unstable network: {name} has eigenvalue {lowest:.6g} <= 0")
+
+
+def _check_positive_definite(A: NDArray[np.float64], name: str) -> None:
+    """Raise StabilityError naming the smallest eigenvalue of ``A`` unless its
+    Cholesky factorization exists; ``eigvalsh`` runs only on failure."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise _unstable(name, np.linalg.eigvalsh(A)[0]) from None
+
+
+def _decompose(
+    A: NDArray[np.float64], name: str
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Eigenvectors and sqrt(eigenvalues) of ``A``. A matrix that passed the
+    Cholesky check can still round to a non-positive eigenvalue; that raises
+    too, rather than leaving a NaN frequency."""
+    evals, vecs = np.linalg.eigh(A)
+    if not evals[0] > 0:
+        raise _unstable(name, evals[0])
+    return vecs, np.sqrt(evals)
 
 
 def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     """Build the quadratic model for a probed network.
 
     The environment block uses spring (Laplacian) coupling and the probe
-    couples through the bare bilinear V_Sl = k; both eigendecompositions are
-    cached. Raises StabilityError when V or its environment block is not
-    positive definite.
+    couples through the bare bilinear V_Sl = k. Raises StabilityError when V
+    or, after it, its environment block is not positive definite (Cholesky
+    checks); no eigendecomposition runs until a verb reads one.
     """
     if graph.probe is None:
         raise ValueError("graph has no probe attached")
@@ -97,27 +150,10 @@ def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     V[0, 0] = probe.omega_s**2
     V[0, 1 + probe.site] = V[1 + probe.site, 0] = probe.k
 
-    evals, vecs = np.linalg.eigh(V)
-    if evals[0] <= 0:
-        raise StabilityError(
-            f"unstable network: potential matrix has eigenvalue {evals[0]:.6g} <= 0"
-        )
-    env_evals, env_vecs = np.linalg.eigh(VE)
-    if env_evals[0] <= 0:
-        raise StabilityError(
-            f"unstable network: environment block has eigenvalue {env_evals[0]:.6g} <= 0"
-        )
+    _check_positive_definite(V, "potential matrix")
+    _check_positive_definite(VE, "environment block")
     freqs = np.concatenate([[probe.omega_s], w])
-    return QuadraticModel(
-        V=V,
-        frequencies=freqs,
-        site=probe.site,
-        coupling=probe.k,
-        modes=vecs,
-        freqs_normal=np.sqrt(evals),
-        env_modes=env_vecs,
-        env_freqs=np.sqrt(env_evals),
-    )
+    return QuadraticModel(V=V, frequencies=freqs, site=probe.site, coupling=probe.k)
 
 
 def _evolve_bare(model: QuadraticModel, t: float) -> NDArray[np.float64]:
@@ -172,7 +208,8 @@ def probe_rows(
     the (G, 2, 2M) rows are taken at the single time ``t`` from a Chebyshev
     expansion in the potentials V(omega_S), which differ from V only in
     V_SS = omega_S^2; a grid point whose potential is not positive definite
-    raises StabilityError. Rows that break the commutator
+    raises StabilityError, and t sqrt(b) > 2.6e5, b the Gershgorin bound of
+    the potentials, raises ExpansionRangeError. Rows that break the commutator
     q_row . Omega . p_row^T = 1 raise SymplecticError.
     """
     t = np.asarray(t, dtype=float)
@@ -274,7 +311,7 @@ def _chebyshev_coefficients(t: float, b: float) -> NDArray[np.float64]:
     half = t * np.sqrt(b) / 2
     points = 2 ** int(np.ceil(np.log2(2 * (half + 6 * np.cbrt(half)) + 32)))
     if points > _CHEB_MAX_POINTS:
-        raise ValueError(
+        raise ExpansionRangeError(
             f"probe-frequency grid at t={t:.6g}: the Chebyshev expansion on [0, {b:.6g}] "
             f"needs t sqrt(b) = {2 * half:.6g} <= 2.6e5"
         )

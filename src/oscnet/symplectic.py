@@ -76,20 +76,25 @@ class BlochMessiahFactors:
 def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochMessiahFactors:
     """Bloch-Messiah (Euler) decomposition of a symplectic matrix.
 
-    Route: one SVD S = U Sigma V^T. U is an eigenbasis of the positive polar
-    factor P = U Sigma U^T and Sigma its spectrum, in descending order. The
-    singular values come in (d, 1/d) pairs and Omega maps the d-singular
-    space onto the 1/d one, so an orthonormal basis v_i of the singular
-    vectors with d_i > 1, completed with -Omega v_i, is an orthogonal
-    symplectic R1 with P = R1 Delta R1^T. The (near-)unit singular space is
-    filled from its orthogonal projector applied to the canonical basis,
-    in order. Finally R2 = Delta^-1 R1^T S.
+    Route: one ``eigh`` of S S^T = U Sigma^2 U^T, in descending order, gives
+    the eigenbasis U of the positive polar factor P = U Sigma U^T and its
+    spectrum Sigma = sqrt(eigenvalues). The singular values come in (d, 1/d)
+    pairs and Omega maps the d-singular space onto the 1/d one, so an
+    orthonormal basis v_i of the singular vectors with d_i > 1, completed
+    with -Omega v_i, is an orthogonal symplectic R1 with P = R1 Delta R1^T.
+    With x + iy for the real vector (x, y), -Omega acts as i, so
+    Gram-Schmidt over the real pairs (v, -Omega v) is complex Gram-Schmidt:
+    the squeezed basis is the Q of one complex QR of those singular vectors
+    (descending d). The (near-)unit singular space is filled from its
+    orthogonal projector applied to the canonical basis, in order, each
+    column projected off all accepted pairs at once, twice. Finally
+    R2 = Delta^-1 R1^T S.
 
-    Each candidate column is projected off all accepted pairs
-    (u, -Omega u) at once, twice, which pins R1's orthogonality and pairing
-    to machine precision even for clustered singular values. Column signs
+    ``is_symplectic`` already refuses S with |S| beyond about 1e3, where the
+    rounding of S S^T (eps |S|^2) would blur the d >= 1 block. Column signs
     are fixed so each of the first M columns of R1 has a positive leading
-    entry (paired column signs follow). Passive S is returned as R1.
+    entry (paired column signs follow). Inside a degenerate d, R1 is the
+    basis LAPACK returns. Passive S is returned as R1.
     """
     ok, res = is_symplectic(S, tol)
     if not ok:
@@ -101,20 +106,30 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
         # passive transformation: all squeezing in R1 by convention
         return BlochMessiahFactors(r1=S.copy(), d=np.ones(n), r2=np.eye(2 * n))
 
-    vecs, evals, _ = np.linalg.svd(S)
+    evals, vecs = np.linalg.eigh(S @ S.T)
+    evals, vecs = np.sqrt(evals[::-1]), vecs[:, ::-1]
 
     hi = 1.0 + PAIR_TOL
     lo = 1.0 / hi
     n_squeezed = int(np.count_nonzero(evals > hi))
     if n_squeezed != np.count_nonzero(evals < lo):
         raise SymplecticError("singular values do not pair reciprocally")
-    unit = vecs[:, (evals >= lo) & (evals <= hi)]
-    # candidate q-columns: squeezed singular vectors (descending d), then the
-    # columns of the projector onto the (near-)unit singular space
-    candidates = np.hstack([vecs[:, :n_squeezed], unit @ unit.T])
 
     r1 = np.empty((2 * n, 2 * n))
-    k = 0
+    q, r = np.linalg.qr(vecs[:n, :n_squeezed] + 1j * vecs[n:, :n_squeezed])
+    if np.any(np.abs(np.diagonal(r)) < 1e-8):
+        raise SymplecticError("degenerate squeezed singular directions collapsed")
+    w = np.vstack([q.real, q.imag])  # unit columns, each with a real sign left free
+    lead = np.argmax(np.abs(w) > 1e-12, axis=0)
+    w *= np.copysign(1.0, w[lead, np.arange(n_squeezed)])
+    r1[:, :n_squeezed] = w
+    r1[:, n : n + n_squeezed] = -omega @ w
+
+    # candidate q-columns of the rest: the columns of the projector onto the
+    # (near-)unit singular space
+    unit = vecs[:, (evals >= lo) & (evals <= hi)]
+    candidates = unit @ unit.T
+    k = n_squeezed
     for j in range(candidates.shape[1]):
         if k == n:
             break
@@ -124,8 +139,6 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
             w = w - basis @ (basis.T @ w)
         norm = np.linalg.norm(w)
         if norm < 1e-8:
-            if j < n_squeezed:
-                raise SymplecticError("degenerate squeezed singular directions collapsed")
             continue
         w /= norm
         lead = np.flatnonzero(np.abs(w) > 1e-12)

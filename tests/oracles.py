@@ -2,12 +2,13 @@
 
 Each one is an independent oracle or input generator for a production path:
 the batched ``eigh`` probe rows for the Chebyshev omega_S branch of
-``dynamics.probe_rows``, the direct-cosine damping kernel for ``probes._damping_kernel_grid``, the
-pure-state fidelity closed form for ``gaussian.fidelity``, the per-outcome
-homodyne sampler for the chi-square draws of the sampled probe path, the
-vacuum discard for ``symplectic.bloch_messiah``, the per-mode squeezers and
-the quadratic energy for the propagator, and random (orthogonal) symplectic
-matrices as decomposition inputs.
+``dynamics.probe_rows``, the direct-cosine damping kernel for
+``probes._damping_kernel_grid``, the pure-state fidelity closed form for
+``gaussian.fidelity``, the per-outcome homodyne sampler for the chi-square
+draws of the sampled probe path, the SVD route and the vacuum discard for
+``symplectic.bloch_messiah``, the per-mode squeezers and the quadratic
+energy for the propagator, and random (orthogonal) symplectic matrices as
+decomposition inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from numpy.typing import NDArray
 
 from oscnet.dynamics import QuadraticModel, StabilityError, renormalization_scaling
 from oscnet.gaussian import GaussianState, StateError
-from oscnet.symplectic import BlochMessiahFactors
+from oscnet.symplectic import (
+    PAIR_TOL,
+    SYMPLECTIC_TOL,
+    BlochMessiahFactors,
+    SymplecticError,
+    is_symplectic,
+    symplectic_form,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +143,80 @@ def quadratic_energy(
 
 # ---------------------------------------------------------------------------
 # symplectic
+
+
+def bloch_messiah_svd(
+    S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL
+) -> BlochMessiahFactors:
+    """Bloch-Messiah (Euler) decomposition of a symplectic matrix, reference
+    route for ``symplectic.bloch_messiah`` (one SVD, one Gram-Schmidt pass per
+    column).
+
+    Route: one SVD S = U Sigma V^T. U is an eigenbasis of the positive polar
+    factor P = U Sigma U^T and Sigma its spectrum, in descending order. The
+    singular values come in (d, 1/d) pairs and Omega maps the d-singular
+    space onto the 1/d one, so an orthonormal basis v_i of the singular
+    vectors with d_i > 1, completed with -Omega v_i, is an orthogonal
+    symplectic R1 with P = R1 Delta R1^T. The (near-)unit singular space is
+    filled from its orthogonal projector applied to the canonical basis,
+    in order. Finally R2 = Delta^-1 R1^T S.
+
+    Each candidate column is projected off all accepted pairs
+    (u, -Omega u) at once, twice, which pins R1's orthogonality and pairing
+    to machine precision even for clustered singular values. Column signs
+    are fixed so each of the first M columns of R1 has a positive leading
+    entry (paired column signs follow). Passive S is returned as R1.
+    """
+    ok, res = is_symplectic(S, tol)
+    if not ok:
+        raise SymplecticError(f"input is not symplectic (residual {res:.3e} >= {tol:.1e})")
+    n = S.shape[0] // 2
+    omega = symplectic_form(n)
+
+    if np.linalg.norm(S.T @ S - np.eye(2 * n)) < tol:
+        # passive transformation: all squeezing in R1 by convention
+        return BlochMessiahFactors(r1=S.copy(), d=np.ones(n), r2=np.eye(2 * n))
+
+    vecs, evals, _ = np.linalg.svd(S)
+
+    hi = 1.0 + PAIR_TOL
+    lo = 1.0 / hi
+    n_squeezed = int(np.count_nonzero(evals > hi))
+    if n_squeezed != np.count_nonzero(evals < lo):
+        raise SymplecticError("singular values do not pair reciprocally")
+    unit = vecs[:, (evals >= lo) & (evals <= hi)]
+    # candidate q-columns: squeezed singular vectors (descending d), then the
+    # columns of the projector onto the (near-)unit singular space
+    candidates = np.hstack([vecs[:, :n_squeezed], unit @ unit.T])
+
+    r1 = np.empty((2 * n, 2 * n))
+    k = 0
+    for j in range(candidates.shape[1]):
+        if k == n:
+            break
+        basis = np.hstack([r1[:, :k], r1[:, n : n + k]])
+        w = candidates[:, j]
+        for _ in range(2):  # twice is enough (classical GS refinement)
+            w = w - basis @ (basis.T @ w)
+        norm = np.linalg.norm(w)
+        if norm < 1e-8:
+            if j < n_squeezed:
+                raise SymplecticError("degenerate squeezed singular directions collapsed")
+            continue
+        w /= norm
+        lead = np.flatnonzero(np.abs(w) > 1e-12)
+        if lead.size and w[lead[0]] < 0:
+            w = -w
+        r1[:, k] = w
+        r1[:, n + k] = -omega @ w
+        k += 1
+    if k != n:
+        raise SymplecticError("failed to build a symplectic singular basis")
+
+    d = np.concatenate([evals[:n_squeezed], np.ones(n - n_squeezed)])
+    delta = np.concatenate([d, 1.0 / d])
+    r2 = (r1 / delta[None, :]).T @ S  # R2 = Delta^-1 R1^T S
+    return BlochMessiahFactors(r1=r1, d=d, r2=r2)
 
 
 def discard_passive(factors: BlochMessiahFactors, vacuum: float = 0.5) -> NDArray[np.float64]:

@@ -466,6 +466,16 @@ def test_outdir_that_is_a_file_is_config_error(tmp_path, capsys):
     assert target.read_text() == "keep"
 
 
+def test_tmax_beyond_the_chebyshev_range_is_config_error(outdir, capsys):
+    # t sqrt(b) = 4e5 sqrt(0.5) = 2.8e5 on network 1
+    args = ["spectral", "--config", "network1.cfg", "--t-max", "400000", "--points", "3"]
+    assert run(args + ["--out", str(outdir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_max 400000 ")
+    assert "<= 2.6e5" in err
+    assert not (outdir / "manifest.json").exists()
+
+
 def test_broken_probe_rows_are_not_a_config_error(monkeypatch, outdir):
     # rows scaled by 1.001 break q_row . Omega . p_row^T = 1 by about 2e-3
     kernel = oscnet.dynamics._chebyshev_rows

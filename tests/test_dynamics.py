@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +18,16 @@ from oscnet.dynamics import (
     probe_mask,
     probe_rows,
 )
-from oscnet.symplectic import SymplecticError, is_symplectic
+from oscnet.symplectic import SymplecticError, is_symplectic, symplectic_form
 
-from conftest import random_stable_graph
-from oracles import compose_preparation, preparation_matrix, probe_rows_eigh, quadratic_energy
+from conftest import PAPER_STATES, random_stable_graph
+from oracles import (
+    bloch_messiah_svd,
+    compose_preparation,
+    preparation_matrix,
+    probe_rows_eigh,
+    quadratic_energy,
+)
 
 
 def bundled_sweep(idx):
@@ -61,6 +68,53 @@ class TestAssemble:
             assemble_model(g_bad)
         g_ok = on.build_explicit(1, 0.25, []).with_probe(1, 0.024, 0.1)
         assemble_model(g_ok)
+
+    def test_decompositions_are_eigh_of_v_and_its_environment_block(self, net1):
+        m = assemble_model(net1)
+        evals, vecs = np.linalg.eigh(m.V)
+        env_evals, env_vecs = np.linalg.eigh(m.V[1:, 1:])
+        assert np.array_equal(m.modes, vecs)
+        assert np.array_equal(m.freqs_normal, np.sqrt(evals))
+        assert np.array_equal(m.env_modes, env_vecs)
+        assert np.array_equal(m.env_freqs, np.sqrt(env_evals))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            # V has a negative eigenvalue, its environment block [[0.0625]] none
+            on.build_explicit(1, 0.25, []).with_probe(1, 0.026, 0.1),
+            # omega^2 underflows: the environment block [[0]] is singular,
+            # and V, checked first, with it
+            on.build_explicit(1, 1e-200, []).with_probe(1, 0.0, 0.5),
+        ],
+        ids=["potential", "environment"],
+    )
+    def test_unstable_model_names_the_lowest_eigenvalue(self, graph):
+        probe = graph.probe
+        V = np.array([[probe.omega_s**2, probe.k], [probe.k, graph.omega[0] ** 2]])
+        lowest = np.linalg.eigvalsh(V)[0]
+        assert lowest <= 0
+        message = f"unstable network: potential matrix has eigenvalue {lowest:.6g} <= 0"
+        with pytest.raises(StabilityError, match=re.escape(message)):
+            assemble_model(graph)
+
+    def test_spectral_sweep_never_decomposes_v(self, net1, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            shapes.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        ws = np.linspace(0.3, 0.7, 9)
+        for method in ("analytic", "probe", "both"):
+            shapes.clear()
+            on.sweep_spectral_density(net1, ws, 150.0, method=method)
+            assert shapes == [(16, 16)], method  # the environment block, once
+        shapes.clear()
+        on.qnm_trace(assemble_model(net1), *PAPER_STATES, np.linspace(0.0, 50.0, 11), window=3)
+        assert shapes == [(17, 17)]  # V, once
 
 
 class TestEvolveBare:
@@ -263,13 +317,38 @@ class TestProbeMask:
         assert np.allclose(np.abs(pair[1]), ep)
 
     def test_row_pair_normalization(self, net1_model):
-        from oscnet.symplectic import symplectic_form
-
         pair = probe_mask(evolve(net1_model, 150.0))
         omega = symplectic_form(17)
         assert np.isclose(np.linalg.norm(pair[0]), 1.0, atol=1e-10)
         assert np.isclose(np.linalg.norm(pair[1]), 1.0, atol=1e-10)
         assert np.isclose(pair[0] @ omega @ pair[1], 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    def test_matches_svd_oracle_at_bundled_tmax(self, networks, idx):
+        S = evolve(assemble_model(networks[idx]), bundled_sweep(idx)[0])
+        n = S.shape[0] // 2
+        ref = bloch_messiah_svd(S)
+        assert np.allclose(probe_mask(S), ref.r1[[0, n]], rtol=0.0, atol=1e-12)
+        assert np.allclose(on.bloch_messiah(S).d, ref.d, rtol=0.0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 300.0))
+    def test_rows_on_random_networks(self, seed, t):
+        S = evolve(assemble_model(random_stable_graph(np.random.default_rng(seed))), t)
+        n = S.shape[0] // 2
+        q, p = probe_mask(S)
+        assert np.allclose(np.linalg.norm([q, p], axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert abs(q @ symplectic_form(n) @ p - 1.0) <= 1e-10
+        # a squeezed singular vector is resolved to about eps |S|^2 / gap,
+        # the gap its eigenvalue of S S^T leaves to the others: 1e-12 for
+        # well-separated d, more for near-degenerate d. The SVD oracle's
+        # difference reached 28 such units over 3300 draws, and 40-digit
+        # references put the excess on the oracle, not on the eigh route
+        lam = np.linalg.eigvalsh(S @ S.T)
+        sep = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(2 * n, np.inf))
+        gap = sep[lam > 1.0 + 1e-10].min(initial=np.inf)
+        atol = 1e-12 + 100 * np.finfo(float).eps * lam[-1] / gap
+        assert np.allclose([q, p], bloch_messiah_svd(S).r1[[0, n]], rtol=0.0, atol=atol)
 
     def test_golden_regression_network1(self, net1_model, request):
         # regression-locked mask coefficients for (omega_s=0.58, t=150)
