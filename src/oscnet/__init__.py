@@ -59,8 +59,6 @@ from .probes import (
     spectral_density_probe,
     suggest_tmax,
     sweep_spectral_density,
-    thermal_environment,
-    squeezed_environment,
 )
 
 __version__ = "0.1.0"

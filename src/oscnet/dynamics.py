@@ -248,13 +248,16 @@ def _check_schur_margin(model: QuadraticModel, omega_s: NDArray[np.float64]) -> 
 def _eigen_rows(model: QuadraticModel, t: NDArray[np.float64]) -> NDArray[np.float64]:
     """Rows S of cos(tW), W^-1 sin(tW) and W sin(tW), W = V^(1/2), as a
     (3, ..., M) stack over the axes of ``t``, from the cached
-    eigendecomposition of V."""
+    eigendecomposition of V: row S of O f(W) O^T is one (3T, M) @ (M, M) GEMM."""
     O, om = model.modes, model.freqs_normal
     phase = om * t[..., None]
-    cos, sin = np.cos(phase), np.sin(phase)
-    # row S of O f(W) O^T
-    coef = O[0] * np.stack([cos, sin / om, sin * om], axis=-2)
-    return np.moveaxis(coef @ O.T, -2, 0)
+    coef = np.empty((3, *phase.shape))
+    np.cos(phase, out=coef[0])
+    np.sin(phase, out=coef[1])
+    np.multiply(coef[1], om, out=coef[2])
+    coef[1] /= om
+    coef *= O[0]
+    return (coef.reshape(-1, len(om)) @ O.T).reshape(coef.shape)
 
 
 def _chebyshev_rows(
@@ -343,9 +346,13 @@ def _renormalized(
     # entry (i, j) scaled by T_i / T_j
     rt = np.sqrt(bare)
     inv = 1.0 / rt
-    q_row = np.concatenate([c * (rt[..., :1] * inv), sin_over * (rt[..., :1] * rt)], axis=-1)
-    p_row = np.concatenate([-sin_times * (inv[..., :1] * inv), c * (inv[..., :1] * rt)], axis=-1)
-    return np.stack([q_row, p_row], axis=-2)
+    m = c.shape[-1]
+    rows = np.empty((*c.shape[:-1], 2, 2 * m))
+    np.multiply(c, rt[..., :1] * inv, out=rows[..., 0, :m])
+    np.multiply(sin_over, rt[..., :1] * rt, out=rows[..., 0, m:])
+    np.multiply(sin_times, -(inv[..., :1] * inv), out=rows[..., 1, :m])
+    np.multiply(c, inv[..., :1] * rt, out=rows[..., 1, m:])
+    return rows
 
 
 def _check_commutator(rows: NDArray[np.float64]) -> None:

@@ -77,6 +77,8 @@ class GaussianState:
             raise StateError("covariance must be square with even dimension")
         if mean.shape != (cov.shape[0],):
             raise StateError("mean length does not match covariance")
+        if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
+            raise StateError("moments must be finite")
         asym = np.max(np.abs(cov - cov.T))
         if asym > COV_SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
             raise StateError(f"covariance asymmetric by {asym:.3e}")
@@ -188,16 +190,25 @@ def fidelity_from_moments(
     F = exp(-1/2 du^T (S1+S2)^-1 du) / (sqrt(L + d) - sqrt(d)) with
     L = det(S1+S2) and d = 4 (det S1 - 1/4)(det S2 - 1/4); normalized so
     pure-state fidelity is |<psi1|psi2>|^2 and F(rho, rho) = 1. Broadcasts
-    over the leading axes of (..., 2) means and (..., 2, 2) covariances.
+    over the leading axes of (..., 2) means and (..., 2, 2) covariances;
+    the determinants and the inverse are the 2x2 closed forms (adjugate).
     """
     total = cov1 + cov2
-    lam = np.linalg.det(total)
-    if np.any(lam <= 0):
-        raise StateError("sum of covariances not positive definite")
-    delta = np.maximum(4.0 * (np.linalg.det(cov1) - 0.25) * (np.linalg.det(cov2) - 0.25), 0.0)
-    du = np.broadcast_to(mean1 - mean2, total.shape[:-1])
-    quad = (du * np.linalg.solve(total, du[..., None])[..., 0]).sum(axis=-1)
+    lam = _det2(total)
+    if not np.all((0 < lam) & (lam < np.inf) & (total[..., 0, 0] > 0)):
+        raise StateError("sum of covariances not finite and positive definite")
+    delta = np.maximum(4.0 * (_det2(cov1) - 0.25) * (_det2(cov2) - 0.25), 0.0)
+    du = mean1 - mean2
+    dq, dp = du[..., 0], du[..., 1]
+    quad = (
+        dq * dq * total[..., 1, 1] - dq * dp * (total[..., 0, 1] + total[..., 1, 0])
+        + dp * dp * total[..., 0, 0]
+    ) / lam
     return np.exp(-0.5 * quad) / (np.sqrt(lam + delta) - np.sqrt(delta))
+
+
+def _det2(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
 def fidelity(s1: GaussianState, s2: GaussianState) -> float:

@@ -167,69 +167,25 @@ def thermal_occupancy(omega: float | NDArray, temperature: float) -> float | NDA
     return 1.0 / np.expm1(np.asarray(omega) / temperature)
 
 
-def _environment_state(
-    model: QuadraticModel, var_q: NDArray[np.float64], var_p: NDArray[np.float64]
-) -> GaussianState:
-    """Environment state with variances (var_q, var_p) in each normal mode,
-    node-renormalized frame.
+def _environment_variances(
+    model: QuadraticModel, temperature: float, env_prep: str
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Variances (var_q, var_p) of each environment normal mode.
 
-    The normal-mode covariance is rotated to node coordinates and rescaled by
-    the bare node frequencies.
+    'thermal' is the Gibbs state: occupancy N(Omega_n) in each mode.
+    'squeezed' emulates it with pure squeezed vacua, sinh^2 r_n = N(Omega_n)
+    and squeezing axes alternating across modes (mirroring alternate-quadrature
+    multimode squeezing sources): the occupancies match the thermal
+    preparation exactly, only the phase-space anisotropy differs.
     """
-    om = model.env_freqs
-    O = model.env_modes
-    w_nodes = model.frequencies[1:]
-    mq = np.sqrt(w_nodes)[:, None] * O / np.sqrt(om)[None, :]
-    mp = (1.0 / np.sqrt(w_nodes))[:, None] * O * np.sqrt(om)[None, :]
-    n = len(om)
-    cov = np.zeros((2 * n, 2 * n))
-    cov[:n, :n] = (mq * var_q[None, :]) @ mq.T
-    cov[n:, n:] = (mp * var_p[None, :]) @ mp.T
-    return GaussianState(np.zeros(2 * n), cov)
-
-
-def thermal_environment(model: QuadraticModel, temperature: float) -> GaussianState:
-    """Gibbs state of the environment block, node-renormalized frame.
-
-    Each environment normal mode carries occupancy N(Omega_n).
-    """
-    occ = np.asarray(thermal_occupancy(model.env_freqs, temperature)) + 0.5
-    return _environment_state(model, occ, occ)
-
-
-def squeezed_environment(model: QuadraticModel, temperature: float) -> GaussianState:
-    """Squeezed-vacuum emulation of the thermal environment.
-
-    Each environment normal mode is prepared as a pure squeezed vacuum with
-    sinh^2 r_n matching the occupancy N(Omega_n) of the Gibbs state, squeezing
-    axes alternating across modes (mirroring alternate-quadrature multimode
-    squeezing sources). Occupancies match the thermal preparation exactly;
-    only the phase-space anisotropy differs.
-    """
-    om = model.env_freqs
-    nbar = np.asarray(thermal_occupancy(om, temperature))
-    r = np.arcsinh(np.sqrt(nbar))
-    sign = np.where(np.arange(len(om)) % 2 == 0, 1.0, -1.0)
-    return _environment_state(
-        model, 0.5 * np.exp(-2.0 * r * sign), 0.5 * np.exp(+2.0 * r * sign)
-    )
-
-
-def _initial_state(
-    model: QuadraticModel,
-    probe: GaussianState,
-    temperature: float,
-    env_prep: str,
-) -> GaussianState:
+    nbar = np.asarray(thermal_occupancy(model.env_freqs, temperature))
     if env_prep == "thermal":
-        env = thermal_environment(model, temperature)
-    elif env_prep == "squeezed":
-        env = squeezed_environment(model, temperature)
-    elif env_prep == "vacuum":
-        env = g.vacuum_state(model.n_modes - 1)
-    else:
-        raise ValueError(f"unknown environment preparation {env_prep!r}")
-    return g.product_state(probe, env)
+        return nbar + 0.5, nbar + 0.5
+    if env_prep == "squeezed":
+        r = np.arcsinh(np.sqrt(nbar))
+        sign = np.where(np.arange(len(nbar)) % 2 == 0, 1.0, -1.0)
+        return 0.5 * np.exp(-2.0 * r * sign), 0.5 * np.exp(+2.0 * r * sign)
+    raise ValueError(f"unknown environment preparation {env_prep!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +267,26 @@ def _probe_path(
     probe = probe_state if probe_state is not None else g.vacuum_state(1)
     n0 = g.mean_photon(probe)
     n_bath = np.asarray(thermal_occupancy(omega, temperature))
-    state0 = _initial_state(model, probe, temperature, env_prep)
-    # probe moments S_p mu0 and S_p Sigma0 S_p^T
-    mean = rows @ state0.mean
-    cov = rows @ state0.cov @ np.swapaxes(rows, -1, -2)
+    # probe moments S_p mu0 and S_p Sigma0 S_p^T for the product of the probe
+    # state and an environment state with zero mean, taken column block by
+    # column block: the probe columns P, then the environment's q and p columns
+    m = model.n_modes
+    P = rows[..., [0, m]]
+    mean = P @ probe.mean
+    cov = P @ probe.cov @ np.swapaxes(P, -1, -2)
+    if env_prep == "vacuum":
+        # 1/2 I in the node-renormalized frame, whatever the normal modes
+        blocks = [(rows[..., 1:m], 0.5), (rows[..., m + 1 :], 0.5)]
+    else:
+        # diagonal in the environment normal modes: node q = m_q Q, node p = m_p Pi
+        var_q, var_p = _environment_variances(model, temperature, env_prep)
+        O, om = model.env_modes, model.env_freqs
+        w = np.sqrt(model.frequencies[1:])[:, None]
+        m_q = w * O / np.sqrt(om)
+        m_p = O * np.sqrt(om) / w
+        blocks = [(rows[..., 1:m] @ m_q, var_q), (rows[..., m + 1 :] @ m_p, var_p)]
+    for a, var in blocks:
+        cov += (a * var) @ np.swapaxes(a, -1, -2)
     if sampling is None:
         n_s = g.mean_photon_from_moments(mean, cov)
         return _invert_excitation(omega, t_max, n_bath, n0, n_s), None
@@ -491,7 +463,7 @@ class FidelityTrace:
     omega_s: float
 
     def __post_init__(self):
-        if np.any(self.f_raw <= 0) or np.any(self.f_raw > 1.0 + 1e-9):
+        if not np.all((self.f_raw > 0) & (self.f_raw <= 1.0 + 1e-9)):
             raise ValueError("fidelity values must lie in (0, 1]")
         if self.window % 2 == 0:
             raise ValueError("smoothing window must be odd")
@@ -541,14 +513,23 @@ def qnm_trace(
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
     rows = probe_rows(model, t_grid)
-    cols = rows[..., [0, model.n_modes]]
-    # S_p Sigma0 S_p^T with a vacuum environment: 1/2 S_p S_p^T plus the
-    # probe's excess over vacuum, carried by the probe columns of S_p
-    vacuum = 0.5 * rows @ np.swapaxes(rows, -1, -2)
-    covs = [
-        vacuum + cols @ (g.squeezed_state(spec).cov - 0.5 * np.eye(2)) @ np.swapaxes(cols, -1, -2)
-        for spec in (rho1, rho2)
-    ]
+    q, p = rows[:, 0], rows[:, 1]
+    m = model.n_modes
+    # S_p Sigma0 S_p^T with a vacuum environment: 1/2 S_p S_p^T plus C E C^T,
+    # E the probe's excess over vacuum and C = [[a, b], [c, d]] the probe
+    # columns of S_p
+    vacuum = 0.5 * np.stack([np.einsum("ti,ti->t", x, y) for x, y in ((q, q), (q, p), (p, p))])
+    a, b, c, d = q[:, 0], q[:, m], p[:, 0], p[:, m]
+    covs = []
+    for spec in (rho1, rho2):
+        (e_qq, e_qp), (_, e_pp) = g.squeezed_state(spec).cov - 0.5 * np.eye(2)
+        qa, qb = a * e_qq + b * e_qp, a * e_qp + b * e_pp  # rows of C E
+        pa, pb = c * e_qq + d * e_qp, c * e_qp + d * e_pp
+        cov = np.empty((len(t_grid), 2, 2))
+        cov[:, 0, 0] = vacuum[0] + (qa * a + qb * b)
+        cov[:, 0, 1] = cov[:, 1, 0] = vacuum[1] + (qa * c + qb * d)
+        cov[:, 1, 1] = vacuum[2] + (pa * c + pb * d)
+        covs.append(cov)
     zero = np.zeros(2)
     fs = g.fidelity_from_moments(zero, covs[0], zero, covs[1])
     return FidelityTrace(
@@ -574,7 +555,7 @@ def blp_witness(trace: FidelityTrace, use_smoothed: bool = True) -> WitnessRepor
     if len(series) < 2:
         raise ValueError("trace must have at least two points")
     diffs = np.diff(series)
-    total = float(-diffs[diffs < 0].sum())
+    total = float((-diffs[diffs < 0]).sum())  # +0.0 on a monotone trace
     intervals = []
     start = None
     acc = 0.0

@@ -3,12 +3,14 @@
 Each one is an independent oracle or input generator for a production path:
 the batched ``eigh`` probe rows for the Chebyshev omega_S branch of
 ``dynamics.probe_rows``, the direct-cosine damping kernel for
-``probes._damping_kernel_grid``, the pure-state fidelity closed form for
-``gaussian.fidelity``, the per-outcome homodyne sampler for the chi-square
-draws of the sampled probe path, the SVD route and the vacuum discard for
-``symplectic.bloch_messiah``, the per-mode squeezers and the quadratic
-energy for the propagator, and random (orthogonal) symplectic matrices as
-decomposition inputs.
+``probes._damping_kernel_grid``, the pure-state fidelity closed form and the
+LAPACK route for ``gaussian.fidelity``, the per-outcome homodyne sampler for
+the chi-square draws of the sampled probe path, the full-covariance
+environment states for the probe path's normal-mode moments, the stacked
+fidelity trace for ``probes.qnm_trace``, the SVD route and the vacuum
+discard for ``symplectic.bloch_messiah``, the per-mode squeezers and the
+quadratic energy for the propagator, and random (orthogonal) symplectic
+matrices as decomposition inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +20,15 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from oscnet import gaussian as g
 from oscnet.dynamics import QuadraticModel, StabilityError, renormalization_scaling
-from oscnet.gaussian import GaussianState, StateError
+from oscnet.gaussian import GaussianState, SqueezedSpec, StateError
+from oscnet.probes import (
+    DEFAULT_SMOOTH_WINDOW,
+    FidelityTrace,
+    moving_average,
+    thermal_occupancy,
+)
 from oscnet.symplectic import (
     PAIR_TOL,
     SYMPLECTIC_TOL,
@@ -265,6 +274,24 @@ def pure_fidelity_reference(r1: float, r2: float, phi0: float) -> float:
     return float(2.0 / np.sqrt(2.0 * arg))
 
 
+def fidelity_from_moments_lapack(
+    mean1: NDArray[np.float64],
+    cov1: NDArray[np.float64],
+    mean2: NDArray[np.float64],
+    cov2: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """``gaussian.fidelity_from_moments`` through batched LAPACK: ``det`` and
+    ``solve`` on the (..., 2, 2) stacks instead of the adjugate closed form."""
+    total = cov1 + cov2
+    lam = np.linalg.det(total)
+    if np.any(lam <= 0):
+        raise StateError("sum of covariances not positive definite")
+    delta = np.maximum(4.0 * (np.linalg.det(cov1) - 0.25) * (np.linalg.det(cov2) - 0.25), 0.0)
+    du = np.broadcast_to(mean1 - mean2, total.shape[:-1])
+    quad = (du * np.linalg.solve(total, du[..., None])[..., 0]).sum(axis=-1)
+    return np.exp(-0.5 * quad) / (np.sqrt(lam + delta) - np.sqrt(delta))
+
+
 def homodyne_sample(
     state: GaussianState,
     quadrature: str = "q",
@@ -311,3 +338,91 @@ def damping_kernel(model: QuadraticModel, t: float | NDArray) -> float | NDArray
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     out = (amp[None, :] * np.cos(np.outer(tarr, om))).sum(axis=1)
     return float(out[0]) if np.isscalar(t) else out
+
+
+def _environment_state(
+    model: QuadraticModel, var_q: NDArray[np.float64], var_p: NDArray[np.float64]
+) -> GaussianState:
+    """Environment state with variances (var_q, var_p) in each normal mode,
+    node-renormalized frame.
+
+    The normal-mode covariance is rotated to node coordinates and rescaled by
+    the bare node frequencies.
+    """
+    om = model.env_freqs
+    O = model.env_modes
+    w_nodes = model.frequencies[1:]
+    mq = np.sqrt(w_nodes)[:, None] * O / np.sqrt(om)[None, :]
+    mp = (1.0 / np.sqrt(w_nodes))[:, None] * O * np.sqrt(om)[None, :]
+    n = len(om)
+    cov = np.zeros((2 * n, 2 * n))
+    cov[:n, :n] = (mq * var_q[None, :]) @ mq.T
+    cov[n:, n:] = (mp * var_p[None, :]) @ mp.T
+    return GaussianState(np.zeros(2 * n), cov)
+
+
+def thermal_environment(model: QuadraticModel, temperature: float) -> GaussianState:
+    """Gibbs state of the environment block, node-renormalized frame.
+
+    Each environment normal mode carries occupancy N(Omega_n).
+    """
+    occ = np.asarray(thermal_occupancy(model.env_freqs, temperature)) + 0.5
+    return _environment_state(model, occ, occ)
+
+
+def squeezed_environment(model: QuadraticModel, temperature: float) -> GaussianState:
+    """Squeezed-vacuum emulation of the thermal environment.
+
+    Each environment normal mode is prepared as a pure squeezed vacuum with
+    sinh^2 r_n matching the occupancy N(Omega_n) of the Gibbs state, squeezing
+    axes alternating across modes (mirroring alternate-quadrature multimode
+    squeezing sources). Occupancies match the thermal preparation exactly;
+    only the phase-space anisotropy differs.
+    """
+    om = model.env_freqs
+    nbar = np.asarray(thermal_occupancy(om, temperature))
+    r = np.arcsinh(np.sqrt(nbar))
+    sign = np.where(np.arange(len(om)) % 2 == 0, 1.0, -1.0)
+    return _environment_state(
+        model, 0.5 * np.exp(-2.0 * r * sign), 0.5 * np.exp(+2.0 * r * sign)
+    )
+
+
+def qnm_trace_stacked(
+    model: QuadraticModel,
+    rho1: SqueezedSpec,
+    rho2: SqueezedSpec,
+    t_grid: Sequence[float],
+    window: int = DEFAULT_SMOOTH_WINDOW,
+) -> FidelityTrace:
+    """``probes.qnm_trace`` by matrix stacks, reference for its closed-form
+    probe blocks.
+
+    The probe rows come from the broadcast (T, 3, M) @ (M, M) product of
+    ``_probe_rows``, each probe covariance from 1/2 S_p S_p^T plus two 2x2
+    matrix products with the probe's excess over vacuum, and the fidelity
+    from ``fidelity_from_moments_lapack``.
+    """
+    t_grid = np.asarray(list(t_grid), dtype=float)
+    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("time grid must be strictly increasing with >= 2 points")
+    rows = _probe_rows(model.modes, model.freqs_normal, model.frequencies, t_grid)
+    cols = rows[..., [0, model.n_modes]]
+    # S_p Sigma0 S_p^T with a vacuum environment: 1/2 S_p S_p^T plus the
+    # probe's excess over vacuum, carried by the probe columns of S_p
+    vacuum = 0.5 * rows @ np.swapaxes(rows, -1, -2)
+    covs = [
+        vacuum + cols @ (g.squeezed_state(spec).cov - 0.5 * np.eye(2)) @ np.swapaxes(cols, -1, -2)
+        for spec in (rho1, rho2)
+    ]
+    zero = np.zeros(2)
+    fs = fidelity_from_moments_lapack(zero, covs[0], zero, covs[1])
+    return FidelityTrace(
+        t=t_grid,
+        f_raw=fs,
+        f_smooth=moving_average(fs, window),
+        window=window,
+        rho1=rho1,
+        rho2=rho2,
+        omega_s=model.omega_s,
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -35,6 +36,19 @@ def bundled_sweep(idx):
     cfg = json.loads(bundled_config_path(f"network{idx}.cfg").read_text())
     sweep = cfg["probe"]["sweep"]
     return cfg["t_max"], np.linspace(sweep["start"], sweep["stop"], sweep["points"])
+
+
+def rescaled(graph, s):
+    """The network with every frequency scaled by s and every coupling by s^2."""
+    return dataclasses.replace(
+        graph,
+        omega=tuple(s * w for w in graph.omega),
+        couplings={edge: s * s * g for edge, g in graph.couplings.items()},
+        probe=dataclasses.replace(
+            graph.probe, k=s * s * graph.probe.k, omega_s=s * graph.probe.omega_s
+        ),
+        recipe=None,
+    )
 
 
 def commutator_residual(rows):
@@ -244,6 +258,28 @@ class TestProbeRows:
         rows = probe_rows(m, t, omega_s=ws)
         assert np.allclose(rows, probe_rows_eigh(m, t, ws), rtol=0.0, atol=1e-12)
         assert commutator_residual(rows).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, 2.0),
+        t=st.floats(0.0, 300.0),
+        ws=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=8),
+    )
+    def test_time_rescaling_on_random_networks(self, seed, scale, t, ws):
+        # omega -> s omega and g, k -> s^2 g, s^2 k make V -> s^2 V, so the
+        # renormalized S(t) of the scaled network is S(s t) of the original
+        graph = random_stable_graph(np.random.default_rng(seed))
+        m, ms = assemble_model(graph), assemble_model(rescaled(graph, scale))
+        ts = np.linspace(0.0, t, 11)
+        ref = probe_rows(m, ts)
+        assert np.allclose(probe_rows(ms, ts / scale), ref, rtol=0.0, atol=1e-12)
+        ws = np.array(ws)
+        ws = ws[ws**2 > np.sum((m.bath_couplings() / m.env_freqs) ** 2) + 1e-3]
+        assume(ws.size)
+        ref = probe_rows(m, t, omega_s=ws)
+        got = probe_rows(ms, t / scale, omega_s=scale * ws)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
     def test_frequency_grid_takes_one_bounded_time(self, net1_model):
         with pytest.raises(ValueError, match="single time"):

@@ -22,6 +22,7 @@ from oscnet.gaussian import (
 
 from oracles import (
     estimate_second_moment,
+    fidelity_from_moments_lapack,
     homodyne_sample,
     pure_fidelity_reference,
     random_orthogonal_symplectic,
@@ -188,6 +189,32 @@ class TestFidelity:
         with pytest.raises(StateError):
             fidelity(vacuum_state(2), vacuum_state(2))
 
+    def test_matches_lapack_route(self):
+        rng = np.random.default_rng(9)
+        covs = []
+        for _ in range(2):
+            a = rng.normal(size=(40, 2, 2))
+            covs.append(0.5 * np.eye(2) + a @ np.swapaxes(a, -1, -2))
+        means = rng.normal(size=(2, 40, 2))
+        got = fidelity_from_moments(means[0], covs[0], means[1], covs[1])
+        ref = fidelity_from_moments_lapack(means[0], covs[0], means[1], covs[1])
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_negative_definite_sum_rejected(self):
+        # det(S1 + S2) = 1.44 > 0, yet S1 + S2 = -1.2 I
+        cov = -0.6 * np.eye(2)
+        with pytest.raises(StateError, match="positive definite"):
+            fidelity_from_moments(np.zeros(2), cov, np.zeros(2), cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_covariance_rejected(self, bad, entry):
+        cov = 0.5 * np.eye(2)
+        bent = cov.copy()
+        bent[entry] = bent[entry[::-1]] = bad
+        with pytest.raises(StateError, match="finite and positive definite"):
+            fidelity_from_moments(np.zeros(2), cov, np.zeros(2), bent)
+
 
 class TestPureFidelityReference:
     def test_zero_squeezing(self):
@@ -260,6 +287,19 @@ class TestValidity:
         cov = np.array([[0.5, 0.1], [0.2, 0.5]])
         with pytest.raises(StateError):
             GaussianState(np.zeros(2), cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["mean", "cov_diagonal", "cov_off_diagonal"])
+    def test_non_finite_moments_rejected(self, bad, where):
+        mean, cov = np.zeros(2), 0.5 * np.eye(2)
+        if where == "mean":
+            mean[1] = bad
+        elif where == "cov_diagonal":
+            cov[0, 0] = bad
+        else:
+            cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(StateError, match="finite"):
+            GaussianState(mean, cov)
 
     def test_unphysical_state_detected(self):
         tight = GaussianState(np.zeros(2), 0.1 * np.eye(2))
