@@ -28,6 +28,7 @@ from .probes import (
     ProbeSaturatedError,
     SamplingOptions,
     _fmt,
+    _fmt_matrix,
     _fmt_rows,
     blp_witness,
     model_at,
@@ -360,7 +361,7 @@ def run_evolve(cfg: dict, out: Path) -> int:
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
             f"t={_fmt(t_max)} omega_s={_fmt(w)}"
         )
-        (out / f"evolution_w{tag}_t{t_max:g}.txt").write_text(header + "\n" + _fmt_rows(S, " "))
+        (out / f"evolution_w{tag}_t{t_max:g}.txt").write_text(header + "\n" + _fmt_matrix(S, " "))
         sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={t_max:g}\n")
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .netmodel import CouplingGraph
-from .symplectic import SYMPLECTIC_TOL, SymplecticError, bloch_messiah
+from .symplectic import SYMPLECTIC_TOL, SymplecticError, _r1_and_d
 
 
 class StabilityError(ValueError):
@@ -156,36 +156,53 @@ def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     return QuadraticModel(V=V, frequencies=freqs, site=probe.site, coupling=probe.k)
 
 
-def _evolve_bare(model: QuadraticModel, t: float) -> NDArray[np.float64]:
-    """Physical-frame propagator at time t >= 0.
-
-    Closed harmonic form S(t) = [[cos Wt, W^-1 sin Wt], [-W sin Wt, cos Wt]]
-    with W = V^(1/2), evaluated through the cached eigendecomposition.
-    """
+def _harmonic_blocks(model: QuadraticModel, t: float) -> NDArray[np.float64]:
+    """(C, Y, Z) = (cos(Wt), W^-1 sin(Wt), W sin(Wt)), W = V^(1/2), as a
+    (3, M, M) stack at time t >= 0 from the cached eigendecomposition of V
+    (one (3M, M) @ (M, M) GEMM). Each is a function of the symmetric V and is
+    made symmetric to the bit as (X + X^T)/2."""
     if not 0 <= t < np.inf:
         raise ValueError("time must be finite and >= 0")
-    O = model.modes
-    om = model.freqs_normal
-    cos = (O * np.cos(om * t)[None, :]) @ O.T
-    sin_over = (O * (np.sin(om * t) / om)[None, :]) @ O.T
-    sin_times = (O * (np.sin(om * t) * om)[None, :]) @ O.T
-    return np.block([[cos, sin_over], [-sin_times, cos]])
+    O, om = model.modes, model.freqs_normal
+    m = len(om)
+    phase = om * t
+    cos, sin = np.cos(phase), np.sin(phase)
+    scaled = np.empty((3, m, m))
+    np.multiply(O, cos, out=scaled[0])
+    np.multiply(O, sin / om, out=scaled[1])
+    np.multiply(O, sin * om, out=scaled[2])
+    blocks = (scaled.reshape(3 * m, m) @ O.T).reshape(3, m, m)
+    blocks += np.swapaxes(blocks, 1, 2)
+    blocks *= 0.5
+    return blocks
 
 
-def renormalization_scaling(model: QuadraticModel) -> NDArray[np.float64]:
-    """Diagonal of T = diag(sqrt(omega).., 1/sqrt(omega)..)."""
-    rt = np.sqrt(model.frequencies)
-    return np.concatenate([rt, 1.0 / rt])
+def _evolve_bare(model: QuadraticModel, t: float) -> NDArray[np.float64]:
+    """Physical-frame propagator S(t) = [[C, Y], [-Z, C]] at time t >= 0,
+    the closed harmonic form of ``_harmonic_blocks``."""
+    c, y, z = _harmonic_blocks(model, t)
+    return np.block([[c, y], [-z, c]])
 
 
 def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
     """Renormalized-frame propagator at time t >= 0.
 
-    The physical-frame closed form ``_evolve_bare`` conjugated by
-    T = ``renormalization_scaling``: entry (i, j) is scaled by T_i / T_j.
+    With tau = sqrt(bare frequencies), each mode's q is scaled by tau and its
+    p by 1/tau, so S = [[A, B], [-Z~, A^T]] with A = C o (tau_i/tau_j),
+    B = Y o (tau_i tau_j) and Z~ = Z o 1/(tau_i tau_j) from the blocks of
+    ``_harmonic_blocks``. H is time-reversal symmetric, and this structure
+    holds to the bit: the lower-right block is A^T and B, Z~ are symmetric.
     """
-    T = renormalization_scaling(model)
-    return _evolve_bare(model, t) * np.outer(T, 1.0 / T)
+    c, y, z = _harmonic_blocks(model, t)
+    rt = np.sqrt(model.frequencies)
+    inv = 1.0 / rt
+    m = len(rt)
+    S = np.empty((2 * m, 2 * m))
+    np.multiply(c, np.outer(rt, inv), out=S[:m, :m])
+    np.multiply(y, np.outer(rt, rt), out=S[:m, m:])
+    np.multiply(z, np.outer(-inv, inv), out=S[m:, :m])
+    S[m:, m:] = S[:m, :m].T
+    return S
 
 
 # Chebyshev vectors T_k(V~) e_S held per block; each full block is folded
@@ -379,8 +396,8 @@ def probe_mask(S: NDArray[np.float64], tol: float = 1e-10) -> NDArray[np.float64
     Returns the (2, 2M) row pair of the Bloch-Messiah R1 factor that selects
     the probe's q and p: the simulator analogue of the local-oscillator mask
     defining the measured mode. Orthogonal symplectic inputs are their own
-    R1.
+    R1. The R2 factor is not formed.
     """
     n = S.shape[0] // 2
-    r1 = bloch_messiah(S, tol).r1
+    r1 = _r1_and_d(S, tol)[0]
     return np.vstack([r1[0, :], r1[n, :]])

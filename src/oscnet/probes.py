@@ -54,6 +54,22 @@ def _fmt_rows(table: NDArray, sep: str) -> str:
     return "".join([line % tuple(row) for row in table.tolist()])
 
 
+def _fmt_matrix(matrix: NDArray, sep: str) -> str:
+    """The bytes of ``_fmt_rows(matrix, sep)``, formatting each distinct entry
+    once: worth it where entries repeat, as in a propagator with its
+    time-reversal structure, and not for tables without repeats.
+
+    Entries are told apart by bit pattern, so 0.0 and -0.0 (and NaN
+    payloads) stay distinct.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    bits, index = np.unique(matrix.view(np.int64), return_inverse=True)
+    k = len(bits)
+    words = ("%.17g\n" * k % tuple(bits.view(np.float64).tolist())).split("\n")
+    table = np.array(words, dtype=object)[index.reshape(matrix.shape)]
+    return "".join([sep.join(row) + "\n" for row in table.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # damping kernel and t_max heuristic
 
@@ -224,6 +240,24 @@ def _sample_second_moments(
     return rng.noncentral_chisquare(n_samples, n_samples * mean**2 / var, n_reps) * var / n_samples
 
 
+def _quadrature_seeds(
+    seed: int | None, n_points: int
+) -> list[tuple[np.random.SeedSequence, np.random.SeedSequence]]:
+    """Seeds of the q and p draws at each of ``n_points`` points: the
+    grandchildren (i, k) that ``SeedSequence(seed).spawn(n_points)`` and a
+    further ``spawn(2)`` per child give, built directly from the root's
+    entropy (the same streams, without the intermediate children). The root
+    is built once, so ``seed=None`` draws its entropy once."""
+    root = np.random.SeedSequence(seed)
+    return [
+        tuple(
+            np.random.SeedSequence(root.entropy, spawn_key=(i, k), pool_size=root.pool_size)
+            for k in (0, 1)
+        )
+        for i in range(n_points)
+    ]
+
+
 def _invert_excitation(
     omega_s: float | NDArray,
     t_max: float,
@@ -300,8 +334,8 @@ def _probe_path(
     reps, n = sampling.n_reps, sampling.n_samples
     # sample second moments of q_S and p_S per point and rep; they include the means
     m2 = np.empty((len(omega), 2, reps))
-    for i, seed in enumerate(np.random.SeedSequence(sampling.seed).spawn(len(omega))):
-        for k, quad_seed in enumerate(seed.spawn(2)):
+    for i, pair in enumerate(_quadrature_seeds(sampling.seed, len(omega))):
+        for k, quad_seed in enumerate(pair):
             m2[i, k] = _sample_second_moments(mean[i, k], var[i, k], n, reps, quad_seed)
     n_s = 0.5 * (m2.sum(axis=1) - 1.0)
     js = _invert_excitation(omega[:, None], t_max, n_bath[:, None], n0, n_s)

@@ -96,6 +96,19 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
     entry (paired column signs follow). Inside a degenerate d, R1 is the
     basis LAPACK returns. Passive S is returned as R1.
     """
+    r1, d, passive = _r1_and_d(S, tol)
+    if passive:
+        return BlochMessiahFactors(r1=r1, d=d, r2=np.eye(len(r1)))
+    delta = np.concatenate([d, 1.0 / d])
+    r2 = (r1 / delta[None, :]).T @ S  # R2 = Delta^-1 R1^T S
+    return BlochMessiahFactors(r1=r1, d=d, r2=r2)
+
+
+def _r1_and_d(
+    S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL
+) -> tuple[NDArray[np.float64], NDArray[np.float64], bool]:
+    """The R1 factor and d of ``bloch_messiah``, without R2, and whether S is
+    passive (then R1 = S and d = 1)."""
     ok, res = is_symplectic(S, tol)
     if not ok:
         raise SymplecticError(f"input is not symplectic (residual {res:.3e} >= {tol:.1e})")
@@ -104,9 +117,9 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
 
     if np.linalg.norm(S.T @ S - np.eye(2 * n)) < tol:
         # passive transformation: all squeezing in R1 by convention
-        return BlochMessiahFactors(r1=S.copy(), d=np.ones(n), r2=np.eye(2 * n))
+        return S.copy(), np.ones(n), True
 
-    evals, vecs = np.linalg.eigh(S @ S.T)
+    evals, vecs = np.linalg.eigh(_gram(S))
     evals, vecs = np.sqrt(evals[::-1]), vecs[:, ::-1]
 
     hi = 1.0 + PAIR_TOL
@@ -150,7 +163,18 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
     if k != n:
         raise SymplecticError("failed to build a symplectic singular basis")
 
-    d = np.concatenate([evals[:n_squeezed], np.ones(n - n_squeezed)])
-    delta = np.concatenate([d, 1.0 / d])
-    r2 = (r1 / delta[None, :]).T @ S  # R2 = Delta^-1 R1^T S
-    return BlochMessiahFactors(r1=r1, d=d, r2=r2)
+    return r1, np.concatenate([evals[:n_squeezed], np.ones(n - n_squeezed)]), False
+
+
+def _gram(S: NDArray[np.float64]) -> NDArray[np.float64]:
+    """S S^T from M x M block products. OpenBLAS splits the one 2M x 2M
+    product across threads at M = 51, which moves its last bits with the
+    thread count; the block products stay below its threading threshold."""
+    n = S.shape[0] // 2
+    a, b, c, d = S[:n, :n], S[:n, n:], S[n:, :n], S[n:, n:]
+    gram = np.empty_like(S)
+    gram[:n, :n] = a @ a.T + b @ b.T
+    gram[:n, n:] = a @ c.T + b @ d.T
+    gram[n:, :n] = gram[:n, n:].T
+    gram[n:, n:] = c @ c.T + d @ d.T
+    return gram

@@ -8,9 +8,10 @@ LAPACK route for ``gaussian.fidelity``, the per-outcome homodyne sampler for
 the chi-square draws of the sampled probe path, the full-covariance
 environment states for the probe path's normal-mode moments, the stacked
 fidelity trace for ``probes.qnm_trace``, the SVD route and the vacuum
-discard for ``symplectic.bloch_messiah``, the per-mode squeezers and the
-quadratic energy for the propagator, and random (orthogonal) symplectic
-matrices as decomposition inputs.
+discard for ``symplectic.bloch_messiah``, the unsymmetrized product form of
+``dynamics.evolve``, the per-mode squeezers and the quadratic energy for the
+propagator, and random (orthogonal) symplectic matrices as decomposition
+inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from oscnet import gaussian as g
-from oscnet.dynamics import QuadraticModel, StabilityError, renormalization_scaling
+from oscnet.dynamics import QuadraticModel, StabilityError
 from oscnet.gaussian import GaussianState, SqueezedSpec, StateError
 from oscnet.probes import (
     DEFAULT_SMOOTH_WINDOW,
@@ -100,6 +101,26 @@ def _probe_rows(
     q_row = np.concatenate([c * (rt[..., :1] * inv), sin_over * (rt[..., :1] * rt)], axis=-1)
     p_row = np.concatenate([-sin_times * (inv[..., :1] * inv), c * (inv[..., :1] * rt)], axis=-1)
     return np.stack([q_row, p_row], axis=-2)
+
+
+def renormalization_scaling(model: QuadraticModel) -> NDArray[np.float64]:
+    """Diagonal of T = diag(sqrt(omega).., 1/sqrt(omega)..)."""
+    rt = np.sqrt(model.frequencies)
+    return np.concatenate([rt, 1.0 / rt])
+
+
+def evolve_product(model: QuadraticModel, t: float) -> NDArray[np.float64]:
+    """Renormalized-frame propagator as the product of the physical-frame
+    closed form [[cos Wt, W^-1 sin Wt], [-W sin Wt, cos Wt]], from three
+    separate products with the eigenvectors of V, and the entry scaling
+    T_i / T_j, T = ``renormalization_scaling``: no symmetry is imposed."""
+    evals, O = np.linalg.eigh(model.V)
+    om = np.sqrt(evals)
+    cos = (O * np.cos(om * t)[None, :]) @ O.T
+    sin_over = (O * (np.sin(om * t) / om)[None, :]) @ O.T
+    sin_times = (O * (np.sin(om * t) * om)[None, :]) @ O.T
+    T = renormalization_scaling(model)
+    return np.block([[cos, sin_over], [-sin_times, cos]]) * np.outer(T, 1.0 / T)
 
 
 def preparation_matrix(

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,28 @@ class TestMasks:
             assert got == "\n".join(lines) + "\n"
 
 
+    @pytest.mark.parametrize("idx", [4, 5])
+    def test_mask_bytes_do_not_depend_on_blas_threads(self, tmp_path, idx):
+        src = str(Path(oscnet.__file__).resolve().parents[1])
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(
+                os.environ,
+                PYTHONPATH=src,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+            )
+            argv = ["masks", "--config", f"network{idx}.cfg", "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "oscnet.cli", *argv], env=env, capture_output=True, check=True
+            )
+            files.append({f.name: f.read_bytes() for f in sorted(out.glob("mask_*.csv"))})
+        assert len(files[0]) == 2
+        assert files[0] == files[1]
+
+
 class TestEvolve:
     def test_matrix_dump_header_and_shape(self, outdir):
         assert (
@@ -354,7 +377,7 @@ class TestEvolve:
 
         assert is_symplectic(mat, 1e-9)[0]
 
-    @pytest.mark.parametrize("idx", [1, 4])
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
     def test_matrix_bytes_match_per_number_format(self, outdir, idx):
         config = f"network{idx}.cfg"
         assert run(["evolve", "--config", config, "--out", str(outdir)]) == 0

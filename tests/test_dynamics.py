@@ -25,6 +25,7 @@ from conftest import PAPER_STATES, random_stable_graph
 from oracles import (
     bloch_messiah_svd,
     compose_preparation,
+    evolve_product,
     preparation_matrix,
     probe_rows_eigh,
     quadratic_energy,
@@ -202,6 +203,42 @@ class TestRenormalize:
         assert np.linalg.norm(S @ (0.5 * np.eye(8)) @ S.T - 0.5 * np.eye(8)) < 1e-10
 
 
+class TestEvolveStructure:
+    """H is time-reversal symmetric, so S = [[A, B], [-Z, A^T]] with B and Z
+    symmetric; ``evolve`` keeps that structure to the bit."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 300.0))
+    def test_time_reversal_structure_is_exact(self, seed, t):
+        S = evolve(assemble_model(random_stable_graph(np.random.default_rng(seed))), t)
+        n = S.shape[0] // 2
+        assert np.array_equal(S[n:, n:], S[:n, :n].T)
+        assert np.array_equal(S[:n, n:], S[:n, n:].T)
+        assert np.array_equal(S[n:, :n], S[n:, :n].T)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 300.0))
+    def test_matches_product_oracle(self, seed, t):
+        model = assemble_model(random_stable_graph(np.random.default_rng(seed)))
+        S = evolve(model, t)
+        ref = evolve_product(model, t)
+        assert np.abs(S - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 300.0))
+    def test_energy_conservation_in_renormalized_frame(self, seed, t):
+        rng = np.random.default_rng(seed)
+        model = assemble_model(random_stable_graph(rng))
+        dim = 2 * model.n_modes
+        mean = rng.normal(size=dim)
+        A = rng.normal(size=(dim, dim)) * 0.1
+        cov = 0.5 * np.eye(dim) + A @ A.T
+        S = evolve(model, t)
+        e0 = quadratic_energy(model, mean, cov)
+        e = quadratic_energy(model, S @ mean, S @ cov @ S.T)
+        assert abs(e - e0) <= 1e-12 * e0
+
+
 class TestProbeRows:
     def test_matches_evolve_over_time_grid(self, networks):
         m = assemble_model(networks[4])
@@ -358,6 +395,12 @@ class TestProbeMask:
         assert np.isclose(np.linalg.norm(pair[0]), 1.0, atol=1e-10)
         assert np.isclose(np.linalg.norm(pair[1]), 1.0, atol=1e-10)
         assert np.isclose(pair[0] @ omega @ pair[1], 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("t", [0.0, 150.0])
+    def test_rows_are_those_of_bloch_messiah_r1(self, net1_model, t):
+        # probe_mask skips R2 but takes R1 through the same steps
+        S = evolve(net1_model, t)
+        assert np.array_equal(probe_mask(S), on.bloch_messiah(S).r1[[0, 17]])
 
     @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
     def test_matches_svd_oracle_at_bundled_tmax(self, networks, idx):

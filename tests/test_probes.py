@@ -34,7 +34,9 @@ from oscnet.probes import (
     _KERNEL_BLOCK,
     _damping_kernel_grid,
     _fmt,
+    _fmt_matrix,
     _fmt_rows,
+    _quadrature_seeds,
     _sample_second_moments,
 )
 
@@ -207,6 +209,59 @@ class TestRowFormatter:
     def test_numpy_scalars_format_as_floats(self):
         row = [np.float64(-0.0), np.float64(2.5e-310), np.float64(7.0), 3]
         assert _fmt_rows([row], ",") == ",".join(_fmt(x) for x in row) + "\n"
+
+
+# NaNs with other bit patterns than np.nan: a payload, and the sign bit
+_NAN_BITS = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+
+
+class TestMatrixFormatter:
+    POOL = [*TestRowFormatter.ADVERSARIAL, *_NAN_BITS.tolist(), 2.5e-310, -2.5e-310]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        data=st.data(),
+        sep=st.sampled_from([" ", ","]),
+    )
+    def test_matches_row_formatter(self, shape, data, sep):
+        # entries from a small pool, so most matrices hold repeats
+        entry = st.one_of(st.sampled_from(self.POOL), st.floats(width=64))
+        size = shape[0] * shape[1]
+        values = data.draw(st.lists(entry, min_size=size, max_size=size))
+        table = np.array(values, dtype=float).reshape(shape)
+        assert _fmt_matrix(table, sep) == _fmt_rows(table, sep)
+
+    def test_keeps_signed_zeros_apart(self):
+        table = np.array([[0.0, -0.0], [-0.0, 0.0]])
+        assert _fmt_matrix(table, " ") == "0 -0\n-0 0\n"
+
+    @pytest.mark.parametrize("idx", [1, 4])
+    def test_matches_row_formatter_on_propagator(self, networks, idx):
+        S = on.evolve(on.assemble_model(networks[idx]), 90.0)
+        assert _fmt_matrix(S, " ") == _fmt_rows(S, " ")
+
+
+class TestQuadratureSeeds:
+    @staticmethod
+    def spawn_tree(root, n_points):
+        return [child.spawn(2) for child in root.spawn(n_points)]
+
+    @staticmethod
+    def draws(seeds):
+        return [[np.random.default_rng(s).standard_normal(4) for s in pair] for pair in seeds]
+
+    @pytest.mark.parametrize("seed", [20240817, 0])
+    def test_streams_match_spawn_tree(self, seed):
+        got = self.draws(_quadrature_seeds(seed, 3))
+        want = self.draws(self.spawn_tree(np.random.SeedSequence(seed), 3))
+        assert np.array_equal(got, want)
+
+    def test_unseeded_root_draws_entropy_once(self):
+        seeds = _quadrature_seeds(None, 3)
+        assert len({s.entropy for pair in seeds for s in pair}) == 1
+        root = np.random.SeedSequence(seeds[0][0].entropy)
+        assert np.array_equal(self.draws(seeds), self.draws(self.spawn_tree(root, 3)))
 
 
 class TestAnalyticJ:
