@@ -156,53 +156,26 @@ def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     return QuadraticModel(V=V, frequencies=freqs, site=probe.site, coupling=probe.k)
 
 
-def _harmonic_blocks(model: QuadraticModel, t: float) -> NDArray[np.float64]:
-    """(C, Y, Z) = (cos(Wt), W^-1 sin(Wt), W sin(Wt)), W = V^(1/2), as a
-    (3, M, M) stack at time t >= 0 from the cached eigendecomposition of V
-    (one (3M, M) @ (M, M) GEMM). Each is a function of the symmetric V and is
-    made symmetric to the bit as (X + X^T)/2."""
+def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
+    """Renormalized-frame propagator at time t >= 0: the rows of every mode,
+    where ``probe_rows`` forms the probe's.
+
+    With tau = sqrt(bare frequencies), q is scaled by tau and p by 1/tau, so
+    S = [[A, B], [-Z~, A^T]] with A = C o (tau_i/tau_j), B = Y o (tau_i tau_j),
+    Z~ = Z o 1/(tau_i tau_j) and C, Y, Z = cos(Wt), W^-1 sin(Wt), W sin(Wt),
+    each made symmetric as (X + X^T)/2: H is time-reversal symmetric, and
+    this structure holds to the bit. Row pairs that break
+    q_i . Omega . p_i^T = 1 raise SymplecticError.
+    """
     if not 0 <= t < np.inf:
         raise ValueError("time must be finite and >= 0")
-    O, om = model.modes, model.freqs_normal
-    m = len(om)
-    phase = om * t
-    cos, sin = np.cos(phase), np.sin(phase)
-    scaled = np.empty((3, m, m))
-    np.multiply(O, cos, out=scaled[0])
-    np.multiply(O, sin / om, out=scaled[1])
-    np.multiply(O, sin * om, out=scaled[2])
-    blocks = (scaled.reshape(3 * m, m) @ O.T).reshape(3, m, m)
+    blocks = _eigen_rows(model, np.asarray(t, dtype=float), model.modes)
     blocks += np.swapaxes(blocks, 1, 2)
     blocks *= 0.5
-    return blocks
-
-
-def _evolve_bare(model: QuadraticModel, t: float) -> NDArray[np.float64]:
-    """Physical-frame propagator S(t) = [[C, Y], [-Z, C]] at time t >= 0,
-    the closed harmonic form of ``_harmonic_blocks``."""
-    c, y, z = _harmonic_blocks(model, t)
-    return np.block([[c, y], [-z, c]])
-
-
-def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
-    """Renormalized-frame propagator at time t >= 0.
-
-    With tau = sqrt(bare frequencies), each mode's q is scaled by tau and its
-    p by 1/tau, so S = [[A, B], [-Z~, A^T]] with A = C o (tau_i/tau_j),
-    B = Y o (tau_i tau_j) and Z~ = Z o 1/(tau_i tau_j) from the blocks of
-    ``_harmonic_blocks``. H is time-reversal symmetric, and this structure
-    holds to the bit: the lower-right block is A^T and B, Z~ are symmetric.
-    """
-    c, y, z = _harmonic_blocks(model, t)
     rt = np.sqrt(model.frequencies)
-    inv = 1.0 / rt
-    m = len(rt)
-    S = np.empty((2 * m, 2 * m))
-    np.multiply(c, np.outer(rt, inv), out=S[:m, :m])
-    np.multiply(y, np.outer(rt, rt), out=S[:m, m:])
-    np.multiply(z, np.outer(-inv, inv), out=S[m:, :m])
-    S[m:, m:] = S[:m, :m].T
-    return S
+    rows = _renormalized(blocks, rt[:, None], rt)  # (q rows, p rows)
+    _check_commutator(np.swapaxes(rows, 0, 1))
+    return rows.reshape(2 * len(rt), 2 * len(rt))
 
 
 # Chebyshev vectors T_k(V~) e_S held per block; each full block is folded
@@ -233,17 +206,18 @@ def probe_rows(
     if not np.all((0 <= t) & (t < np.inf)):
         raise ValueError("time must be finite and >= 0")
     if omega_s is None:
-        rows = _eigen_rows(model, t)
+        blocks = _eigen_rows(model, t, model.modes[0])
         bare = model.frequencies
     else:
         if t.ndim:
             raise ValueError("a probe-frequency grid takes a single time")
         omega_s = np.asarray(omega_s, dtype=float)
         _check_schur_margin(model, omega_s)
-        rows = _chebyshev_rows(model, float(t), omega_s)
+        blocks = _chebyshev_rows(model, float(t), omega_s)
         bare = np.broadcast_to(model.frequencies, (len(omega_s), model.n_modes)).copy()
         bare[:, 0] = omega_s
-    rows = _renormalized(*rows, bare)
+    rt = np.sqrt(bare)
+    rows = np.moveaxis(_renormalized(blocks, rt[..., :1], rt), 0, -2)
     _check_commutator(rows)
     return rows
 
@@ -262,10 +236,13 @@ def _check_schur_margin(model: QuadraticModel, omega_s: NDArray[np.float64]) -> 
         )
 
 
-def _eigen_rows(model: QuadraticModel, t: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Rows S of cos(tW), W^-1 sin(tW) and W sin(tW), W = V^(1/2), as a
-    (3, ..., M) stack over the axes of ``t``, from the cached
-    eigendecomposition of V: row S of O f(W) O^T is one (3T, M) @ (M, M) GEMM."""
+def _eigen_rows(
+    model: QuadraticModel, t: NDArray[np.float64], left: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Rows of cos(tW), W^-1 sin(tW) and W sin(tW), W = V^(1/2), as
+    ``left`` f(Omega t) O^T from the cached V = O Omega^2 O^T: ``left`` = O[0]
+    gives the probe's row, O every row. Shape (3, *t.shape, *left.shape),
+    from one (3TR, M) @ (M, M) GEMM over the T times and R rows."""
     O, om = model.modes, model.freqs_normal
     phase = om * t[..., None]
     coef = np.empty((3, *phase.shape))
@@ -273,7 +250,10 @@ def _eigen_rows(model: QuadraticModel, t: NDArray[np.float64]) -> NDArray[np.flo
     np.sin(phase, out=coef[1])
     np.multiply(coef[1], om, out=coef[2])
     coef[1] /= om
-    coef *= O[0]
+    if left.ndim == 1:
+        coef *= left  # one row: scaled in place
+    else:
+        coef = coef[..., None, :] * left
     return (coef.reshape(-1, len(om)) @ O.T).reshape(coef.shape)
 
 
@@ -353,28 +333,27 @@ def _chebyshev_coefficients(t: float, b: float) -> NDArray[np.float64]:
 
 
 def _renormalized(
-    c: NDArray[np.float64],
-    sin_over: NDArray[np.float64],
-    sin_times: NDArray[np.float64],
-    bare: NDArray[np.float64],
+    blocks: NDArray[np.float64], rt_row: NDArray[np.float64], rt: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Probe rows (..., 2, 2M) of the renormalized propagator from rows S of
-    cos(tW), W^-1 sin(tW) and W sin(tW) and the bare frequencies ``bare``."""
-    # entry (i, j) scaled by T_i / T_j
-    rt = np.sqrt(bare)
-    inv = 1.0 / rt
+    """q and p rows (2, ..., 2M) of the renormalized propagator, quadrature axis
+    first, from the (3, ..., M) rows of cos(tW), W^-1 sin(tW) and W sin(tW):
+    entry (i, j) is scaled by T_i / T_j, with ``rt_row`` the sqrt bare
+    frequency of each row's mode and ``rt`` those of all M modes."""
+    c, sin_over, sin_times = blocks
+    inv, inv_row = 1.0 / rt, 1.0 / rt_row
     m = c.shape[-1]
-    rows = np.empty((*c.shape[:-1], 2, 2 * m))
-    np.multiply(c, rt[..., :1] * inv, out=rows[..., 0, :m])
-    np.multiply(sin_over, rt[..., :1] * rt, out=rows[..., 0, m:])
-    np.multiply(sin_times, -(inv[..., :1] * inv), out=rows[..., 1, :m])
-    np.multiply(c, inv[..., :1] * rt, out=rows[..., 1, m:])
+    rows = np.empty((2, *c.shape[:-1], 2 * m))
+    np.multiply(c, rt_row * inv, out=rows[0, ..., :m])
+    np.multiply(sin_over, rt_row * rt, out=rows[0, ..., m:])
+    np.multiply(sin_times, -inv_row * inv, out=rows[1, ..., :m])
+    np.multiply(c, inv_row * rt, out=rows[1, ..., m:])
     return rows
 
 
 def _check_commutator(rows: NDArray[np.float64]) -> None:
-    """Raise SymplecticError when some row pair breaks q_row . Omega . p_row^T = 1
-    by SYMPLECTIC_TOL; both kernels stay below 1e-13 on the bundled networks."""
+    """Raise SymplecticError when some row pair (..., 2, 2M) breaks
+    q_row . Omega . p_row^T = 1 by SYMPLECTIC_TOL; all rows stay below 1e-13
+    on the bundled networks."""
     q, p = rows[..., 0, :], rows[..., 1, :]
     m = q.shape[-1] // 2
     residual = np.abs(
@@ -385,7 +364,7 @@ def _check_commutator(rows: NDArray[np.float64]) -> None:
     worst = residual.max(initial=0.0)
     if not worst <= SYMPLECTIC_TOL:
         raise SymplecticError(
-            f"probe rows break q_row . Omega . p_row^T = 1 by {worst:.3e} "
+            f"propagator rows break q_row . Omega . p_row^T = 1 by {worst:.3e} "
             f"> {SYMPLECTIC_TOL:.0e}"
         )
 

@@ -279,6 +279,51 @@ def _invert_excitation(
     return (omega_s / t_max) * np.log((n_bath - n0) / (n_bath - n_s))
 
 
+def _probe_covariances(
+    model: QuadraticModel,
+    rows: NDArray[np.float64],
+    probe_covs: Sequence[NDArray[np.float64]],
+    env_prep: str,
+    temperature: float | None = None,
+) -> NDArray[np.float64]:
+    """Probe covariances S_p (Sigma_probe + Sigma_env) S_p^T, one (..., 2, 2)
+    stack per initial probe covariance, for the (..., 2, 2M) probe rows S_p.
+
+    The environment term is three row dot products over the columns in which
+    the preparation is diagonal: every column with weight 1/2 for 'vacuum'
+    (1/2 I in the node-renormalized frame, the probe's columns included), the
+    environment normal modes scaled by sqrt(``_environment_variances``)
+    otherwise. Each probe adds C E C^T in closed form, C = [[a, b], [c, d]]
+    the probe columns and E its covariance less what the vacuum term counts.
+    """
+    m = model.n_modes
+    if env_prep == "vacuum":
+        x, weight, counted = rows, 0.5, 0.5
+    else:
+        # node q = m_q Q, node p = m_p Pi in the normal modes (Q, Pi)
+        var_q, var_p = _environment_variances(model, temperature, env_prep)
+        O, om = model.env_modes, model.env_freqs
+        w = np.sqrt(model.frequencies[1:])[:, None]
+        m_q = w * O * np.sqrt(var_q / om)
+        m_p = O * np.sqrt(om * var_p) / w
+        x = np.concatenate([rows[..., 1:m] @ m_q, rows[..., m + 1 :] @ m_p], axis=-1)
+        weight, counted = 1.0, 0.0
+    xq, xp = x[..., 0, :], x[..., 1, :]
+    env_qq, env_qp, env_pp = (
+        weight * np.einsum("...i,...i", u, v) for u, v in ((xq, xq), (xq, xp), (xp, xp))
+    )
+    a, b, c, d = rows[..., 0, 0], rows[..., 0, m], rows[..., 1, 0], rows[..., 1, m]
+    covs = np.empty((len(probe_covs), *rows.shape[:-2], 2, 2))
+    for cov, sigma in zip(covs, probe_covs):
+        (e_qq, e_qp), (_, e_pp) = sigma - counted * np.eye(2)
+        qa, qb = a * e_qq + b * e_qp, a * e_qp + b * e_pp  # rows of C E
+        pa, pb = c * e_qq + d * e_qp, c * e_qp + d * e_pp
+        cov[..., 0, 0] = env_qq + (qa * a + qb * b)
+        cov[..., 0, 1] = cov[..., 1, 0] = env_qp + (qa * c + qb * d)
+        cov[..., 1, 1] = env_pp + (pa * c + pb * d)
+    return covs
+
+
 def _probe_path(
     model: QuadraticModel,
     omega: NDArray[np.float64],
@@ -301,33 +346,13 @@ def _probe_path(
     probe = probe_state if probe_state is not None else g.vacuum_state(1)
     n0 = g.mean_photon(probe)
     n_bath = np.asarray(thermal_occupancy(omega, temperature))
-    # probe moments S_p mu0 and S_p Sigma0 S_p^T for the product of the probe
-    # state and an environment state with zero mean, taken column block by
-    # column block: the probe columns P, then the environment's q and p columns
-    m = model.n_modes
-    P = rows[..., [0, m]]
-    mean = P @ probe.mean
-    cov = P @ probe.cov @ np.swapaxes(P, -1, -2)
-    if env_prep == "vacuum":
-        # 1/2 I in the node-renormalized frame, whatever the normal modes
-        blocks = [(rows[..., 1:m], 0.5), (rows[..., m + 1 :], 0.5)]
-    else:
-        # diagonal in the environment normal modes: node q = m_q Q, node p = m_p Pi
-        var_q, var_p = _environment_variances(model, temperature, env_prep)
-        O, om = model.env_modes, model.env_freqs
-        w = np.sqrt(model.frequencies[1:])[:, None]
-        m_q = w * O / np.sqrt(om)
-        m_p = O * np.sqrt(om) / w
-        blocks = [(rows[..., 1:m] @ m_q, var_q), (rows[..., m + 1 :] @ m_p, var_p)]
-    for a, var in blocks:
-        cov += (a * var) @ np.swapaxes(a, -1, -2)
+    # the environment's mean is zero: only the probe columns carry one
+    mean = rows[..., [0, model.n_modes]] @ probe.mean
+    cov = _probe_covariances(model, rows, [probe.cov], env_prep, temperature)[0]
     if sampling is None:
         n_s = g.mean_photon_from_moments(mean, cov)
         return _invert_excitation(omega, t_max, n_bath, n0, n_s), None
 
-    asym = np.abs(cov[:, 0, 1] - cov[:, 1, 0])
-    if np.any(asym > g.COV_SYMMETRY_TOL * np.maximum(1.0, np.abs(cov).max(axis=(1, 2)))):
-        raise g.StateError(f"probe covariance asymmetric by {asym.max():.3e}")
     var = np.diagonal(cov, axis1=1, axis2=2)
     if not np.all(var > 0):
         raise g.StateError("probe quadrature variance is not positive")
@@ -546,24 +571,8 @@ def qnm_trace(
     t_grid = np.asarray(list(t_grid), dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
-    rows = probe_rows(model, t_grid)
-    q, p = rows[:, 0], rows[:, 1]
-    m = model.n_modes
-    # S_p Sigma0 S_p^T with a vacuum environment: 1/2 S_p S_p^T plus C E C^T,
-    # E the probe's excess over vacuum and C = [[a, b], [c, d]] the probe
-    # columns of S_p
-    vacuum = 0.5 * np.stack([np.einsum("ti,ti->t", x, y) for x, y in ((q, q), (q, p), (p, p))])
-    a, b, c, d = q[:, 0], q[:, m], p[:, 0], p[:, m]
-    covs = []
-    for spec in (rho1, rho2):
-        (e_qq, e_qp), (_, e_pp) = g.squeezed_state(spec).cov - 0.5 * np.eye(2)
-        qa, qb = a * e_qq + b * e_qp, a * e_qp + b * e_pp  # rows of C E
-        pa, pb = c * e_qq + d * e_qp, c * e_qp + d * e_pp
-        cov = np.empty((len(t_grid), 2, 2))
-        cov[:, 0, 0] = vacuum[0] + (qa * a + qb * b)
-        cov[:, 0, 1] = cov[:, 1, 0] = vacuum[1] + (qa * c + qb * d)
-        cov[:, 1, 1] = vacuum[2] + (pa * c + pb * d)
-        covs.append(cov)
+    sigmas = [g.squeezed_state(spec).cov for spec in (rho1, rho2)]
+    covs = _probe_covariances(model, probe_rows(model, t_grid), sigmas, "vacuum")
     zero = np.zeros(2)
     fs = g.fidelity_from_moments(zero, covs[0], zero, covs[1])
     return FidelityTrace(

@@ -152,22 +152,16 @@ def compose_preparation(
 
 
 def quadratic_energy(
-    model: QuadraticModel,
-    mean: NDArray[np.float64],
-    cov: NDArray[np.float64],
-    renormalized: bool = True,
+    model: QuadraticModel, mean: NDArray[np.float64], cov: NDArray[np.float64]
 ) -> float:
-    """Energy <H> = 1/2 <x^T H_mat x> of a Gaussian state under the model.
-
-    ``renormalized`` marks the frame the moments are expressed in.
-    """
+    """Energy <H> = 1/2 <x^T H_mat x> of a Gaussian state under the model,
+    its moments given in the renormalized frame."""
     n = model.n_modes
     H = np.zeros((2 * n, 2 * n))
     H[:n, :n] = model.V
     H[n:, n:] = np.eye(n)
-    if renormalized:
-        T = renormalization_scaling(model)
-        H = H / np.outer(T, T)
+    T = renormalization_scaling(model)
+    H = H / np.outer(T, T)
     return 0.5 * float(np.trace(H @ cov) + mean @ H @ mean)
 
 

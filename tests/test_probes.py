@@ -443,10 +443,14 @@ class TestSampling:
         squared = homodyne_sample(state, "q", 0, n * reps, 6).reshape(reps, n) ** 2
         assert ks_2samp(drawn, squared.mean(axis=1)).pvalue > 0.01
 
-    def test_second_moment_spread_follows_chi_square_law(self):
-        var, n = 0.5 * 10 ** (-0.18), 10_000
-        drawn = _sample_second_moments(0.0, var, n, 400, np.random.SeedSequence(13))
-        law = var * np.sqrt(2.0 / n)
+    @pytest.mark.parametrize("mean", [0.0, 1.3])
+    def test_second_moment_spread_follows_chi_square_law(self, mean):
+        # the mean of n squared N(mean, var) outcomes has expectation
+        # var + mean^2 and variance (2 var^2 + 4 mean^2 var) / n
+        var, n, reps = 0.5 * 10 ** (-0.18), 10_000, 400
+        drawn = _sample_second_moments(mean, var, n, reps, np.random.SeedSequence(13))
+        law = np.sqrt((2.0 * var**2 + 4.0 * mean**2 * var) / n)
+        assert abs(drawn.mean() - (var + mean**2)) < 4.0 * law / np.sqrt(reps)
         assert abs(drawn.std(ddof=1) - law) < 0.1 * law
 
     def test_sampled_J_of_displaced_probe_consistent_with_exact(self, net1):
