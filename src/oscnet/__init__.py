@@ -56,7 +56,6 @@ from .probes import (
     moving_average,
     qnm_trace,
     spectral_density_analytic,
-    spectral_density_probe,
     suggest_tmax,
     sweep_spectral_density,
 )

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import ExpansionRangeError, StabilityError, assemble_model, evolve, probe_mask
+from .dynamics import ExpansionRangeError, QuadraticModel, StabilityError
+from .dynamics import assemble_model, evolve, probe_mask
 from .gaussian import SqueezedSpec, StateError
 from .netmodel import CouplingGraph, GraphError, from_recipe, load_graph, save_graph
 from .netmodel import _POSITIVE, _at_least, _Field, _one_of, _value_error
@@ -202,17 +203,18 @@ def _omega_list(cfg: dict) -> list[float]:
     return omega_s if isinstance(omega_s, list) else [omega_s]
 
 
-def _tagged_omegas(cfg: dict) -> dict[str, float]:
-    """Probe frequencies by output file tag ``{w:g}``, for the verbs that
-    write one file set per frequency; a shared tag would overwrite files."""
+def _tagged_models(cfg: dict, graph: CouplingGraph) -> dict[str, QuadraticModel]:
+    """The model at each probe frequency by output file tag ``{w:g}``, in
+    config order, for the verbs that write one file set per frequency; a
+    shared tag would overwrite files."""
     omegas = _omega_list(cfg)
-    tagged = {f"{w:g}": w for w in omegas}
-    if len(tagged) < len(omegas):
+    tags = {f"{w:g}": w for w in omegas}
+    if len(tags) < len(omegas):
         raise ConfigError(
             f"probe.omega_s values {omegas} share an output file tag; "
             "they must differ when rounded to 6 significant digits"
         )
-    return tagged
+    return {tag: model_at(graph, w) for tag, w in tags.items()}
 
 
 def _increasing(grid: np.ndarray, source: str) -> np.ndarray:
@@ -236,9 +238,10 @@ def _sampling(cfg: dict) -> SamplingOptions | None:
     return SamplingOptions(n_samples=cfg["samples"], n_reps=cfg["reps"], seed=cfg["seed"])
 
 
-def _resolve_tmax(cfg: dict, graph: CouplingGraph) -> float:
+def _resolve_tmax(cfg: dict, model: QuadraticModel) -> float:
+    """The configured t_max, or the plateau time of the verb's model."""
     t = cfg["t_max"]
-    return suggest_tmax(assemble_model(graph)) if t == "auto" else t
+    return suggest_tmax(model) if t == "auto" else t
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -297,10 +300,13 @@ def run_spectral(cfg: dict, out: Path) -> int:
     graph = _build_graph(cfg)
     grid = _sweep_grid(cfg)
     sampling = _sampling(cfg)
-    t_max = _resolve_tmax(cfg, graph)
+    # the probe's Schur margin omega_S^2 - gamma(0) grows with omega_S: the
+    # model at the lowest grid point checks the stability of the whole grid
+    model = model_at(graph, grid[0])
+    t_max = _resolve_tmax(cfg, model)
     try:
         curve = sweep_spectral_density(
-            graph,
+            model,
             grid,
             t_max,
             temperature=float(cfg["temperature"]),
@@ -342,8 +348,8 @@ def run_qnm(cfg: dict, out: Path) -> int:
     tg = cfg["time_grid"]
     t_grid = _increasing(np.linspace(tg["start"], tg["stop"], tg["points"]), "time_grid")
     rho1, rho2 = _state(cfg, "rho1"), _state(cfg, "rho2")
-    for tag, w in _tagged_omegas(cfg).items():
-        trace = qnm_trace(model_at(graph, w), rho1, rho2, t_grid, window=cfg["smooth_window"])
+    for tag, model in _tagged_models(cfg, graph).items():
+        trace = qnm_trace(model, rho1, rho2, t_grid, window=cfg["smooth_window"])
         report = blp_witness(trace, use_smoothed=True)
         (out / f"qnm_w{tag}.csv").write_text(trace.to_csv())
         (out / f"witness_w{tag}.txt").write_text(report.to_text())
@@ -352,14 +358,14 @@ def run_qnm(cfg: dict, out: Path) -> int:
 
 
 def run_evolve(cfg: dict, out: Path) -> int:
-    graph = _build_graph(cfg)
-    t_max = _resolve_tmax(cfg, graph)
-    for tag, w in _tagged_omegas(cfg).items():
-        S = evolve(model_at(graph, w), t_max)
+    models = _tagged_models(cfg, _build_graph(cfg))
+    t_max = _resolve_tmax(cfg, next(iter(models.values())))
+    for tag, model in models.items():
+        S = evolve(model, t_max)
         n = S.shape[0] // 2
         header = (
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
-            f"t={_fmt(t_max)} omega_s={_fmt(w)}"
+            f"t={_fmt(t_max)} omega_s={_fmt(model.omega_s)}"
         )
         (out / f"evolution_w{tag}_t{t_max:g}.txt").write_text(header + "\n" + _fmt_matrix(S, " "))
         sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={t_max:g}\n")
@@ -367,10 +373,10 @@ def run_evolve(cfg: dict, out: Path) -> int:
 
 
 def run_masks(cfg: dict, out: Path) -> int:
-    graph = _build_graph(cfg)
-    t_max = _resolve_tmax(cfg, graph)
-    for tag, w in _tagged_omegas(cfg).items():
-        pair = probe_mask(evolve(model_at(graph, w), t_max))
+    models = _tagged_models(cfg, _build_graph(cfg))
+    t_max = _resolve_tmax(cfg, next(iter(models.values())))
+    for tag, model in models.items():
+        pair = probe_mask(evolve(model, t_max))
         n = pair.shape[1] // 2
         # the float mode numbers print as integers under %.17g
         modes = np.arange(1.0, n + 1)

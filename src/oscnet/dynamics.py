@@ -98,6 +98,11 @@ class QuadraticModel:
         """Normal-mode couplings c_n = k * O_{l,n} of the environment block."""
         return self.coupling * self.env_modes[self.site, :]
 
+    @cached_property
+    def _kernel_weights(self) -> NDArray[np.float64]:
+        """Damping-kernel weights c_n^2 / Omega_n^2; gamma(0) is their sum."""
+        return self.bath_couplings() ** 2 / self.env_freqs**2
+
 
 def _unstable(name: str, lowest: float) -> StabilityError:
     return StabilityError(f"unstable network: {name} has eigenvalue {lowest:.6g} <= 0")
@@ -226,7 +231,7 @@ def _check_schur_margin(model: QuadraticModel, omega_s: NDArray[np.float64]) -> 
     """Raise StabilityError at the first probe frequency whose potential is
     not positive definite. The environment block is (``assemble_model``), so
     V(omega_S) is iff its Schur complement omega_S^2 - sum c_n^2/Omega_n^2 is."""
-    margin = omega_s**2 - np.sum((model.bath_couplings() / model.env_freqs) ** 2)
+    margin = omega_s**2 - model._kernel_weights.sum()
     unstable = np.flatnonzero(margin <= 0)
     if unstable.size:
         i = unstable[0]

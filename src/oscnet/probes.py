@@ -82,9 +82,7 @@ def _damping_kernel_grid(model: QuadraticModel, dt: float, n_points: int) -> NDA
     gamma = (amp cos W t0) @ cos W tau - (amp sin W t0) @ sin W tau:
     two small GEMMs instead of n_points x N cosines.
     """
-    c = model.bath_couplings()
-    om = model.env_freqs
-    amp = c**2 / om**2
+    om, amp = model.env_freqs, model._kernel_weights
     n_blocks = -(-n_points // _KERNEL_BLOCK)
     start = np.outer(np.arange(n_blocks) * (_KERNEL_BLOCK * dt), om)
     offset = np.outer(om, np.arange(_KERNEL_BLOCK) * dt)
@@ -116,9 +114,7 @@ def suggest_tmax(
     Raises PlateauError when the envelope never flattens (e.g. a single
     environment mode) or never crosses the threshold within the horizon.
     """
-    c = model.bath_couplings()
-    amp = c**2 / model.env_freqs**2
-    gamma0 = amp.sum()
+    gamma0 = model._kernel_weights.sum()
     if gamma0 == 0.0:
         raise PlateauError("probe is uncoupled; damping kernel vanishes")
     if window is None:
@@ -158,9 +154,7 @@ def spectral_density_analytic(
     J = omega_S sum_n (c_n^2/Omega_n^2) [sin((W_n-w)T)/(2(W_n-w))
         + sin((W_n+w)T)/(2(W_n+w))], resonant terms -> T/2.
     """
-    c = model.bath_couplings()
-    om = model.env_freqs
-    amp = c**2 / om**2
+    om, amp = model.env_freqs, model._kernel_weights
     w = np.atleast_1d(np.asarray(omega_s, dtype=float))
     dm = om[None, :] - w[:, None]
     dp = om[None, :] + w[:, None]
@@ -327,15 +321,14 @@ def _probe_covariances(
 def _probe_path(
     model: QuadraticModel,
     omega: NDArray[np.float64],
-    rows: NDArray[np.float64],
     t_max: float,
     temperature: float,
     probe_state: GaussianState | None,
     env_prep: str,
     sampling: SamplingOptions | None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64] | None]:
-    """J and its stderr at each probe frequency ``omega`` from the (G, 2, 2M)
-    probe rows of the propagators to t_max.
+    """J and its stderr at each probe frequency ``omega`` from the probe rows
+    of the propagators to t_max (``probe_rows`` over the grid).
 
     With sampling, each repetition's homodyne second moments of q_S and p_S
     are drawn from their exact (noncentral) chi-square law given the probe
@@ -346,6 +339,7 @@ def _probe_path(
     probe = probe_state if probe_state is not None else g.vacuum_state(1)
     n0 = g.mean_photon(probe)
     n_bath = np.asarray(thermal_occupancy(omega, temperature))
+    rows = probe_rows(model, t_max, omega)
     # the environment's mean is zero: only the probe columns carry one
     mean = rows[..., [0, model.n_modes]] @ probe.mean
     cov = _probe_covariances(model, rows, [probe.cov], env_prep, temperature)[0]
@@ -366,36 +360,6 @@ def _probe_path(
     js = _invert_excitation(omega[:, None], t_max, n_bath[:, None], n0, n_s)
     stderr = js.std(axis=1, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(omega))
     return js.mean(axis=1), stderr
-
-
-def spectral_density_probe(
-    model: QuadraticModel,
-    t_max: float,
-    temperature: float = DEFAULT_TEMPERATURE,
-    probe_state: GaussianState | None = None,
-    env_prep: str = "thermal",
-    sampling: SamplingOptions | None = None,
-) -> tuple[float, float | None]:
-    """Recover J(omega_S) from the probe's excitation gain.
-
-    The probe (default vacuum) and thermally populated environment evolve to
-    t_max; the occupancy n_S is read from exact moments, or, when
-    ``sampling`` is given, from each repetition's homodyne second moments of
-    q_S and p_S, drawn from their exact (noncentral) chi-square law. Returns
-    (J, stderr) with stderr = standard error over repetitions (None without
-    sampling).
-    """
-    j, stderr = _probe_path(
-        model,
-        np.array([model.omega_s]),
-        probe_rows(model, t_max)[None],
-        t_max,
-        temperature,
-        probe_state,
-        env_prep,
-        sampling,
-    )
-    return float(j[0]), None if stderr is None else float(stderr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +405,7 @@ def model_at(graph: CouplingGraph, omega_s: float) -> QuadraticModel:
 
 
 def sweep_spectral_density(
-    graph: CouplingGraph,
+    model: QuadraticModel,
     omega_grid: Sequence[float],
     t_max: float,
     temperature: float = DEFAULT_TEMPERATURE,
@@ -452,35 +416,26 @@ def sweep_spectral_density(
 ) -> SpectralDensityCurve:
     """Evaluate the spectral density over a frequency grid.
 
-    The probe path takes the probe rows of the whole grid from one Chebyshev
-    recurrence in the potentials V(omega_S) (``probe_rows``), with no
-    per-point diagonalization. With sampling enabled,
-    per-point seeds are derived from the master seed, so a one-point sweep
-    reproduces ``spectral_density_probe`` with the same options.
+    One model serves the grid and both paths: the analytic kernel reads only
+    the environment block, and the potential at each grid frequency differs
+    from the model's only in V_SS. The probe path takes the probe rows of the
+    whole grid from one Chebyshev recurrence in the potentials V(omega_S)
+    (``probe_rows``), with no per-point diagonalization; a grid frequency
+    whose potential is not positive definite raises StabilityError. With
+    ``sampling``, ``stderr`` holds the standard error over repetitions, and
+    point i draws from the i-th child of the master seed, so point 0 draws
+    as a one-point sweep at its frequency.
     """
     if method not in ("analytic", "probe", "both"):
         raise ValueError(f"unknown method {method!r}")
     omega_grid = np.asarray(list(omega_grid), dtype=float)
     if len(omega_grid) == 0:
         raise ValueError("frequency grid is empty")
-    # one model serves the grid and both paths: the analytic kernel only
-    # involves the environment block, and the potential at each grid
-    # frequency differs from the model's only in V_SS
-    model = assemble_model(graph)
     ja = jp = se = None
     if method in ("analytic", "both"):
         ja = np.asarray(spectral_density_analytic(model, omega_grid, t_max))
     if method in ("probe", "both"):
-        jp, se = _probe_path(
-            model,
-            omega_grid,
-            probe_rows(model, t_max, omega_grid),
-            t_max,
-            temperature,
-            probe_state,
-            env_prep,
-            sampling,
-        )
+        jp, se = _probe_path(model, omega_grid, t_max, temperature, probe_state, env_prep, sampling)
     return SpectralDensityCurve(
         omega=omega_grid,
         method=method,

@@ -115,11 +115,13 @@ def _r1_and_d(
     n = S.shape[0] // 2
     omega = symplectic_form(n)
 
-    if np.linalg.norm(S.T @ S - np.eye(2 * n)) < tol:
+    gram = _gram(S)
+    # S is square, so S S^T = I iff S^T S = I (the same Frobenius residual)
+    if np.linalg.norm(gram - np.eye(2 * n)) < tol:
         # passive transformation: all squeezing in R1 by convention
         return S.copy(), np.ones(n), True
 
-    evals, vecs = np.linalg.eigh(_gram(S))
+    evals, vecs = np.linalg.eigh(gram)
     evals, vecs = np.sqrt(evals[::-1]), vecs[:, ::-1]
 
     hi = 1.0 + PAIR_TOL

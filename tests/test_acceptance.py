@@ -22,7 +22,6 @@ from oscnet.probes import (
     blp_witness,
     model_at,
     qnm_trace,
-    spectral_density_probe,
     suggest_tmax,
     sweep_spectral_density,
 )
@@ -204,7 +203,7 @@ def test_criterion_6_cross_path_consistency():
     start = time.perf_counter()
     net1 = paper_networks()[1]
     curve = sweep_spectral_density(
-        net1, np.linspace(0.2, 0.7, 120), 150.0, temperature=1.0, method="both"
+        on.assemble_model(net1), np.linspace(0.2, 0.7, 120), 150.0, temperature=1.0, method="both"
     )
     elapsed = time.perf_counter() - start
     mask = curve.j_analytic > 0.1 * curve.j_analytic.max()
@@ -275,9 +274,10 @@ def test_criterion_8_squeezing_robustness():
 
         def j_at(r):
             db = -20.0 * r / np.log(10.0)
-            return spectral_density_probe(
-                model, 150.0, 1.0, probe_state=squeezed_state(SqueezedSpec(db, -db, "q"))
-            )[0]
+            return sweep_spectral_density(
+                model, [w], 150.0, 1.0, method="probe",
+                probe_state=squeezed_state(SqueezedSpec(db, -db, "q")),
+            ).j_probe[0]
 
         j0 = j_at(r0)
         for factor in (0.8, 1.2):

@@ -242,6 +242,35 @@ class TestSpectral:
         assert code == EXIT_SATURATED
         assert "saturation" in capsys.readouterr().err
 
+    def test_stability_is_checked_over_the_grid_only(self, tmp_path):
+        # the probe attaches at probe.omega_s; at 0.01 V is not positive
+        # definite, but the 0.2-0.7 sweep never runs there
+        cfg = json.loads(bundled_config_path("network1.cfg").read_text())
+        configs, csv = {}, {}
+        for w in (0.01, 0.3):
+            cfg["probe"]["omega_s"] = w
+            configs[w] = tmp_path / f"net1_w{w}.cfg"
+            configs[w].write_text(json.dumps(cfg))
+            out = tmp_path / f"spectral_w{w}"
+            assert run(["spectral", "--config", str(configs[w]), "--out", str(out)]) == 0
+            csv[w] = (out / "spectral.csv").read_bytes()
+        assert csv[0.01] == csv[0.3]
+        args = ["qnm", "--config", str(configs[0.01]), "--out", str(tmp_path / "qnm")]
+        assert run(args) == EXIT_UNSTABLE
+
+    def test_auto_tmax_decomposes_the_environment_once(self, outdir, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            shapes.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        args = ["spectral", "--config", "network1.cfg", "--t-max", "auto", "--out", str(outdir)]
+        assert run(args) == 0
+        assert shapes == [(16, 16)]  # the environment block of the one model
+
 
 class TestQnm:
     def test_network1_table_ordering(self, outdir, capsys):
@@ -382,10 +411,10 @@ class TestEvolve:
         config = f"network{idx}.cfg"
         assert run(["evolve", "--config", config, "--out", str(outdir)]) == 0
         cfg = _load_config(config)
-        graph = _build_graph(cfg)
-        t_max = _resolve_tmax(cfg, graph)
         (w,) = _omega_list(cfg)
-        S = oscnet.evolve(model_at(graph, w), t_max)
+        model = model_at(_build_graph(cfg), w)
+        t_max = _resolve_tmax(cfg, model)
+        S = oscnet.evolve(model, t_max)
         n = S.shape[0] // 2
         expected = (
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "

@@ -53,7 +53,6 @@ EXPORTED = {
     "moving_average",
     "qnm_trace",
     "spectral_density_analytic",
-    "spectral_density_probe",
     "suggest_tmax",
     "sweep_spectral_density",
 }
@@ -66,4 +65,10 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == EXPORTED
-    assert len(EXPORTED) == 47
+    assert len(EXPORTED) == 46
+
+
+def test_readme_quick_start_runs(request):
+    readme = (request.path.parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start")[1].split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md quick start", "exec"), {})

@@ -25,7 +25,6 @@ from oscnet.probes import (
     moving_average,
     qnm_trace,
     spectral_density_analytic,
-    spectral_density_probe,
     suggest_tmax,
     sweep_spectral_density,
     thermal_occupancy,
@@ -53,6 +52,14 @@ from oracles import (
 def single_node_probe(k=0.001, omega0=0.25, omega_s=None):
     g = on.build_explicit(1, omega0, []).with_probe(1, k, omega_s or omega0)
     return on.assemble_model(g)
+
+
+def probe_j(model, t_max, temperature=1.0, **options):
+    """(J, stderr) of a one-point probe-path sweep at the model's probe frequency."""
+    curve = sweep_spectral_density(
+        model, [model.omega_s], t_max, temperature, method="probe", **options
+    )
+    return curve.j_probe[0], None if curve.stderr is None else curve.stderr[0]
 
 
 class TestDampingKernel:
@@ -305,7 +312,7 @@ class TestProbeJ:
     def test_uncoupled_probe_gives_zero(self):
         g = on.build_explicit(2, 0.25, [(1, 2, 0.05)]).with_probe(1, 0.0, 0.3)
         m = on.assemble_model(g)
-        J, err = spectral_density_probe(m, 150.0, temperature=1.0)
+        J, err = probe_j(m, 150.0, temperature=1.0)
         assert err is None
         assert abs(J) < 1e-12
 
@@ -314,7 +321,7 @@ class TestProbeJ:
         # n_S(t) = N sin^2(g_eff t), hence J = -(2 w0 / t) ln|cos(g_eff t)|
         k, w0, T = 1e-3, 0.25, 300.0
         m = single_node_probe(k, w0)
-        J, _ = spectral_density_probe(m, T, temperature=1.0)
+        J, _ = probe_j(m, T, temperature=1.0)
         geff = k / (2 * w0)
         J_oracle = -(2 * w0 / T) * np.log(abs(np.cos(geff * T)))
         assert np.isclose(J, J_oracle, rtol=0.01)
@@ -324,7 +331,7 @@ class TestProbeJ:
         # continuum-style agreement is unattainable for a single mode
         k, w0, T = 5e-4, 0.25, 150.0
         m = single_node_probe(k, w0)
-        Jp, _ = spectral_density_probe(m, T, temperature=1.0)
+        Jp, _ = probe_j(m, T, temperature=1.0)
         Ja = spectral_density_analytic(m, w0, T)
         assert np.isclose(Jp / Ja, 0.5, atol=0.05)
 
@@ -333,7 +340,7 @@ class TestProbeJ:
 
         def at_k(k):
             g = dataclasses.replace(net1, probe=dataclasses.replace(net1.probe, k=k))
-            return spectral_density_probe(model_at(g, 0.3), 150.0, 1.0)[0]
+            return probe_j(model_at(g, 0.3), 150.0, 1.0)[0]
 
         ratio = at_k(0.004) / at_k(0.002)
         assert abs(ratio - 4.0) < 0.15
@@ -344,15 +351,15 @@ class TestProbeJ:
         m = single_node_probe(k, w0)
         t_full = np.pi / 2 / (k / (2 * w0))
         with pytest.raises(ProbeSaturatedError):
-            spectral_density_probe(m, t_full, temperature=1.0)
+            probe_j(m, t_full, temperature=1.0)
 
     def test_bad_temperature_rejected(self, net1_model):
         with pytest.raises(ValueError):
-            spectral_density_probe(net1_model, 150.0, temperature=0.0)
+            probe_j(net1_model, 150.0, temperature=0.0)
 
-    def test_cross_path_shape_agreement_network1(self, net1):
+    def test_cross_path_shape_agreement_network1(self, net1_model):
         curve = sweep_spectral_density(
-            net1, np.linspace(0.2, 0.7, 120), 150.0, temperature=1.0, method="both"
+            net1_model, np.linspace(0.2, 0.7, 120), 150.0, temperature=1.0, method="both"
         )
         corr = np.corrcoef(curve.j_analytic, curve.j_probe)[0, 1]
         mask = curve.j_analytic > 0.1 * curve.j_analytic.max()
@@ -371,7 +378,7 @@ class TestProbeJ:
             def j_at(r):
                 db = -20 * r / np.log(10)
                 ps = squeezed_state(SqueezedSpec(db, -db, "q"))
-                return spectral_density_probe(m, 150.0, 1.0, probe_state=ps)[0]
+                return probe_j(m, 150.0, 1.0, probe_state=ps)[0]
 
             j = j_at(r0)
             assert abs(j_at(1.2 * r0) - j) / abs(j) < 0.10
@@ -409,10 +416,10 @@ class TestEnvironmentPreparation:
         assert sq.is_physical()
         assert np.isclose(sq.purity(), 1.0, atol=1e-10)
 
-    def test_squeezed_emulation_tracks_thermal_J(self, net1):
+    def test_squeezed_emulation_tracks_thermal_J(self, net1_model):
         grid = np.linspace(0.22, 0.68, 24)
-        jt = sweep_spectral_density(net1, grid, 150.0, method="probe", env_prep="thermal")
-        js = sweep_spectral_density(net1, grid, 150.0, method="probe", env_prep="squeezed")
+        jt = sweep_spectral_density(net1_model, grid, 150.0, method="probe", env_prep="thermal")
+        js = sweep_spectral_density(net1_model, grid, 150.0, method="probe", env_prep="squeezed")
         mask = jt.j_probe > 0.1 * jt.j_probe.max()
         rel = np.abs(js.j_probe[mask] - jt.j_probe[mask]) / np.abs(jt.j_probe[mask])
         assert rel.max() < 0.15
@@ -421,8 +428,8 @@ class TestEnvironmentPreparation:
 class TestSampling:
     def test_sampled_J_consistent_with_exact(self, net1):
         m = model_at(net1, 0.3)
-        j_exact, _ = spectral_density_probe(m, 150.0, 1.0)
-        j_sampled, err = spectral_density_probe(
+        j_exact, _ = probe_j(m, 150.0, 1.0)
+        j_sampled, err = probe_j(
             m, 150.0, 1.0, sampling=SamplingOptions(n_samples=20_000, n_reps=20, seed=4)
         )
         assert err is not None and err > 0
@@ -431,8 +438,8 @@ class TestSampling:
     def test_sampled_determinism(self, net1):
         m = model_at(net1, 0.3)
         opts = SamplingOptions(n_samples=1000, n_reps=5, seed=99)
-        a = spectral_density_probe(m, 150.0, 1.0, sampling=opts)
-        b = spectral_density_probe(m, 150.0, 1.0, sampling=opts)
+        a = probe_j(m, 150.0, 1.0, sampling=opts)
+        b = probe_j(m, 150.0, 1.0, sampling=opts)
         assert a == b
 
     @pytest.mark.parametrize("mean", [0.0, 1.3], ids=["centered", "displaced"])
@@ -456,44 +463,44 @@ class TestSampling:
     def test_sampled_J_of_displaced_probe_consistent_with_exact(self, net1):
         m = model_at(net1, 0.3)
         probe = GaussianState(np.array([1.0, -0.5]), 0.5 * np.eye(2))
-        j_exact, _ = spectral_density_probe(m, 150.0, 1.0, probe_state=probe)
-        j_sampled, err = spectral_density_probe(
+        j_exact, _ = probe_j(m, 150.0, 1.0, probe_state=probe)
+        j_sampled, err = probe_j(
             m, 150.0, 1.0, probe_state=probe,
             sampling=SamplingOptions(n_samples=20_000, n_reps=20, seed=8),
         )
         assert err > 0
         assert abs(j_sampled - j_exact) < 5 * err
 
-    def test_cost_does_not_grow_with_sample_count(self, net1):
+    def test_cost_does_not_grow_with_sample_count(self, net1_model):
         # n_samples normals per quadrature and rep would need about 160 GB here
         opts = SamplingOptions(n_samples=10**9, n_reps=10, seed=2)
-        curve = sweep_spectral_density(net1, [0.3], 150.0, method="probe", sampling=opts)
+        curve = sweep_spectral_density(net1_model, [0.3], 150.0, method="probe", sampling=opts)
         assert np.isfinite(curve.j_probe[0])
         assert curve.stderr[0] > 0
 
 
 class TestSweep:
-    def test_csv_round_trip_columns(self, net1):
-        curve = sweep_spectral_density(net1, np.linspace(0.2, 0.7, 10), 150.0, method="both")
+    def test_csv_round_trip_columns(self, net1_model):
+        curve = sweep_spectral_density(net1_model, np.linspace(0.2, 0.7, 10), 150.0, method="both")
         text = curve.to_csv()
         header = text.splitlines()[0].split(",")
         assert header == ["omega_s", "J_analytic", "J_probe"]
         assert len(text.splitlines()) == 11
 
-    def test_stderr_column_present_only_with_sampling(self, net1):
+    def test_stderr_column_present_only_with_sampling(self, net1_model):
         grid = np.linspace(0.25, 0.35, 4)
-        plain = sweep_spectral_density(net1, grid, 150.0, method="probe")
+        plain = sweep_spectral_density(net1_model, grid, 150.0, method="probe")
         assert plain.stderr is None
         sampled = sweep_spectral_density(
-            net1, grid, 150.0, method="probe",
+            net1_model, grid, 150.0, method="probe",
             sampling=SamplingOptions(n_samples=200, n_reps=3, seed=1),
         )
         assert sampled.stderr is not None
         assert "stderr" in sampled.to_csv().splitlines()[0]
 
-    def test_grid_must_increase(self, net1):
+    def test_grid_must_increase(self, net1_model):
         with pytest.raises(ValueError):
-            sweep_spectral_density(net1, [0.3, 0.3, 0.4], 150.0)
+            sweep_spectral_density(net1_model, [0.3, 0.3, 0.4], 150.0)
 
 
 # bundled sweep range and t_max of each network
@@ -573,8 +580,9 @@ class TestBatchedEquivalence:
         start, stop, t_max = BUNDLED_SWEEPS[idx]
         grid = np.linspace(start, stop, 15)
         probe = squeezed_state(SqueezedSpec(-3.0, 3.0, "q")) if squeezed_probe else None
+        model = on.assemble_model(networks[idx])
         curve = sweep_spectral_density(
-            networks[idx], grid, t_max, method="probe", probe_state=probe, env_prep=env_prep
+            model, grid, t_max, method="probe", probe_state=probe, env_prep=env_prep
         )
         environment = {
             "thermal": thermal_environment,
@@ -590,33 +598,32 @@ class TestBatchedEquivalence:
         rtol = 1e-11 if env_prep == "vacuum" else 1e-12
         assert np.max(np.abs(curve.j_probe - ref)) <= rtol * np.max(np.abs(ref))
 
-    def test_single_point_matches_sweep(self, net1):
-        grid = np.linspace(0.25, 0.45, 6)
-        curve = sweep_spectral_density(net1, grid, 150.0, method="probe")
-        single = [spectral_density_probe(model_at(net1, w), 150.0)[0] for w in grid]
-        assert np.allclose(curve.j_probe, single, rtol=1e-12, atol=0.0)
-
-    def test_one_point_sampled_sweep_matches_single_point(self, net1):
+    def test_one_point_sampled_sweep_matches_single_point(self, net1_model):
+        # point 0 of a seeded sweep draws from the same seed streams as a
+        # seeded one-point sweep at its frequency
         opts = SamplingOptions(n_samples=500, n_reps=4, seed=3)
-        curve = sweep_spectral_density(net1, [0.3], 150.0, method="probe", sampling=opts)
-        j, err = spectral_density_probe(model_at(net1, 0.3), 150.0, sampling=opts)
-        assert np.isclose(curve.j_probe[0], j, rtol=1e-10, atol=0.0)
-        assert np.isclose(curve.stderr[0], err, rtol=1e-8, atol=0.0)
+        grid = np.linspace(0.25, 0.45, 6)
+        curve = sweep_spectral_density(net1_model, grid, 150.0, method="probe", sampling=opts)
+        single = sweep_spectral_density(net1_model, grid[:1], 150.0, method="probe", sampling=opts)
+        assert np.isclose(curve.j_probe[0], single.j_probe[0], rtol=1e-10, atol=0.0)
+        assert np.isclose(curve.stderr[0], single.stderr[0], rtol=1e-8, atol=0.0)
 
-    def test_sweep_raises_stability_error(self, net1):
+    def test_sweep_raises_stability_error(self, net1_model):
         with pytest.raises(on.StabilityError):
-            sweep_spectral_density(net1, [0.01, 0.3], 150.0, method="probe")
+            sweep_spectral_density(net1_model, [0.01, 0.3], 150.0, method="probe")
 
     def test_sweep_raises_saturation_naming_the_point(self):
         # full resonant swap at omega_S = 0.25 only
         g = on.build_explicit(1, 0.25, []).with_probe(1, 1e-3, 0.25)
         t_full = np.pi / 2 / (1e-3 / 0.5)
         with pytest.raises(ProbeSaturatedError, match="omega_s=0.25"):
-            sweep_spectral_density(g, [0.24, 0.25, 0.26], t_full, method="probe")
+            sweep_spectral_density(
+                on.assemble_model(g), [0.24, 0.25, 0.26], t_full, method="probe"
+            )
 
-    def test_empty_grid_rejected(self, net1):
+    def test_empty_grid_rejected(self, net1_model):
         with pytest.raises(ValueError):
-            sweep_spectral_density(net1, [], 150.0)
+            sweep_spectral_density(net1_model, [], 150.0)
 
 
 class TestSmoothing:
