@@ -25,6 +25,8 @@ from .gaussian import SqueezedSpec, StateError
 from .netmodel import CouplingGraph, GraphError, from_recipe, load_graph, save_graph
 from .netmodel import _POSITIVE, _at_least, _Field, _one_of, _value_error
 from .probes import (
+    DEFAULT_SMOOTH_WINDOW,
+    DEFAULT_TEMPERATURE,
     PlateauError,
     ProbeSaturatedError,
     SamplingOptions,
@@ -71,12 +73,14 @@ SCHEMA: dict[str, _Field] = {
     "probe.sweep.points": _Field("integer", ..., *_at_least(1)),
     "t_max": _Field("number or string", "auto", lambda v: v == "auto" if isinstance(v, str)
                     else v >= 0, '"auto" or a time >= 0'),
-    "temperature": _Field("number", 1.0, *_POSITIVE),
+    "temperature": _Field("number", DEFAULT_TEMPERATURE, *_POSITIVE),
     "method": _Field("string", "analytic", *_one_of("analytic", "probe", "both")),
     "samples": _Field("integer", 0, lambda v: v == 0 or v >= 2, "0 (exact moments) or >= 2"),
     "reps": _Field("integer", 20, *_at_least(1)),
     "seed": _Field("integer", 0, *_at_least(0)),
-    "smooth_window": _Field("integer", 51, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"),
+    "smooth_window": _Field(
+        "integer", DEFAULT_SMOOTH_WINDOW, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"
+    ),
     "env_prep": _Field("string", "thermal", *_one_of("thermal", "squeezed", "vacuum")),
     "time_grid": _Field("object", {"start": 0.0, "stop": 500.0, "points": 251}),
     "time_grid.start": _Field("number", ..., *_at_least(0)),

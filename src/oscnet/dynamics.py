@@ -54,7 +54,7 @@ class QuadraticModel:
         on first read of either (propagators and time-grid probe rows).
     env_modes / env_freqs:
         Same for the environment block V[1:, 1:] (bath couplings, damping
-        kernel, environment states).
+        kernel, the probe path's thermal and squeezed preparations).
     """
 
     V: NDArray[np.float64]
@@ -270,20 +270,21 @@ def _chebyshev_rows(
 
     Each f(V) e_S = sum_k a_k T_k(V~) e_S with V~ = 2V/b - I on the spectral
     interval [0, b] (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
-    One recurrence step is one (G, M) @ (M, M) product with V plus the
-    rank-one fix of column S by omega_S^2 - V_SS.
+    One recurrence step is one (G, M) @ (M, M) product with V less its V_SS
+    plus the rank-one fix of column S by omega_S^2, so the rows do not depend
+    on the model's own probe frequency.
     """
-    V = model.V
-    shift = omega_s**2 - V[0, 0]
+    V = model.V.copy()
+    V[0, 0] = 0.0
     # Gershgorin bound over the grid: only row S depends on omega_S
     radius = np.abs(V).sum(axis=1)
-    radius[0] += shift.max(initial=-np.inf)  # an empty grid drops row S
+    radius[0] += (omega_s**2).max(initial=-np.inf)  # an empty grid drops row S
     b = radius.max()
     coef = _chebyshev_coefficients(t, b)
     n = coef.shape[1] - 1
     # T_{k+1} = 2 V~ T_k - T_{k-1}, kept in a ring of _CHEB_BLOCK slots
     two_vt = (4.0 / b) * V - 2.0 * np.eye(len(V))
-    fix = (4.0 / b) * shift
+    fix = (4.0 / b) * omega_s**2
     ring = np.zeros((_CHEB_BLOCK, len(omega_s), len(V)))
     col = ring[:, :, 0]  # the S entries, a view
     col[0] = 1.0
@@ -374,7 +375,7 @@ def _check_commutator(rows: NDArray[np.float64]) -> None:
         )
 
 
-def probe_mask(S: NDArray[np.float64], tol: float = 1e-10) -> NDArray[np.float64]:
+def probe_mask(S: NDArray[np.float64]) -> NDArray[np.float64]:
     """Measurement-basis coefficients for the probe quadratures.
 
     Returns the (2, 2M) row pair of the Bloch-Messiah R1 factor that selects
@@ -383,5 +384,5 @@ def probe_mask(S: NDArray[np.float64], tol: float = 1e-10) -> NDArray[np.float64
     R1. The R2 factor is not formed.
     """
     n = S.shape[0] // 2
-    r1 = _r1_and_d(S, tol)[0]
+    r1 = _r1_and_d(S)[0]
     return np.vstack([r1[0, :], r1[n, :]])

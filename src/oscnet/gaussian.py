@@ -18,8 +18,6 @@ from .symplectic import symplectic_form
 COV_SYMMETRY_TOL = 1e-12
 UNCERTAINTY_SLACK = 1e-9
 
-LN10 = np.log(10.0)
-
 
 class StateError(ValueError):
     """State specification violates a physicality requirement."""
@@ -28,11 +26,6 @@ class StateError(ValueError):
 def db_to_variance(db: float) -> float:
     """Quadrature variance from squeezing level in dB (0 dB = vacuum 1/2)."""
     return 0.5 * 10.0 ** (db / 10.0)
-
-
-def db_to_r(db: float) -> float:
-    """Squeezing parameter r with e^(-2r) = 10^(db/10); negative dB -> r > 0."""
-    return -db * LN10 / 20.0
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,12 @@ class GaussianState:
         ev = np.abs(np.linalg.eigvals(omega @ self.cov))
         return np.sort(ev)[::2]
 
-    def is_physical(self, slack: float = UNCERTAINTY_SLACK) -> bool:
-        """Uncertainty check: all symplectic eigenvalues >= 1/2 - slack."""
-        return bool(self.symplectic_eigenvalues().min() >= 0.5 - slack)
+    def is_physical(self) -> bool:
+        """Uncertainty check: all symplectic eigenvalues >= 1/2 - UNCERTAINTY_SLACK."""
+        return bool(self.symplectic_eigenvalues().min() >= 0.5 - UNCERTAINTY_SLACK)
 
-    def require_physical(self, slack: float = UNCERTAINTY_SLACK) -> "GaussianState":
-        if not self.is_physical(slack):
+    def require_physical(self) -> "GaussianState":
+        if not self.is_physical():
             raise StateError("state violates the uncertainty relation")
         return self
 

@@ -339,12 +339,10 @@ def build_barabasi_albert(
 
 
 def build_explicit(
-    n: int,
-    omega: float | Sequence[float],
-    edges: Sequence[tuple[int, int, float]],
-    probe: ProbeSpec | None = None,
+    n: int, omega: float | Sequence[float], edges: Sequence[tuple[int, int, float]]
 ) -> CouplingGraph:
-    """Graph from an explicit 1-based edge list [(i, j, g_ij), ...]."""
+    """Graph from an explicit 1-based edge list [(i, j, g_ij), ...]; attach a
+    probe with ``CouplingGraph.with_probe``."""
     omega_t = (float(omega),) * n if np.isscalar(omega) else tuple(float(w) for w in omega)
     couplings: dict[tuple[int, int], float] = {}
     for i, j, g in edges:
@@ -356,7 +354,7 @@ def build_explicit(
         if (a, b) in couplings and couplings[(a, b)] != g:
             raise GraphError(f"asymmetric weights for edge ({i}, {j}): {couplings[(a, b)]} vs {g}")
         couplings[(a, b)] = float(g)
-    return CouplingGraph(n, omega_t, couplings, probe=probe, recipe=NetworkRecipe("explicit"))
+    return CouplingGraph(n, omega_t, couplings, recipe=NetworkRecipe("explicit"))
 
 
 def _barabasi_albert(n, kappa, m0, g, omega0, seed) -> CouplingGraph:

@@ -28,9 +28,18 @@ from .gaussian import GaussianState, SqueezedSpec
 from .netmodel import CouplingGraph
 
 DEFAULT_TEMPERATURE = 1.0
-DEFAULT_HORIZON = 600.0
 DEFAULT_SMOOTH_WINDOW = 51  # centered window must be odd
 _KERNEL_BLOCK = 128  # in-block offsets of the angle-addition damping kernel
+
+# the t_max rule: |gamma| on a _TMAX_DT grid up to _TMAX_HORIZON, its envelope
+# sampled every _TMAX_STRIDE steps (unit time), the threshold the larger of
+# _TMAX_PLATEAU times the envelope's _TMAX_QUANTILE and _TMAX_THETA gamma(0)
+_TMAX_HORIZON = 600.0
+_TMAX_DT = 0.05
+_TMAX_STRIDE = 20
+_TMAX_PLATEAU = 1.15
+_TMAX_QUANTILE = 0.10
+_TMAX_THETA = 0.05
 
 
 class ProbeSaturatedError(ValueError):
@@ -90,26 +99,19 @@ def _damping_kernel_grid(model: QuadraticModel, dt: float, n_points: int) -> NDA
     return gam.ravel()[:n_points]
 
 
-def suggest_tmax(
-    model: QuadraticModel,
-    horizon: float = DEFAULT_HORIZON,
-    theta: float = 0.05,
-    window: float | None = None,
-    plateau_factor: float = 1.15,
-    floor_quantile: float = 0.10,
-    dt: float = 0.05,
-) -> float:
+def suggest_tmax(model: QuadraticModel) -> float:
     """Earliest damping-kernel plateau time.
 
-    The trailing-window running max of |gamma| is compared against a plateau
-    level estimated from its own low quantile over the horizon (the
+    The trailing-window running max of |gamma|, the window two periods of the
+    slowest environment normal mode, is compared against a plateau level
+    estimated from its own low quantile over the search horizon (the
     statistical floor of the dephased kernel); the threshold never drops
-    below theta * gamma(0). Default window: two periods of the slowest
-    environment normal mode.
+    below a fixed fraction of gamma(0). The ``_TMAX_*`` constants fix the
+    rule.
 
-    |gamma| on the uniform dt grid comes from the angle-addition form
+    |gamma| on the uniform grid comes from the angle-addition form
     ``_damping_kernel_grid``; the envelope is the exact max over each
-    trailing window, sampled every round(1/dt) grid steps.
+    trailing window, sampled every ``_TMAX_STRIDE`` grid steps.
 
     Raises PlateauError when the envelope never flattens (e.g. a single
     environment mode) or never crosses the threshold within the horizon.
@@ -117,23 +119,21 @@ def suggest_tmax(
     gamma0 = model._kernel_weights.sum()
     if gamma0 == 0.0:
         raise PlateauError("probe is uncoupled; damping kernel vanishes")
-    if window is None:
-        window = 2.0 * 2.0 * np.pi / model.env_freqs.min()
-    ts = np.arange(0.0, horizon + dt, dt)
-    gam = np.abs(_damping_kernel_grid(model, dt, len(ts)))
-    w_n = max(int(round(window / dt)), 1)
-    step = max(int(round(1.0 / dt)), 1)
-    idx = np.arange(w_n, len(ts), step)
+    window = 2.0 * 2.0 * np.pi / model.env_freqs.min()
+    ts = np.arange(0.0, _TMAX_HORIZON + _TMAX_DT, _TMAX_DT)
+    gam = np.abs(_damping_kernel_grid(model, _TMAX_DT, len(ts)))
+    w_n = max(int(round(window / _TMAX_DT)), 1)
+    idx = np.arange(w_n, len(ts), _TMAX_STRIDE)
     if len(idx) == 0:
         raise PlateauError("search horizon shorter than the envelope window")
-    # window ending at idx[i] = w_n + i step starts at i step
-    env = sliding_window_view(gam, w_n + 1)[::step].max(axis=1)
-    floor = float(np.quantile(env, floor_quantile))
+    # window ending at idx[i] = w_n + i stride starts at i stride
+    env = sliding_window_view(gam, w_n + 1)[::_TMAX_STRIDE].max(axis=1)
+    floor = float(np.quantile(env, _TMAX_QUANTILE))
     if floor > 0.5 * gamma0:
         raise PlateauError(
             "damping kernel shows no plateau within the horizon; set t_max manually"
         )
-    threshold = max(plateau_factor * floor, theta * gamma0)
+    threshold = max(_TMAX_PLATEAU * floor, _TMAX_THETA * gamma0)
     hits = np.flatnonzero(env <= threshold)
     if len(hits) == 0:
         raise PlateauError(
@@ -214,8 +214,8 @@ class SamplingOptions:
     """
 
     n_samples: int
-    n_reps: int = 20
-    seed: int | None = 0
+    n_reps: int
+    seed: int | None
 
     def __post_init__(self):
         if self.n_samples < 2:

@@ -73,7 +73,7 @@ class BlochMessiahFactors:
         return self.r1 @ self.delta @ self.r2
 
 
-def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochMessiahFactors:
+def bloch_messiah(S: NDArray[np.float64]) -> BlochMessiahFactors:
     """Bloch-Messiah (Euler) decomposition of a symplectic matrix.
 
     Route: one ``eigh`` of S S^T = U Sigma^2 U^T, in descending order, gives
@@ -96,7 +96,7 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
     entry (paired column signs follow). Inside a degenerate d, R1 is the
     basis LAPACK returns. Passive S is returned as R1.
     """
-    r1, d, passive = _r1_and_d(S, tol)
+    r1, d, passive = _r1_and_d(S)
     if passive:
         return BlochMessiahFactors(r1=r1, d=d, r2=np.eye(len(r1)))
     delta = np.concatenate([d, 1.0 / d])
@@ -104,20 +104,20 @@ def bloch_messiah(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> BlochM
     return BlochMessiahFactors(r1=r1, d=d, r2=r2)
 
 
-def _r1_and_d(
-    S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL
-) -> tuple[NDArray[np.float64], NDArray[np.float64], bool]:
+def _r1_and_d(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64], bool]:
     """The R1 factor and d of ``bloch_messiah``, without R2, and whether S is
     passive (then R1 = S and d = 1)."""
-    ok, res = is_symplectic(S, tol)
+    ok, res = is_symplectic(S)
     if not ok:
-        raise SymplecticError(f"input is not symplectic (residual {res:.3e} >= {tol:.1e})")
+        raise SymplecticError(
+            f"input is not symplectic (residual {res:.3e} >= {SYMPLECTIC_TOL:.1e})"
+        )
     n = S.shape[0] // 2
     omega = symplectic_form(n)
 
     gram = _gram(S)
     # S is square, so S S^T = I iff S^T S = I (the same Frobenius residual)
-    if np.linalg.norm(gram - np.eye(2 * n)) < tol:
+    if np.linalg.norm(gram - np.eye(2 * n)) < SYMPLECTIC_TOL:
         # passive transformation: all squeezing in R1 by convention
         return S.copy(), np.ones(n), True
 

@@ -254,6 +254,14 @@ class TestProbeRows:
         assert np.allclose(rows, ref, rtol=0.0, atol=1e-13)
         assert commutator_residual(rows).max() <= 1e-13
 
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    def test_grid_rows_do_not_depend_on_the_models_probe_frequency(self, networks, idx):
+        graph = networks[idx]
+        t_max, ws = bundled_sweep(idx)
+        low = probe_rows(on.model_at(graph, ws[0]), t_max, omega_s=ws)
+        high = probe_rows(on.model_at(graph, ws[-1]), t_max, omega_s=ws)
+        assert np.array_equal(low, high)
+
     @pytest.mark.parametrize("idx", [1, 4, 5])
     def test_empty_one_point_and_time_zero_grids(self, networks, idx):
         m = assemble_model(networks[idx])

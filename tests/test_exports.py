@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import types
 
 import oscnet
@@ -57,6 +59,59 @@ EXPORTED = {
     "sweep_spectral_density",
 }
 
+# every settable default of the public API as (callable, parameter): function
+# parameters, dataclass fields and public-method parameters; a new option
+# here is an API change
+OPTIONS = {
+    ("CouplingGraph", "probe"),
+    ("CouplingGraph", "recipe"),
+    ("NetworkRecipe", "params"),
+    ("NetworkRecipe", "seed"),
+    ("SpectralDensityCurve", "j_analytic"),
+    ("SpectralDensityCurve", "j_probe"),
+    ("SpectralDensityCurve", "stderr"),
+    ("SqueezedSpec", "axis"),
+    ("blp_witness", "use_smoothed"),
+    ("is_symplectic", "tol"),
+    ("probe_rows", "omega_s"),
+    ("qnm_trace", "window"),
+    ("sweep_spectral_density", "env_prep"),
+    ("sweep_spectral_density", "method"),
+    ("sweep_spectral_density", "probe_state"),
+    ("sweep_spectral_density", "sampling"),
+    ("sweep_spectral_density", "temperature"),
+    ("vacuum_state", "n_modes"),
+}
+
+
+def settable_defaults() -> set[tuple[str, str]]:
+    """The (callable, parameter) pairs with a default among the exported names."""
+    pairs = set()
+    for name in EXPORTED:
+        value = getattr(oscnet, name)
+        if not inspect.isclass(value):
+            callables = [(name, value)]
+        else:
+            if dataclasses.is_dataclass(value):
+                pairs |= {
+                    (name, f.name)
+                    for f in dataclasses.fields(value)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING
+                }
+            callables = [
+                (f"{name}.{attr}", fn)
+                for attr, fn in vars(value).items()
+                if not attr.startswith("_") and inspect.isfunction(fn)
+            ]
+        for label, fn in callables:
+            pairs |= {
+                (label, p.name)
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty
+            }
+    return pairs
+
 
 def test_exported_names_are_pinned():
     exported = {
@@ -66,6 +121,11 @@ def test_exported_names_are_pinned():
     }
     assert exported == EXPORTED
     assert len(EXPORTED) == 46
+
+
+def test_settable_defaults_are_pinned():
+    assert settable_defaults() == OPTIONS
+    assert len(OPTIONS) == 18
 
 
 def test_readme_quick_start_runs(request):

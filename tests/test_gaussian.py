@@ -8,7 +8,6 @@ from oscnet.gaussian import (
     GaussianState,
     SqueezedSpec,
     StateError,
-    db_to_r,
     fidelity,
     fidelity_from_moments,
     mean_photon,
@@ -61,10 +60,6 @@ class TestPreparation:
             SqueezedSpec(-3.0, 2.0, "q")  # product below vacuum
         with pytest.raises(StateError):
             SqueezedSpec(1.0, 2.0, "q")  # positive squeeze level
-
-    def test_db_to_r_roundtrip(self):
-        r = db_to_r(-1.8)
-        assert np.isclose(np.exp(-2 * r), 10 ** (-0.18))
 
 
 class TestPropagateReduce:
