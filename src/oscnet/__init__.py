@@ -37,9 +37,6 @@ from .gaussian import (
     StateError,
     fidelity,
     mean_photon,
-    product_state,
-    propagate,
-    reduce_state,
     squeezed_state,
     thermal_state,
     vacuum_state,

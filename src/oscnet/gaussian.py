@@ -1,19 +1,17 @@
-"""Gaussian-state calculus: preparation, propagation, reduction, photon
-number and fidelity.
+"""Single-mode Gaussian states: preparation, photon number and fidelity.
 
-Convention: hbar = 1, [q, p] = i, vacuum covariance = I/2. Quadrature order
-(q_1..q_M, p_1..p_M). Squeezing in dB is anchored to the vacuum variance 1/2,
-so variance along an axis = (1/2) * 10^(dB/10).
+Convention: hbar = 1, [q, p] = i, vacuum covariance = I/2, quadrature order
+(q, p). Squeezing in dB is anchored to the vacuum variance 1/2, so variance
+along an axis = (1/2) * 10^(dB/10).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-
-from .symplectic import symplectic_form
 
 COV_SYMMETRY_TOL = 1e-12
 UNCERTAINTY_SLACK = 1e-9
@@ -33,8 +31,8 @@ class SqueezedSpec:
     """Squeezed single-mode state given in dB.
 
     squeeze_db <= 0 is the variance reduction along ``axis``; antisqueeze_db
-    >= 0 the increase along the orthogonal axis. ``axis`` is 'q', 'p', or an
-    angle in radians (the q axis rotated counterclockwise).
+    >= 0 the increase along the orthogonal axis. ``axis`` is 'q', 'p', or a
+    finite angle in radians (the q axis rotated counterclockwise).
     """
 
     squeeze_db: float
@@ -46,6 +44,12 @@ class SqueezedSpec:
             raise StateError("need squeeze_db <= 0 <= antisqueeze_db")
         if self.squeeze_db + self.antisqueeze_db < 0:
             raise StateError("variance product below the uncertainty bound")
+        if isinstance(self.axis, str):
+            named = self.axis in ("q", "p")
+        else:
+            named = isinstance(self.axis, numbers.Real) and np.isfinite(self.axis)
+        if not named:
+            raise StateError(f"axis must be 'q', 'p' or a finite angle, got {self.axis!r}")
 
     @property
     def angle(self) -> float:
@@ -58,7 +62,7 @@ class SqueezedSpec:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First and second moments of an M-mode Gaussian state."""
+    """First and second moments of a single-mode Gaussian state."""
 
     mean: NDArray[np.float64]
     cov: NDArray[np.float64]
@@ -66,10 +70,8 @@ class GaussianState:
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-            raise StateError("covariance must be square with even dimension")
-        if mean.shape != (cov.shape[0],):
-            raise StateError("mean length does not match covariance")
+        if mean.shape != (2,) or cov.shape != (2, 2):
+            raise StateError("a state holds one mode: a mean of length 2 and a 2x2 covariance")
         if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
             raise StateError("moments must be finite")
         asym = np.max(np.abs(cov - cov.T))
@@ -78,35 +80,19 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
 
-    @property
-    def n_modes(self) -> int:
-        return self.cov.shape[0] // 2
-
-    def symplectic_eigenvalues(self) -> NDArray[np.float64]:
-        """Williamson spectrum: moduli of eigenvalues of Omega @ cov (paired)."""
-        omega = symplectic_form(self.n_modes)
-        ev = np.abs(np.linalg.eigvals(omega @ self.cov))
-        return np.sort(ev)[::2]
-
     def is_physical(self) -> bool:
-        """Uncertainty check: all symplectic eigenvalues >= 1/2 - UNCERTAINTY_SLACK."""
-        return bool(self.symplectic_eigenvalues().min() >= 0.5 - UNCERTAINTY_SLACK)
+        """Uncertainty check: cov positive definite with
+        det cov >= (1/2 - UNCERTAINTY_SLACK)^2."""
+        return bool(self.cov[0, 0] > 0 and _det2(self.cov) >= (0.5 - UNCERTAINTY_SLACK) ** 2)
 
     def require_physical(self) -> "GaussianState":
         if not self.is_physical():
             raise StateError("state violates the uncertainty relation")
         return self
 
-    def purity(self) -> float:
-        """1 / (2^M sqrt(det cov)); in (0, 1]."""
-        sign, logdet = np.linalg.slogdet(self.cov)
-        if sign <= 0:
-            raise StateError("covariance is not positive definite")
-        return float(np.exp(-0.5 * logdet - self.n_modes * np.log(2.0)))
 
-
-def vacuum_state(n_modes: int = 1) -> GaussianState:
-    return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
+def vacuum_state() -> GaussianState:
+    return GaussianState(np.zeros(2), 0.5 * np.eye(2))
 
 
 def squeezed_state(spec: SqueezedSpec) -> GaussianState:
@@ -126,37 +112,6 @@ def thermal_state(nbar: float) -> GaussianState:
     return GaussianState(np.zeros(2), (nbar + 0.5) * np.eye(2))
 
 
-def product_state(*states: GaussianState) -> GaussianState:
-    """Tensor product; mode order follows the argument order."""
-    M = sum(s.n_modes for s in states)
-    mean = np.zeros(2 * M)
-    cov = np.zeros((2 * M, 2 * M))
-    at = 0
-    for s in states:
-        m = s.n_modes
-        ix = np.concatenate([np.arange(at, at + m), np.arange(M + at, M + at + m)])
-        mean[ix] = s.mean
-        cov[np.ix_(ix, ix)] = s.cov
-        at += m
-    return GaussianState(mean, cov)
-
-
-def propagate(state: GaussianState, S: NDArray[np.float64]) -> GaussianState:
-    """Apply a symplectic map: mean -> S mean, cov -> S cov S^T."""
-    if S.shape != state.cov.shape:
-        raise StateError("symplectic dimension does not match the state")
-    return GaussianState(S @ state.mean, S @ state.cov @ S.T)
-
-
-def reduce_state(state: GaussianState, mode: int) -> GaussianState:
-    """Marginal single-mode state of ``mode`` (0-based)."""
-    M = state.n_modes
-    if not 0 <= mode < M:
-        raise StateError(f"mode {mode} out of range")
-    ix = np.array([mode, M + mode])
-    return GaussianState(state.mean[ix], state.cov[np.ix_(ix, ix)])
-
-
 def mean_photon_from_moments(
     mean: NDArray[np.float64], cov: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -167,8 +122,6 @@ def mean_photon_from_moments(
 
 def mean_photon(state: GaussianState) -> float:
     """Mean photon number of a single-mode state."""
-    if state.n_modes != 1:
-        raise StateError("mean_photon expects a single-mode state")
     return float(mean_photon_from_moments(state.mean, state.cov))
 
 
@@ -206,6 +159,4 @@ def _det2(a: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def fidelity(s1: GaussianState, s2: GaussianState) -> float:
     """Uhlmann fidelity of two single-mode Gaussian states."""
-    if s1.n_modes != 1 or s2.n_modes != 1:
-        raise StateError("fidelity expects single-mode states")
     return float(fidelity_from_moments(s1.mean, s1.cov, s2.mean, s2.cov))

@@ -336,7 +336,7 @@ def _probe_path(
     child of the master seed, split into one grandchild per quadrature, so
     its samples do not depend on the rest of the grid.
     """
-    probe = probe_state if probe_state is not None else g.vacuum_state(1)
+    probe = g.vacuum_state() if probe_state is None else probe_state.require_physical()
     n0 = g.mean_photon(probe)
     n_bath = np.asarray(thermal_occupancy(omega, temperature))
     rows = probe_rows(model, t_max, omega)
@@ -421,7 +421,8 @@ def sweep_spectral_density(
     from the model's only in V_SS. The probe path takes the probe rows of the
     whole grid from one Chebyshev recurrence in the potentials V(omega_S)
     (``probe_rows``), with no per-point diagonalization; a grid frequency
-    whose potential is not positive definite raises StabilityError. With
+    whose potential is not positive definite raises StabilityError, and a
+    ``probe_state`` that violates the uncertainty relation StateError. With
     ``sampling``, ``stderr`` holds the standard error over repetitions, and
     point i draws from the i-th child of the master seed, so point 0 draws
     as a one-point sweep at its frequency.
@@ -518,8 +519,8 @@ def qnm_trace(
 ) -> FidelityTrace:
     """Fidelity between two probe preparations evolving in a vacuum network.
 
-    Both initial probe states (environment in vacuum) are propagated with
-    the same renormalized evolution; only the probe rows of the propagator
+    Both initial probe states (environment in vacuum) evolve under the
+    same renormalized propagator; only the probe rows of the propagator
     are formed, for the whole grid at once, and the probe blocks are
     compared via the Gaussian fidelity.
     """

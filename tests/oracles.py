@@ -5,10 +5,12 @@ the batched ``eigh`` probe rows for the Chebyshev omega_S branch of
 ``dynamics.probe_rows``, the direct-cosine damping kernel for
 ``probes._damping_kernel_grid``, the pure-state fidelity closed form and the
 LAPACK route for ``gaussian.fidelity``, the per-outcome homodyne sampler for
-the chi-square draws of the sampled probe path, the full-covariance
-environment states for the probe path's normal-mode moments, the stacked
-fidelity trace for ``probes.qnm_trace``, the SVD route and the vacuum
-discard for ``symplectic.bloch_messiah``, the unsymmetrized product form of
+the chi-square draws of the sampled probe path, the multi-mode state calculus
+(``JointState`` with its Williamson check and purity, product states,
+symplectic propagation and the single-mode marginal) and the full-covariance
+environment states for the probe path's moments, the stacked fidelity trace
+for ``probes.qnm_trace``, the SVD route and the vacuum discard for
+``symplectic.bloch_messiah``, the unsymmetrized product form of
 ``dynamics.evolve``, the per-mode squeezers and the quadratic energy for the
 propagator, and random (orthogonal) symplectic matrices as decomposition
 inputs.
@@ -16,6 +18,7 @@ inputs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -279,6 +282,88 @@ def random_symplectic(
 # gaussian
 
 
+@dataclass(frozen=True)
+class JointState:
+    """First and second moments of an M-mode Gaussian state, quadrature
+    order (q_1..q_M, p_1..p_M): the full-covariance reference that the
+    single-mode ``gaussian.GaussianState`` is read off by ``reduce_state``."""
+
+    mean: NDArray[np.float64]
+    cov: NDArray[np.float64]
+
+    def __post_init__(self):
+        cov = np.asarray(self.cov, dtype=float)
+        mean = np.asarray(self.mean, dtype=float)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+            raise StateError("covariance must be square with even dimension")
+        if mean.shape != (cov.shape[0],):
+            raise StateError("mean length does not match covariance")
+        if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
+            raise StateError("moments must be finite")
+        asym = np.max(np.abs(cov - cov.T))
+        if asym > g.COV_SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
+            raise StateError(f"covariance asymmetric by {asym:.3e}")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+
+    @property
+    def n_modes(self) -> int:
+        return self.cov.shape[0] // 2
+
+    def is_physical(self) -> bool:
+        """cov positive definite, and its Williamson spectrum (moduli of the
+        eigenvalues of Omega @ cov) >= 1/2 - UNCERTAINTY_SLACK."""
+        if np.linalg.eigvalsh(self.cov).min() <= 0:
+            return False
+        nu = np.abs(np.linalg.eigvals(symplectic_form(self.n_modes) @ self.cov))
+        return bool(nu.min() >= 0.5 - g.UNCERTAINTY_SLACK)
+
+    def purity(self) -> float:
+        """1 / (2^M sqrt(det cov)); in (0, 1]."""
+        sign, logdet = np.linalg.slogdet(self.cov)
+        if sign <= 0:
+            raise StateError("covariance is not positive definite")
+        return float(np.exp(-0.5 * logdet - self.n_modes * np.log(2.0)))
+
+
+def joint_vacuum(n_modes: int) -> JointState:
+    return JointState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
+
+
+def product_state(*states: GaussianState | JointState) -> JointState:
+    """Tensor product; mode order follows the argument order."""
+    sizes = [len(s.mean) // 2 for s in states]
+    M = sum(sizes)
+    mean = np.zeros(2 * M)
+    cov = np.zeros((2 * M, 2 * M))
+    at = 0
+    for s, m in zip(states, sizes):
+        ix = np.concatenate([np.arange(at, at + m), np.arange(M + at, M + at + m)])
+        mean[ix] = s.mean
+        cov[np.ix_(ix, ix)] = s.cov
+        at += m
+    return JointState(mean, cov)
+
+
+def propagate(
+    state: GaussianState | JointState, S: NDArray[np.float64]
+) -> GaussianState | JointState:
+    """Apply a symplectic map: mean -> S mean, cov -> S cov S^T, to a state
+    of the same type."""
+    if S.shape != state.cov.shape:
+        raise StateError("symplectic dimension does not match the state")
+    return type(state)(S @ state.mean, S @ state.cov @ S.T)
+
+
+def reduce_state(state: JointState, mode: int) -> GaussianState:
+    """Marginal single-mode state of ``mode`` (0-based)."""
+    M = state.n_modes
+    if not 0 <= mode < M:
+        raise StateError(f"mode {mode} out of range")
+    ix = np.array([mode, M + mode])
+    return GaussianState(state.mean[ix], state.cov[np.ix_(ix, ix)])
+
+
 def pure_fidelity_reference(r1: float, r2: float, phi0: float) -> float:
     """Closed form for two pure squeezed vacua with relative phase phi0.
 
@@ -308,7 +393,7 @@ def fidelity_from_moments_lapack(
 
 
 def homodyne_sample(
-    state: GaussianState,
+    state: GaussianState | JointState,
     quadrature: str = "q",
     mode: int = 0,
     n_samples: int = 2,
@@ -322,7 +407,7 @@ def homodyne_sample(
         raise StateError("need at least 2 samples")
     if quadrature not in ("q", "p"):
         raise StateError("quadrature must be 'q' or 'p'")
-    M = state.n_modes
+    M = len(state.mean) // 2
     idx = mode if quadrature == "q" else M + mode
     rng = np.random.default_rng(seed)
     return rng.normal(state.mean[idx], np.sqrt(state.cov[idx, idx]), n_samples)
@@ -357,7 +442,7 @@ def damping_kernel(model: QuadraticModel, t: float | NDArray) -> float | NDArray
 
 def _environment_state(
     model: QuadraticModel, var_q: NDArray[np.float64], var_p: NDArray[np.float64]
-) -> GaussianState:
+) -> JointState:
     """Environment state with variances (var_q, var_p) in each normal mode,
     node-renormalized frame.
 
@@ -373,10 +458,10 @@ def _environment_state(
     cov = np.zeros((2 * n, 2 * n))
     cov[:n, :n] = (mq * var_q[None, :]) @ mq.T
     cov[n:, n:] = (mp * var_p[None, :]) @ mp.T
-    return GaussianState(np.zeros(2 * n), cov)
+    return JointState(np.zeros(2 * n), cov)
 
 
-def thermal_environment(model: QuadraticModel, temperature: float) -> GaussianState:
+def thermal_environment(model: QuadraticModel, temperature: float) -> JointState:
     """Gibbs state of the environment block, node-renormalized frame.
 
     Each environment normal mode carries occupancy N(Omega_n).
@@ -385,7 +470,7 @@ def thermal_environment(model: QuadraticModel, temperature: float) -> GaussianSt
     return _environment_state(model, occ, occ)
 
 
-def squeezed_environment(model: QuadraticModel, temperature: float) -> GaussianState:
+def squeezed_environment(model: QuadraticModel, temperature: float) -> JointState:
     """Squeezed-vacuum emulation of the thermal environment.
 
     Each environment normal mode is prepared as a pure squeezed vacuum with

@@ -290,7 +290,7 @@ def test_criterion_8_squeezing_robustness():
 def test_criterion_9_sampling_emulator():
     M = 10_000
     v = 0.5
-    state = vacuum_state(1)
+    state = vacuum_state()
     seeds = np.random.SeedSequence(13).spawn(20)
     estimates = [
         estimate_second_moment(homodyne_sample(state, "q", 0, M, ss))[0] for ss in seeds

@@ -37,9 +37,6 @@ EXPORTED = {
     "StateError",
     "fidelity",
     "mean_photon",
-    "product_state",
-    "propagate",
-    "reduce_state",
     "squeezed_state",
     "thermal_state",
     "vacuum_state",
@@ -80,7 +77,6 @@ OPTIONS = {
     ("sweep_spectral_density", "probe_state"),
     ("sweep_spectral_density", "sampling"),
     ("sweep_spectral_density", "temperature"),
-    ("vacuum_state", "n_modes"),
 }
 
 
@@ -120,12 +116,12 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == EXPORTED
-    assert len(EXPORTED) == 46
+    assert len(EXPORTED) == 43
 
 
 def test_settable_defaults_are_pinned():
     assert settable_defaults() == OPTIONS
-    assert len(OPTIONS) == 18
+    assert len(OPTIONS) == 17
 
 
 def test_readme_quick_start_runs(request):

@@ -11,20 +11,22 @@ from oscnet.gaussian import (
     fidelity,
     fidelity_from_moments,
     mean_photon,
-    product_state,
-    propagate,
-    reduce_state,
     squeezed_state,
     thermal_state,
     vacuum_state,
 )
 
 from oracles import (
+    JointState,
     estimate_second_moment,
     fidelity_from_moments_lapack,
     homodyne_sample,
+    joint_vacuum,
+    product_state,
+    propagate,
     pure_fidelity_reference,
     random_orthogonal_symplectic,
+    reduce_state,
 )
 
 
@@ -43,8 +45,8 @@ class TestPreparation:
         assert np.isclose(s.cov[1, 1], 0.97492229987902271, rtol=1e-13)
 
     def test_vacuum(self):
-        s = vacuum_state(3)
-        assert np.allclose(s.cov, 0.5 * np.eye(6))
+        s = vacuum_state()
+        assert np.allclose(s.cov, 0.5 * np.eye(2))
         assert np.allclose(s.mean, 0.0)
 
     def test_thermal(self):
@@ -61,6 +63,16 @@ class TestPreparation:
         with pytest.raises(StateError):
             SqueezedSpec(1.0, 2.0, "q")  # positive squeeze level
 
+    @pytest.mark.parametrize("axis", ["x", "0.5", None, np.nan, np.inf])
+    def test_unknown_axis_rejected(self, axis):
+        with pytest.raises(StateError, match="axis"):
+            SqueezedSpec(-1.0, 1.0, axis)
+
+    # a JSON config gives an integer angle; numpy scalars come from grids
+    @pytest.mark.parametrize("axis", [3, np.float64(-2.0)], ids=["int", "numpy"])
+    def test_any_real_angle_accepted(self, axis):
+        assert np.isfinite(squeezed_state(SqueezedSpec(-1.0, 1.0, axis)).cov).all()
+
 
 class TestPropagateReduce:
     def test_identity(self):
@@ -71,15 +83,15 @@ class TestPropagateReduce:
     def test_vacuum_through_passive_stays_vacuum(self):
         rng = np.random.default_rng(8)
         R = random_orthogonal_symplectic(4, rng)
-        out = propagate(vacuum_state(4), R)
+        out = propagate(joint_vacuum(4), R)
         assert np.allclose(out.cov, 0.5 * np.eye(8), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(StateError):
-            propagate(vacuum_state(1), np.eye(4))
+            propagate(vacuum_state(), np.eye(4))
 
     def test_reduce_vacuum(self):
-        s = reduce_state(vacuum_state(5), 3)
+        s = reduce_state(joint_vacuum(5), 3)
         assert np.allclose(s.cov, 0.5 * np.eye(2))
 
     def test_reduce_product_of_squeezers(self):
@@ -100,7 +112,7 @@ class TestPropagateReduce:
                 [0, 0, -sh, ch],
             ]
         )
-        out = propagate(vacuum_state(2), S)
+        out = propagate(joint_vacuum(2), S)
         marg = reduce_state(out, 0)
         nbar = np.sinh(r) ** 2
         assert np.allclose(marg.cov, (nbar + 0.5) * np.eye(2), atol=1e-12)
@@ -109,7 +121,7 @@ class TestPropagateReduce:
 
 class TestMeanPhoton:
     def test_vacuum_zero(self):
-        assert mean_photon(vacuum_state(1)) == 0.0
+        assert mean_photon(vacuum_state()) == 0.0
 
     def test_pure_squeezed(self):
         r = 0.9
@@ -147,7 +159,7 @@ class TestFidelity:
         d_alpha = 0.7 + 0.2j
         # quadrature means: q = sqrt(2) Re a, p = sqrt(2) Im a
         m = np.sqrt(2) * np.array([d_alpha.real, d_alpha.imag])
-        s1 = vacuum_state(1)
+        s1 = vacuum_state()
         s2 = GaussianState(m, 0.5 * np.eye(2))
         assert np.isclose(fidelity(s1, s2), np.exp(-abs(d_alpha) ** 2), rtol=1e-12)
 
@@ -181,8 +193,12 @@ class TestFidelity:
         assert np.allclose(stacked, [fidelity(x, y) for x, y in zip(a, b)], rtol=1e-14, atol=0.0)
 
     def test_multimode_rejected(self):
-        with pytest.raises(StateError):
-            fidelity(vacuum_state(2), vacuum_state(2))
+        with pytest.raises(StateError, match="one mode"):
+            GaussianState(np.zeros(4), 0.5 * np.eye(4))
+        with pytest.raises(StateError, match="one mode"):
+            GaussianState(np.zeros(2), 0.5 * np.eye(4))
+        with pytest.raises(StateError, match="one mode"):
+            GaussianState(np.zeros(4), 0.5 * np.eye(2))
 
     def test_matches_lapack_route(self):
         rng = np.random.default_rng(9)
@@ -243,7 +259,7 @@ class TestHomodyne:
         # 5% accuracy at 1e4 samples in >= 95% of seeds
         hits = 0
         for seed in range(40):
-            x = homodyne_sample(vacuum_state(1), "q", 0, 10_000, seed)
+            x = homodyne_sample(vacuum_state(), "q", 0, 10_000, seed)
             est, _ = estimate_second_moment(x)
             hits += abs(est - 0.5) < 0.025
         assert hits >= 38
@@ -265,14 +281,14 @@ class TestHomodyne:
         assert abs(spread - v * np.sqrt(2 / M)) < 0.2 * v * np.sqrt(2 / M)
 
     def test_determinism(self):
-        s = vacuum_state(1)
+        s = vacuum_state()
         assert np.array_equal(
             homodyne_sample(s, "p", 0, 100, 77), homodyne_sample(s, "p", 0, 100, 77)
         )
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(StateError):
-            homodyne_sample(vacuum_state(1), "q", 0, 1, 0)
+            homodyne_sample(vacuum_state(), "q", 0, 1, 0)
         with pytest.raises(StateError):
             estimate_second_moment(np.array([1.0]))
 
@@ -302,11 +318,23 @@ class TestValidity:
         with pytest.raises(StateError):
             tight.require_physical()
 
+    # |det cov| >= 1/4 here, so the symplectic eigenvalue bound alone passes them
+    @pytest.mark.parametrize(
+        "cov", [np.diag([0.5, -0.6]), -0.6 * np.eye(2), np.diag([-0.6, 0.5])],
+        ids=["indefinite", "negative_definite", "indefinite_q"],
+    )
+    def test_covariance_not_positive_definite_is_unphysical(self, cov):
+        state = GaussianState(np.zeros(2), cov)
+        assert not state.is_physical()
+        with pytest.raises(StateError):
+            state.require_physical()
+        assert not JointState(np.zeros(2), cov).is_physical()
+
     def test_propagation_preserves_validity(self, net1_model):
-        s0 = product_state(squeezed_state(SqueezedSpec(-1.8, 2.9, "q")), vacuum_state(16))
+        s0 = product_state(squeezed_state(SqueezedSpec(-1.8, 2.9, "q")), joint_vacuum(16))
         out = propagate(s0, on.evolve(net1_model, 87.0))
         assert out.is_physical()
 
     def test_purity(self):
-        assert np.isclose(vacuum_state(1).purity(), 1.0)
-        assert np.isclose(thermal_state(1.0).purity(), 1.0 / 3.0)
+        assert np.isclose(joint_vacuum(1).purity(), 1.0)
+        assert np.isclose(product_state(thermal_state(1.0)).purity(), 1.0 / 3.0)

@@ -8,11 +8,9 @@ import oscnet as on
 from oscnet.gaussian import (
     GaussianState,
     SqueezedSpec,
+    StateError,
     fidelity,
     mean_photon,
-    product_state,
-    propagate,
-    reduce_state,
     squeezed_state,
     vacuum_state,
 )
@@ -43,7 +41,11 @@ from conftest import PAPER_STATES, random_stable_graph
 from oracles import (
     damping_kernel,
     homodyne_sample,
+    joint_vacuum,
+    product_state,
+    propagate,
     qnm_trace_stacked,
+    reduce_state,
     squeezed_environment,
     thermal_environment,
 )
@@ -378,13 +380,10 @@ class TestEnvironmentPreparation:
     def test_thermal_state_is_stationary(self):
         # a Gibbs state of the environment must not move under the
         # environment-only dynamics (probe detached via k = 0)
-        import oscnet as on
-        from oscnet.gaussian import product_state, propagate, vacuum_state
-
         g0 = on.build_linear_chain(16, [0.1, 0.05], 0.25).with_probe(8, 0.0, 0.58)
         m = on.assemble_model(g0)
         env = thermal_environment(m, 1.0)
-        state0 = product_state(vacuum_state(1), env)
+        state0 = product_state(vacuum_state(), env)
         M = m.n_modes
         ix = np.concatenate([np.arange(1, M), np.arange(M + 1, 2 * M)])
         for t in (7.3, 55.0, 211.0):
@@ -482,6 +481,24 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_spectral_density(net1_model, [0.3, 0.3, 0.4], 150.0)
 
+    # unchecked, the first two yield a J and the third a saturation error
+    @pytest.mark.parametrize(
+        "cov, grid",
+        [
+            (np.diag([0.3, 0.3]), [0.26, 0.28]),
+            (np.diag([0.5, -0.6]), [0.26, 0.28]),
+            (np.diag([0.5, -0.6]), [0.28, 0.30, 0.32]),
+        ],
+        ids=["below_vacuum", "indefinite", "indefinite_saturating"],
+    )
+    def test_unphysical_probe_state_rejected(self, cov, grid):
+        g0 = on.build_linear_chain(16, [0.1, 0.05], 0.25).with_probe(8, 0.05, 0.3)
+        probe = GaussianState(np.zeros(2), cov)
+        with pytest.raises(StateError, match="uncertainty"):
+            sweep_spectral_density(
+                on.assemble_model(g0), grid, 150.0, method="probe", probe_state=probe
+            )
+
 
 # bundled sweep range and t_max of each network
 BUNDLED_SWEEPS = {
@@ -496,7 +513,7 @@ BUNDLED_SWEEPS = {
 def oracle_fidelity_trace(model, rho1, rho2, ts):
     """Per-time fidelity through the full propagator and validated states."""
     states0 = [
-        product_state(squeezed_state(spec), vacuum_state(model.n_modes - 1))
+        product_state(squeezed_state(spec), joint_vacuum(model.n_modes - 1))
         for spec in (rho1, rho2)
     ]
     out = []
@@ -567,10 +584,10 @@ class TestBatchedEquivalence:
         environment = {
             "thermal": thermal_environment,
             "squeezed": squeezed_environment,
-            "vacuum": lambda m, temperature: vacuum_state(m.n_modes - 1),
+            "vacuum": lambda m, temperature: joint_vacuum(m.n_modes - 1),
         }[env_prep]
         ref = oracle_probe_j(
-            networks[idx], grid, t_max, environment, probe or vacuum_state(1)
+            networks[idx], grid, t_max, environment, probe or vacuum_state()
         )
         # an unpopulated environment barely moves the probe: J is 5-70x
         # smaller, and the inversion magnifies the same few-ulp round-off of
