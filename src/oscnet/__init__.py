@@ -46,7 +46,6 @@ from .probes import (
     PlateauError,
     ProbeSaturatedError,
     SamplingOptions,
-    SpectralDensityCurve,
     WitnessReport,
     blp_witness,
     model_at,

@@ -36,6 +36,7 @@ from .probes import (
     blp_witness,
     model_at,
     qnm_trace,
+    spectral_density_analytic,
     suggest_tmax,
     sweep_spectral_density,
 )
@@ -111,7 +112,7 @@ def _block(cfg: dict, path: str) -> object:
 
 def _block_keys() -> dict[str, set[str]]:
     """SCHEMA's key names by block, '' the top level, blocks in SCHEMA order."""
-    known: dict[str, set[str]] = {"": {"_config_dir"}}
+    known: dict[str, set[str]] = {}
     for path in SCHEMA:
         parent, _, name = path.rpartition(".")
         known.setdefault(parent, set()).add(name)
@@ -151,11 +152,14 @@ def bundled_config_path(name: str) -> Path:
     return Path(str(importlib.resources.files("oscnet").joinpath("configs", name)))
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None) -> tuple[dict, Path | None]:
+    """The run config merged over SCHEMA's defaults, and the directory of the
+    config file (None without one), against which a relative graph document
+    path is resolved."""
     defaults = {k: key.default for k, key in SCHEMA.items() if "." not in k}
     cfg = copy.deepcopy({k: v for k, v in defaults.items() if v is not None and v is not ...})
     if path is None:
-        return cfg
+        return cfg, None
     p = Path(path)
     if not p.is_file():
         p = bundled_config_path(path)
@@ -168,18 +172,17 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     cfg.update(user)
-    cfg["_config_dir"] = str(p.parent)
-    return cfg
+    return cfg, p.parent
 
 
-def _build_graph(cfg: dict) -> CouplingGraph:
+def _build_graph(cfg: dict, config_dir: Path | None) -> CouplingGraph:
     net = cfg["network"]
     if "file" in net:
         if set(net) != {"file"} or not isinstance(net["file"], str):
             raise ConfigError("a network block with 'file' holds only that path string")
         path = Path(net["file"])
-        if not path.is_absolute() and "_config_dir" in cfg:
-            path = Path(cfg["_config_dir"]) / path
+        if not path.is_absolute() and config_dir is not None:
+            path = config_dir / path
         if not path.is_file():
             raise ConfigError(f"graph document not found: {path}")
         graph = load_graph(path.read_text())
@@ -196,7 +199,6 @@ def _build_graph(cfg: dict) -> CouplingGraph:
         graph = graph.with_probe(probe["site"], probe["k"], omega_s)
     if graph.probe is None:
         raise ConfigError("no probe attached: add a 'probe' block")
-    cfg["_graph_doc"] = save_graph(graph)  # echoed in the manifest
     return graph
 
 
@@ -257,11 +259,9 @@ def _out_dir(cfg: dict) -> Path:
     return path
 
 
-def _write_manifest(out: Path, cfg: dict, overrides: dict) -> None:
-    echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    manifest = {"tool": "oscnet", "version": __version__, "config": echo, "overrides": overrides}
-    if "_graph_doc" in cfg:
-        manifest["graph"] = cfg["_graph_doc"]  # resolved input, run is self-contained
+def _write_manifest(out: Path, cfg: dict, overrides: dict, graph: CouplingGraph) -> None:
+    manifest = {"tool": "oscnet", "version": __version__, "config": cfg, "overrides": overrides}
+    manifest["graph"] = save_graph(graph)  # resolved input, run is self-contained
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -276,8 +276,7 @@ def _state(cfg: dict, name: str) -> SqueezedSpec:
 # protocol runners
 
 
-def run_validate(cfg: dict, out: Path) -> int:
-    graph = _build_graph(cfg)
+def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> int:
     lines = [
         f"nodes = {graph.n_nodes}",
         f"edges = {graph.n_edges}",
@@ -300,36 +299,43 @@ def run_validate(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_spectral(cfg: dict, out: Path) -> int:
-    graph = _build_graph(cfg)
+def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
     grid = _sweep_grid(cfg)
+    method = cfg["method"]
     sampling = _sampling(cfg)
     # the probe's Schur margin omega_S^2 - gamma(0) grows with omega_S: the
     # model at the lowest grid point checks the stability of the whole grid
     model = model_at(graph, grid[0])
     t_max = _resolve_tmax(cfg, model)
-    try:
-        curve = sweep_spectral_density(
-            model,
-            grid,
-            t_max,
-            temperature=float(cfg["temperature"]),
-            method=cfg["method"],
-            env_prep=cfg["env_prep"],
-            sampling=sampling,
-        )
-    except ExpansionRangeError as exc:
-        raise ConfigError(f"t_max {_fmt(t_max)} is too long for the probe path: {exc}") from exc
-    (out / "spectral.csv").write_text(curve.to_csv())
-    if curve.method == "both":
+    columns = {"omega_s": grid}  # spectral.csv by header
+    if method != "probe":
+        columns["J_analytic"] = spectral_density_analytic(model, grid, t_max)
+    if method != "analytic":
+        try:
+            columns["J_probe"], stderr = sweep_spectral_density(
+                model,
+                grid,
+                t_max,
+                temperature=float(cfg["temperature"]),
+                env_prep=cfg["env_prep"],
+                sampling=sampling,
+            )
+        except ExpansionRangeError as exc:
+            raise ConfigError(f"t_max {_fmt(t_max)} is too long for the probe path: {exc}") from exc
+        if stderr is not None:
+            columns["stderr"] = stderr
+    table = np.column_stack(list(columns.values()))
+    (out / "spectral.csv").write_text(",".join(columns) + "\n" + _fmt_rows(table, ","))
+    if method == "both":
         # deviation statistics over the significant-J region only
-        j_max = np.max(curve.j_analytic)
-        mask = curve.j_analytic > 0.1 * j_max
+        j_analytic, j_probe = columns["J_analytic"], columns["J_probe"]
+        j_max = np.max(j_analytic)
+        mask = j_analytic > 0.1 * j_max
         if mask.any():
-            rel = np.abs(curve.j_probe[mask] - curve.j_analytic[mask]) / curve.j_analytic[mask]
+            rel = np.abs(j_probe[mask] - j_analytic[mask]) / j_analytic[mask]
             # a correlation needs two points
             corr = (
-                _fmt(float(np.corrcoef(curve.j_analytic, curve.j_probe)[0, 1]))
+                _fmt(float(np.corrcoef(j_analytic, j_probe)[0, 1]))
                 if len(grid) > 1
                 else "n/a (one point)"
             )
@@ -347,8 +353,7 @@ def run_spectral(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_qnm(cfg: dict, out: Path) -> int:
-    graph = _build_graph(cfg)
+def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> int:
     tg = cfg["time_grid"]
     t_grid = _increasing(np.linspace(tg["start"], tg["stop"], tg["points"]), "time_grid")
     rho1, rho2 = _state(cfg, "rho1"), _state(cfg, "rho2")
@@ -361,8 +366,8 @@ def run_qnm(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_evolve(cfg: dict, out: Path) -> int:
-    models = _tagged_models(cfg, _build_graph(cfg))
+def run_evolve(cfg: dict, graph: CouplingGraph, out: Path) -> int:
+    models = _tagged_models(cfg, graph)
     t_max = _resolve_tmax(cfg, next(iter(models.values())))
     for tag, model in models.items():
         S = evolve(model, t_max)
@@ -376,8 +381,8 @@ def run_evolve(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_masks(cfg: dict, out: Path) -> int:
-    models = _tagged_models(cfg, _build_graph(cfg))
+def run_masks(cfg: dict, graph: CouplingGraph, out: Path) -> int:
+    models = _tagged_models(cfg, graph)
     t_max = _resolve_tmax(cfg, next(iter(models.values())))
     for tag, model in models.items():
         pair = probe_mask(evolve(model, t_max))
@@ -463,13 +468,14 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg, config_dir = _load_config(args.config)
         cfg["protocol"] = args.protocol
         overrides = _apply_overrides(cfg, args)
         _check_config(cfg)
         out = _out_dir(cfg)
-        code = RUNNERS[args.protocol](cfg, out)
-        _write_manifest(out, cfg, overrides)
+        graph = _build_graph(cfg, config_dir)
+        code = RUNNERS[args.protocol](cfg, graph, out)
+        _write_manifest(out, cfg, overrides, graph)
         return code
     except (ConfigError, GraphError, PlateauError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -121,7 +121,9 @@ def mean_photon_from_moments(
 
 
 def mean_photon(state: GaussianState) -> float:
-    """Mean photon number of a single-mode state."""
+    """Mean photon number of a single-mode state; StateError if it violates
+    the uncertainty relation."""
+    state.require_physical()
     return float(mean_photon_from_moments(state.mean, state.cov))
 
 
@@ -158,5 +160,8 @@ def _det2(a: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def fidelity(s1: GaussianState, s2: GaussianState) -> float:
-    """Uhlmann fidelity of two single-mode Gaussian states."""
+    """Uhlmann fidelity of two single-mode Gaussian states; StateError if
+    either violates the uncertainty relation."""
+    s1.require_physical()
+    s2.require_physical()
     return float(fidelity_from_moments(s1.mean, s1.cov, s2.mean, s2.cov))

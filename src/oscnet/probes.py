@@ -1,12 +1,14 @@
 """Probing protocols: spectral-density recovery and the fidelity-based
 quantum-non-Markovianity witness.
 
-Two independent routes to the spectral density J(omega_S):
+Two independent routes to the spectral density J(omega_S), one function
+each:
 
-* analytic: term-by-term finite-time cosine transform of the damping kernel
+* analytic (``spectral_density_analytic``): term-by-term finite-time cosine
+  transform of the damping kernel
   gamma(t) = sum_n (c_n^2 / Omega_n^2) cos(Omega_n t);
-* probe: evolve probe + thermally populated environment to t_max, read the
-  probe occupancy and invert
+* probe (``sweep_spectral_density``): evolve probe + thermally populated
+  environment to t_max, read the probe occupancy and invert
   J = (omega_S / t_max) ln[(N - n_0) / (N - n_S)], N = 1/(exp(omega_S/T)-1).
 
 The damping-kernel plateau heuristic picks the interaction horizon t_max
@@ -318,25 +320,45 @@ def _probe_covariances(
     return covs
 
 
-def _probe_path(
+def model_at(graph: CouplingGraph, omega_s: float) -> QuadraticModel:
+    """Assemble the model with the probe frequency replaced."""
+    if graph.probe is None:
+        raise ValueError("graph has no probe attached")
+    return assemble_model(dc_replace(graph, probe=dc_replace(graph.probe, omega_s=omega_s)))
+
+
+def sweep_spectral_density(
     model: QuadraticModel,
-    omega: NDArray[np.float64],
+    omega_grid: Sequence[float],
     t_max: float,
-    temperature: float,
-    probe_state: GaussianState | None,
-    env_prep: str,
-    sampling: SamplingOptions | None,
+    temperature: float = DEFAULT_TEMPERATURE,
+    probe_state: GaussianState | None = None,
+    env_prep: str = "thermal",
+    sampling: SamplingOptions | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64] | None]:
-    """J and its stderr at each probe frequency ``omega`` from the probe rows
-    of the propagators to t_max (``probe_rows`` over the grid).
+    """Probe-path J and its stderr over a frequency grid; stderr is None
+    without ``sampling``.
+
+    One model serves the grid: the potential at each grid frequency differs
+    from the model's only in V_SS. The probe rows of the propagators to t_max
+    come for the whole grid from one Chebyshev recurrence in the potentials
+    V(omega_S) (``probe_rows``), with no per-point diagonalization; a grid
+    frequency whose potential is not positive definite raises StabilityError,
+    and a ``probe_state`` that violates the uncertainty relation StateError.
 
     With sampling, each repetition's homodyne second moments of q_S and p_S
     are drawn from their exact (noncentral) chi-square law given the probe
-    moments, and J is inverted per repetition. Each point draws from its own
-    child of the master seed, split into one grandchild per quadrature, so
-    its samples do not depend on the rest of the grid.
+    moments, J is inverted per repetition, and stderr is the standard error
+    over repetitions. Each point draws from its own child of the master seed,
+    split into one grandchild per quadrature, so its samples do not depend on
+    the rest of the grid: point 0 draws as a one-point sweep at its frequency.
     """
-    probe = g.vacuum_state() if probe_state is None else probe_state.require_physical()
+    omega = np.asarray(list(omega_grid), dtype=float)
+    if len(omega) == 0:
+        raise ValueError("frequency grid is empty")
+    if np.any(np.diff(omega) <= 0):
+        raise ValueError("frequency grid must be strictly increasing")
+    probe = g.vacuum_state() if probe_state is None else probe_state
     n0 = g.mean_photon(probe)
     n_bath = np.asarray(thermal_occupancy(omega, temperature))
     rows = probe_rows(model, t_max, omega)
@@ -363,92 +385,6 @@ def _probe_path(
 
 
 # ---------------------------------------------------------------------------
-# sweeps
-
-
-@dataclass(frozen=True)
-class SpectralDensityCurve:
-    """J(omega_S) over a frequency grid, by one or both recovery methods."""
-
-    omega: NDArray[np.float64]
-    method: str  # analytic | probe | both
-    t_max: float
-    temperature: float
-    j_analytic: NDArray[np.float64] | None = None
-    j_probe: NDArray[np.float64] | None = None
-    stderr: NDArray[np.float64] | None = None
-
-    def __post_init__(self):
-        if np.any(np.diff(self.omega) <= 0):
-            raise ValueError("frequency grid must be strictly increasing")
-
-    def to_csv(self) -> str:
-        cols = ["omega_s"]
-        series = [self.omega]
-        if self.j_analytic is not None:
-            cols.append("J_analytic")
-            series.append(self.j_analytic)
-        if self.j_probe is not None:
-            cols.append("J_probe")
-            series.append(self.j_probe)
-        if self.stderr is not None:
-            cols.append("stderr")
-            series.append(self.stderr)
-        return ",".join(cols) + "\n" + _fmt_rows(np.column_stack(series), ",")
-
-
-def model_at(graph: CouplingGraph, omega_s: float) -> QuadraticModel:
-    """Assemble the model with the probe frequency replaced."""
-    if graph.probe is None:
-        raise ValueError("graph has no probe attached")
-    return assemble_model(dc_replace(graph, probe=dc_replace(graph.probe, omega_s=omega_s)))
-
-
-def sweep_spectral_density(
-    model: QuadraticModel,
-    omega_grid: Sequence[float],
-    t_max: float,
-    temperature: float = DEFAULT_TEMPERATURE,
-    method: str = "analytic",
-    probe_state: GaussianState | None = None,
-    env_prep: str = "thermal",
-    sampling: SamplingOptions | None = None,
-) -> SpectralDensityCurve:
-    """Evaluate the spectral density over a frequency grid.
-
-    One model serves the grid and both paths: the analytic kernel reads only
-    the environment block, and the potential at each grid frequency differs
-    from the model's only in V_SS. The probe path takes the probe rows of the
-    whole grid from one Chebyshev recurrence in the potentials V(omega_S)
-    (``probe_rows``), with no per-point diagonalization; a grid frequency
-    whose potential is not positive definite raises StabilityError, and a
-    ``probe_state`` that violates the uncertainty relation StateError. With
-    ``sampling``, ``stderr`` holds the standard error over repetitions, and
-    point i draws from the i-th child of the master seed, so point 0 draws
-    as a one-point sweep at its frequency.
-    """
-    if method not in ("analytic", "probe", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    omega_grid = np.asarray(list(omega_grid), dtype=float)
-    if len(omega_grid) == 0:
-        raise ValueError("frequency grid is empty")
-    ja = jp = se = None
-    if method in ("analytic", "both"):
-        ja = np.asarray(spectral_density_analytic(model, omega_grid, t_max))
-    if method in ("probe", "both"):
-        jp, se = _probe_path(model, omega_grid, t_max, temperature, probe_state, env_prep, sampling)
-    return SpectralDensityCurve(
-        omega=omega_grid,
-        method=method,
-        t_max=t_max,
-        temperature=temperature,
-        j_analytic=ja,
-        j_probe=jp,
-        stderr=se,
-    )
-
-
-# ---------------------------------------------------------------------------
 # quantum non-Markovianity
 
 
@@ -472,16 +408,11 @@ class FidelityTrace:
     t: NDArray[np.float64]
     f_raw: NDArray[np.float64]
     f_smooth: NDArray[np.float64]
-    window: int
-    rho1: SqueezedSpec
-    rho2: SqueezedSpec
     omega_s: float
 
     def __post_init__(self):
         if not np.all((self.f_raw > 0) & (self.f_raw <= 1.0 + 1e-9)):
             raise ValueError("fidelity values must lie in (0, 1]")
-        if self.window % 2 == 0:
-            raise ValueError("smoothing window must be odd")
 
     def to_csv(self) -> str:
         return "t,F_raw,F_smooth\n" + _fmt_rows(
@@ -535,9 +466,6 @@ def qnm_trace(
         t=t_grid,
         f_raw=fs,
         f_smooth=moving_average(fs, window),
-        window=window,
-        rho1=rho1,
-        rho2=rho2,
         omega_s=model.omega_s,
     )
 

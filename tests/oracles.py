@@ -521,8 +521,5 @@ def qnm_trace_stacked(
         t=t_grid,
         f_raw=fs,
         f_smooth=moving_average(fs, window),
-        window=window,
-        rho1=rho1,
-        rho2=rho2,
         omega_s=model.omega_s,
     )

@@ -22,6 +22,7 @@ from oscnet.probes import (
     blp_witness,
     model_at,
     qnm_trace,
+    spectral_density_analytic,
     suggest_tmax,
     sweep_spectral_density,
 )
@@ -202,13 +203,13 @@ def test_criterion_6_cross_path_consistency():
     # achievable at these parameters for any probe site or temperature.
     start = time.perf_counter()
     net1 = paper_networks()[1]
-    curve = sweep_spectral_density(
-        on.assemble_model(net1), np.linspace(0.2, 0.7, 120), 150.0, temperature=1.0, method="both"
-    )
+    model, grid = on.assemble_model(net1), np.linspace(0.2, 0.7, 120)
+    j_analytic = spectral_density_analytic(model, grid, 150.0)
+    j_probe, _ = sweep_spectral_density(model, grid, 150.0, temperature=1.0)
     elapsed = time.perf_counter() - start
-    mask = curve.j_analytic > 0.1 * curve.j_analytic.max()
-    rel = np.abs(curve.j_probe[mask] - curve.j_analytic[mask]) / curve.j_analytic[mask]
-    corr = float(np.corrcoef(curve.j_analytic, curve.j_probe)[0, 1])
+    mask = j_analytic > 0.1 * j_analytic.max()
+    rel = np.abs(j_probe[mask] - j_analytic[mask]) / j_analytic[mask]
+    corr = float(np.corrcoef(j_analytic, j_probe)[0, 1])
     ok = bool(rel.max() < 0.15 and corr > 0.95 and elapsed < 120.0)
     report(
         6,
@@ -274,10 +275,10 @@ def test_criterion_8_squeezing_robustness():
 
         def j_at(r):
             db = -20.0 * r / np.log(10.0)
-            return sweep_spectral_density(
-                model, [w], 150.0, 1.0, method="probe",
-                probe_state=squeezed_state(SqueezedSpec(db, -db, "q")),
-            ).j_probe[0]
+            j, _ = sweep_spectral_density(
+                model, [w], 150.0, 1.0, probe_state=squeezed_state(SqueezedSpec(db, -db, "q"))
+            )
+            return j[0]
 
         j0 = j_at(r0)
         for factor in (0.8, 1.2):

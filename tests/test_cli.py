@@ -176,6 +176,24 @@ class TestSpectral:
         assert manifest["config"]["protocol"] == "spectral"
         assert manifest["overrides"] == {"method": "both", "out_dir": str(outdir)}
 
+    @pytest.mark.parametrize(
+        "options, header",
+        [
+            (["--method", "analytic"], "omega_s,J_analytic"),
+            (["--method", "probe"], "omega_s,J_probe"),
+            (["--method", "both"], "omega_s,J_analytic,J_probe"),
+            (["--method", "probe", "--samples", "200", "--reps", "3"], "omega_s,J_probe,stderr"),
+        ],
+        ids=["analytic", "probe", "both", "sampled"],
+    )
+    def test_csv_columns_follow_the_method(self, outdir, options, header):
+        args = ["spectral", "--config", "network1.cfg", "--points", "10", *options]
+        assert run(args + ["--out", str(outdir)]) == 0
+        lines = (outdir / "spectral.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 11  # 10 sweep points
+        assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
+
     def test_cached_parser_leaks_no_flag_into_later_call(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         args = ["spectral", "--config", "network1.cfg", "--samples", "10", "--seed", "5"]
@@ -410,9 +428,9 @@ class TestEvolve:
     def test_matrix_bytes_match_per_number_format(self, outdir, idx):
         config = f"network{idx}.cfg"
         assert run(["evolve", "--config", config, "--out", str(outdir)]) == 0
-        cfg = _load_config(config)
+        cfg, config_dir = _load_config(config)
         (w,) = _omega_list(cfg)
-        model = model_at(_build_graph(cfg), w)
+        model = model_at(_build_graph(cfg, config_dir), w)
         t_max = _resolve_tmax(cfg, model)
         S = oscnet.evolve(model, t_max)
         n = S.shape[0] // 2
@@ -574,8 +592,15 @@ def test_graph_document_errors_are_config_errors(tmp_path, outdir, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_private_key_in_config_is_unknown(tmp_path, outdir, capsys):
+    cfg = {**json.loads(bundled_config_path("network1.cfg").read_text()), "_config_dir": "/"}
+    argv = ["validate", "--config", _write_config(tmp_path, cfg), "--out", str(outdir)]
+    assert run(argv) == EXIT_CONFIG
+    assert "unknown config key(s): _config_dir" in capsys.readouterr().err
+
+
 def test_internal_key_error_is_not_a_config_error(monkeypatch, outdir):
-    def broken(cfg, out):
+    def broken(cfg, graph, out):
         raise KeyError("internal")
 
     monkeypatch.setitem(oscnet.cli.RUNNERS, "validate", broken)

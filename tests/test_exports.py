@@ -45,7 +45,6 @@ EXPORTED = {
     "PlateauError",
     "ProbeSaturatedError",
     "SamplingOptions",
-    "SpectralDensityCurve",
     "WitnessReport",
     "blp_witness",
     "model_at",
@@ -64,16 +63,12 @@ OPTIONS = {
     ("CouplingGraph", "recipe"),
     ("NetworkRecipe", "params"),
     ("NetworkRecipe", "seed"),
-    ("SpectralDensityCurve", "j_analytic"),
-    ("SpectralDensityCurve", "j_probe"),
-    ("SpectralDensityCurve", "stderr"),
     ("SqueezedSpec", "axis"),
     ("blp_witness", "use_smoothed"),
     ("is_symplectic", "tol"),
     ("probe_rows", "omega_s"),
     ("qnm_trace", "window"),
     ("sweep_spectral_density", "env_prep"),
-    ("sweep_spectral_density", "method"),
     ("sweep_spectral_density", "probe_state"),
     ("sweep_spectral_density", "sampling"),
     ("sweep_spectral_density", "temperature"),
@@ -116,12 +111,12 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == EXPORTED
-    assert len(EXPORTED) == 43
+    assert len(EXPORTED) == 42
 
 
 def test_settable_defaults_are_pinned():
     assert settable_defaults() == OPTIONS
-    assert len(OPTIONS) == 17
+    assert len(OPTIONS) == 13
 
 
 def test_readme_quick_start_runs(request):

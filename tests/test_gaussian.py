@@ -318,6 +318,22 @@ class TestValidity:
         with pytest.raises(StateError):
             tight.require_physical()
 
+    # unchecked, fidelity(tight, tight) is 25 and mean_photon(tight) -0.4
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            lambda s: fidelity(s, s),
+            lambda s: fidelity(s, vacuum_state()),
+            lambda s: fidelity(vacuum_state(), s),
+            mean_photon,
+        ],
+        ids=["fidelity_both", "fidelity_first", "fidelity_second", "mean_photon"],
+    )
+    def test_observables_reject_unphysical_state(self, observable):
+        tight = GaussianState(np.zeros(2), 0.1 * np.eye(2))
+        with pytest.raises(StateError, match="uncertainty"):
+            observable(tight)
+
     # |det cov| >= 1/4 here, so the symplectic eigenvalue bound alone passes them
     @pytest.mark.parametrize(
         "cov", [np.diag([0.5, -0.6]), -0.6 * np.eye(2), np.diag([-0.6, 0.5])],

@@ -58,10 +58,8 @@ def single_node_probe(k=0.001, omega0=0.25, omega_s=None):
 
 def probe_j(model, t_max, temperature=1.0, **options):
     """(J, stderr) of a one-point probe-path sweep at the model's probe frequency."""
-    curve = sweep_spectral_density(
-        model, [model.omega_s], t_max, temperature, method="probe", **options
-    )
-    return curve.j_probe[0], None if curve.stderr is None else curve.stderr[0]
+    j, stderr = sweep_spectral_density(model, [model.omega_s], t_max, temperature, **options)
+    return j[0], None if stderr is None else stderr[0]
 
 
 class TestDampingKernel:
@@ -340,12 +338,12 @@ class TestProbeJ:
             probe_j(net1_model, 150.0, temperature=0.0)
 
     def test_cross_path_shape_agreement_network1(self, net1_model):
-        curve = sweep_spectral_density(
-            net1_model, np.linspace(0.2, 0.7, 120), 150.0, temperature=1.0, method="both"
-        )
-        corr = np.corrcoef(curve.j_analytic, curve.j_probe)[0, 1]
-        mask = curve.j_analytic > 0.1 * curve.j_analytic.max()
-        rel = np.abs(curve.j_probe[mask] - curve.j_analytic[mask]) / curve.j_analytic[mask]
+        grid = np.linspace(0.2, 0.7, 120)
+        j_analytic = spectral_density_analytic(net1_model, grid, 150.0)
+        j_probe, _ = sweep_spectral_density(net1_model, grid, 150.0, temperature=1.0)
+        corr = np.corrcoef(j_analytic, j_probe)[0, 1]
+        mask = j_analytic > 0.1 * j_analytic.max()
+        rel = np.abs(j_probe[mask] - j_analytic[mask]) / j_analytic[mask]
         # shape tracks (bands, gap, edges); pointwise deviation is limited by
         # the resolved discreteness of a 16-mode bath at t_max=150
         assert corr > 0.9
@@ -397,10 +395,10 @@ class TestEnvironmentPreparation:
 
     def test_squeezed_emulation_tracks_thermal_J(self, net1_model):
         grid = np.linspace(0.22, 0.68, 24)
-        jt = sweep_spectral_density(net1_model, grid, 150.0, method="probe", env_prep="thermal")
-        js = sweep_spectral_density(net1_model, grid, 150.0, method="probe", env_prep="squeezed")
-        mask = jt.j_probe > 0.1 * jt.j_probe.max()
-        rel = np.abs(js.j_probe[mask] - jt.j_probe[mask]) / np.abs(jt.j_probe[mask])
+        jt, _ = sweep_spectral_density(net1_model, grid, 150.0, env_prep="thermal")
+        js, _ = sweep_spectral_density(net1_model, grid, 150.0, env_prep="squeezed")
+        mask = jt > 0.1 * jt.max()
+        rel = np.abs(js[mask] - jt[mask]) / np.abs(jt[mask])
         assert rel.max() < 0.15
 
 
@@ -453,32 +451,23 @@ class TestSampling:
     def test_cost_does_not_grow_with_sample_count(self, net1_model):
         # n_samples normals per quadrature and rep would need about 160 GB here
         opts = SamplingOptions(n_samples=10**9, n_reps=10, seed=2)
-        curve = sweep_spectral_density(net1_model, [0.3], 150.0, method="probe", sampling=opts)
-        assert np.isfinite(curve.j_probe[0])
-        assert curve.stderr[0] > 0
+        j, stderr = sweep_spectral_density(net1_model, [0.3], 150.0, sampling=opts)
+        assert np.isfinite(j[0])
+        assert stderr[0] > 0
 
 
 class TestSweep:
-    def test_csv_round_trip_columns(self, net1_model):
-        curve = sweep_spectral_density(net1_model, np.linspace(0.2, 0.7, 10), 150.0, method="both")
-        text = curve.to_csv()
-        header = text.splitlines()[0].split(",")
-        assert header == ["omega_s", "J_analytic", "J_probe"]
-        assert len(text.splitlines()) == 11
-
-    def test_stderr_column_present_only_with_sampling(self, net1_model):
+    def test_stderr_only_with_sampling(self, net1_model):
         grid = np.linspace(0.25, 0.35, 4)
-        plain = sweep_spectral_density(net1_model, grid, 150.0, method="probe")
-        assert plain.stderr is None
-        sampled = sweep_spectral_density(
-            net1_model, grid, 150.0, method="probe",
-            sampling=SamplingOptions(n_samples=200, n_reps=3, seed=1),
+        j, stderr = sweep_spectral_density(net1_model, grid, 150.0)
+        assert j.shape == (4,) and stderr is None
+        _, stderr = sweep_spectral_density(
+            net1_model, grid, 150.0, sampling=SamplingOptions(n_samples=200, n_reps=3, seed=1)
         )
-        assert sampled.stderr is not None
-        assert "stderr" in sampled.to_csv().splitlines()[0]
+        assert isinstance(stderr, np.ndarray) and stderr.shape == (4,)
 
     def test_grid_must_increase(self, net1_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             sweep_spectral_density(net1_model, [0.3, 0.3, 0.4], 150.0)
 
     # unchecked, the first two yield a J and the third a saturation error
@@ -495,9 +484,7 @@ class TestSweep:
         g0 = on.build_linear_chain(16, [0.1, 0.05], 0.25).with_probe(8, 0.05, 0.3)
         probe = GaussianState(np.zeros(2), cov)
         with pytest.raises(StateError, match="uncertainty"):
-            sweep_spectral_density(
-                on.assemble_model(g0), grid, 150.0, method="probe", probe_state=probe
-            )
+            sweep_spectral_density(on.assemble_model(g0), grid, 150.0, probe_state=probe)
 
 
 # bundled sweep range and t_max of each network
@@ -578,9 +565,7 @@ class TestBatchedEquivalence:
         grid = np.linspace(start, stop, 15)
         probe = squeezed_state(SqueezedSpec(-3.0, 3.0, "q")) if squeezed_probe else None
         model = on.assemble_model(networks[idx])
-        curve = sweep_spectral_density(
-            model, grid, t_max, method="probe", probe_state=probe, env_prep=env_prep
-        )
+        j, _ = sweep_spectral_density(model, grid, t_max, probe_state=probe, env_prep=env_prep)
         environment = {
             "thermal": thermal_environment,
             "squeezed": squeezed_environment,
@@ -593,33 +578,31 @@ class TestBatchedEquivalence:
         # smaller, and the inversion magnifies the same few-ulp round-off of
         # n_S (the stacked full-covariance route reaches 1.1e-12 on net 5)
         rtol = 1e-11 if env_prep == "vacuum" else 1e-12
-        assert np.max(np.abs(curve.j_probe - ref)) <= rtol * np.max(np.abs(ref))
+        assert np.max(np.abs(j - ref)) <= rtol * np.max(np.abs(ref))
 
     def test_one_point_sampled_sweep_matches_single_point(self, net1_model):
         # point 0 of a seeded sweep draws from the same seed streams as a
         # seeded one-point sweep at its frequency
         opts = SamplingOptions(n_samples=500, n_reps=4, seed=3)
         grid = np.linspace(0.25, 0.45, 6)
-        curve = sweep_spectral_density(net1_model, grid, 150.0, method="probe", sampling=opts)
-        single = sweep_spectral_density(net1_model, grid[:1], 150.0, method="probe", sampling=opts)
-        assert np.isclose(curve.j_probe[0], single.j_probe[0], rtol=1e-10, atol=0.0)
-        assert np.isclose(curve.stderr[0], single.stderr[0], rtol=1e-8, atol=0.0)
+        j, stderr = sweep_spectral_density(net1_model, grid, 150.0, sampling=opts)
+        j_single, stderr_single = sweep_spectral_density(net1_model, grid[:1], 150.0, sampling=opts)
+        assert np.isclose(j[0], j_single[0], rtol=1e-10, atol=0.0)
+        assert np.isclose(stderr[0], stderr_single[0], rtol=1e-8, atol=0.0)
 
     def test_sweep_raises_stability_error(self, net1_model):
         with pytest.raises(on.StabilityError):
-            sweep_spectral_density(net1_model, [0.01, 0.3], 150.0, method="probe")
+            sweep_spectral_density(net1_model, [0.01, 0.3], 150.0)
 
     def test_sweep_raises_saturation_naming_the_point(self):
         # full resonant swap at omega_S = 0.25 only
         g = on.build_explicit(1, 0.25, []).with_probe(1, 1e-3, 0.25)
         t_full = np.pi / 2 / (1e-3 / 0.5)
         with pytest.raises(ProbeSaturatedError, match="omega_s=0.25"):
-            sweep_spectral_density(
-                on.assemble_model(g), [0.24, 0.25, 0.26], t_full, method="probe"
-            )
+            sweep_spectral_density(on.assemble_model(g), [0.24, 0.25, 0.26], t_full)
 
     def test_empty_grid_rejected(self, net1_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             sweep_spectral_density(net1_model, [], 150.0)
 
 
@@ -690,7 +673,7 @@ class TestWitness:
 
         t = np.arange(4.0)
         f = np.array([0.5, 0.6, 0.7, 0.8])
-        tr = FidelityTrace(t, f, f, 1, *PAPER_STATES, omega_s=0.5)
+        tr = FidelityTrace(t, f, f, omega_s=0.5)
         rep = blp_witness(tr, use_smoothed=False)
         assert rep.value == 0.0 and np.copysign(1.0, rep.value) == 1.0
         assert rep.to_text().splitlines()[1] == "N = 0"
@@ -701,14 +684,14 @@ class TestWitness:
 
         f = np.array([0.9, bad, 0.8])
         with pytest.raises(ValueError, match="lie in"):
-            FidelityTrace(np.arange(3.0), f, f, 1, *PAPER_STATES, omega_s=0.5)
+            FidelityTrace(np.arange(3.0), f, f, omega_s=0.5)
 
     def test_hand_computed_sum(self):
         from oscnet.probes import FidelityTrace
 
         t = np.arange(4.0)
         f = np.array([1.0, 0.8, 0.9, 0.7])
-        tr = FidelityTrace(t, f, f, 1, *PAPER_STATES, omega_s=0.5)
+        tr = FidelityTrace(t, f, f, omega_s=0.5)
         rep = blp_witness(tr, use_smoothed=False)
         assert np.isclose(rep.value, 0.4, atol=1e-15)
         assert len(rep.intervals) == 2
