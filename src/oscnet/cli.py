@@ -1,8 +1,12 @@
 """Batch front-end: config-driven protocol runners with reproducible outputs.
 
 One JSON config per run; command-line flags override config fields and the
-overrides are recorded in the emitted manifest. Exit codes: 0 success,
-2 configuration error, 3 unstable network, 4 probe saturation.
+overrides are recorded in the emitted manifest, one JSON line with sorted
+keys. Each verb takes only the flags it reads: every verb ``--config``,
+``--omega-s`` and ``--out``; ``spectral``, ``evolve`` and ``masks`` also
+``--t-max``; ``spectral`` also ``--points``, ``--method``, ``--samples``,
+``--reps`` and ``--seed``. Exit codes: 0 success, 2 configuration error,
+3 unstable network, 4 probe saturation.
 """
 
 from __future__ import annotations
@@ -145,6 +149,10 @@ def _check_config(cfg: dict) -> None:
             raise ConfigError(problem)
     if cfg["protocol"] == "spectral" and cfg["t_max"] == 0:
         raise ConfigError("t_max must be > 0 for spectral, which divides by it")
+    if cfg["protocol"] == "spectral" and cfg["samples"] > 0 and cfg["method"] == "analytic":
+        raise ConfigError(
+            'samples > 0 needs method "probe" or "both": method "analytic" reads no samples'
+        )
 
 
 def bundled_config_path(name: str) -> Path:
@@ -262,7 +270,8 @@ def _out_dir(cfg: dict) -> Path:
 def _write_manifest(out: Path, cfg: dict, overrides: dict, graph: CouplingGraph) -> None:
     manifest = {"tool": "oscnet", "version": __version__, "config": cfg, "overrides": overrides}
     manifest["graph"] = save_graph(graph)  # resolved input, run is self-contained
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # one line: indent would force the pure-Python encoder on every run
+    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def _state(cfg: dict, name: str) -> SqueezedSpec:
@@ -421,16 +430,18 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"oscnet {__version__}")
     sub = parser.add_subparsers(dest="protocol", required=True)
-    for verb in RUNNERS:
+    for verb in RUNNERS:  # each verb takes the flags of the keys it reads
         sp = sub.add_parser(verb)
         sp.add_argument("--config", help="JSON run config (bundled name or path)")
         sp.add_argument("--omega-s", help="probe frequency, or comma-separated list")
-        sp.add_argument("--t-max", help="interaction time, or 'auto'")
-        sp.add_argument("--points", type=int, help="sweep grid points")
-        sp.add_argument("--method", choices=["analytic", "probe", "both"])
-        sp.add_argument("--samples", type=int, help="homodyne samples per quadrature")
-        sp.add_argument("--reps", type=int, help="sampling repetitions")
-        sp.add_argument("--seed", type=int, help="master seed")
+        if verb in ("spectral", "evolve", "masks"):
+            sp.add_argument("--t-max", help="interaction time, or 'auto'")
+        if verb == "spectral":
+            sp.add_argument("--points", type=int, help="sweep grid points")
+            sp.add_argument("--method", choices=["analytic", "probe", "both"])
+            sp.add_argument("--samples", type=int, help="homodyne samples per quadrature")
+            sp.add_argument("--reps", type=int, help="sampling repetitions")
+            sp.add_argument("--seed", type=int, help="master seed")
         sp.add_argument("--out", dest="out_dir", help="output directory")
     return parser
 
@@ -444,24 +455,26 @@ def _flag_number(text: str) -> float | str:
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
+    """Apply the verb's flags that were given to the config; the overrides by key."""
+    flags = {k: v for k, v in vars(args).items() if v is not None}
     overrides: dict = {}
-    if args.omega_s is not None:
-        vals = [_flag_number(v) for v in args.omega_s.split(",")]
+    if "omega_s" in flags:
+        vals = [_flag_number(v) for v in flags["omega_s"].split(",")]
         probe = dict(cfg["probe"]) if isinstance(cfg.get("probe"), dict) else {}
         probe.pop("sweep", None)
         probe["omega_s"] = overrides["omega_s"] = vals if len(vals) > 1 else vals[0]
         cfg["probe"] = probe
-    if args.t_max is not None:
-        cfg["t_max"] = overrides["t_max"] = _flag_number(args.t_max)
-    if args.points is not None:
+    if "t_max" in flags:
+        cfg["t_max"] = overrides["t_max"] = _flag_number(flags["t_max"])
+    if "points" in flags:
         probe = cfg.get("probe")
         if not isinstance(probe, dict) or not isinstance(probe.get("sweep"), dict):
             raise ConfigError("--points needs a sweep block in the config")
-        cfg["probe"] = {**probe, "sweep": {**probe["sweep"], "points": args.points}}
-        overrides["points"] = args.points
+        cfg["probe"] = {**probe, "sweep": {**probe["sweep"], "points": flags["points"]}}
+        overrides["points"] = flags["points"]
     for name in ("method", "samples", "reps", "seed", "out_dir"):
-        if getattr(args, name) is not None:
-            cfg[name] = overrides[name] = getattr(args, name)
+        if name in flags:
+            cfg[name] = overrides[name] = flags[name]
     return overrides
 
 

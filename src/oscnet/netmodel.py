@@ -343,6 +343,13 @@ def build_explicit(
 ) -> CouplingGraph:
     """Graph from an explicit 1-based edge list [(i, j, g_ij), ...]; attach a
     probe with ``CouplingGraph.with_probe``."""
+    omega_t, couplings = _explicit_parts(n, omega, edges)
+    return CouplingGraph(n, omega_t, couplings, recipe=NetworkRecipe("explicit"))
+
+
+def _explicit_parts(n: int, omega: float | Sequence[float], edges: Sequence) -> tuple:
+    """The node frequencies and 0-based couplings of an explicit graph, with
+    the edge errors of ``build_explicit``; ``CouplingGraph`` checks ranges."""
     omega_t = (float(omega),) * n if np.isscalar(omega) else tuple(float(w) for w in omega)
     couplings: dict[tuple[int, int], float] = {}
     for i, j, g in edges:
@@ -354,17 +361,22 @@ def build_explicit(
         if (a, b) in couplings and couplings[(a, b)] != g:
             raise GraphError(f"asymmetric weights for edge ({i}, {j}): {couplings[(a, b)]} vs {g}")
         couplings[(a, b)] = float(g)
-    return CouplingGraph(n, omega_t, couplings, recipe=NetworkRecipe("explicit"))
+    return omega_t, couplings
 
 
 def _barabasi_albert(n, kappa, m0, g, omega0, seed) -> CouplingGraph:
     return build_barabasi_albert(n, kappa, kappa if m0 is None else m0, g, omega0, seed)
 
 
-def _explicit(n, omega, omega0, edges) -> CouplingGraph:
+def _one_omega(omega, omega0):
+    """The node frequencies of an explicit recipe or graph document."""
     if (omega is None) == (omega0 is None):
         raise GraphError("an explicit graph needs exactly one of 'omega' and 'omega0'")
-    return build_explicit(n, omega0 if omega is None else omega, [tuple(e) for e in edges])
+    return omega0 if omega is None else omega
+
+
+def _explicit(n, omega, omega0, edges) -> CouplingGraph:
+    return build_explicit(n, _one_omega(omega, omega0), edges)
 
 
 _N = _Field("integer", ..., *_at_least(1))
@@ -463,14 +475,16 @@ def load_graph(doc: Mapping[str, object] | str) -> CouplingGraph:
         except json.JSONDecodeError as exc:
             raise GraphError(f"graph document is not valid JSON: {exc}") from exc
     f = _fields(doc, _DOCUMENT_FIELDS, "graph document")
-    graph = _explicit(f["nodes"], f["omega"], f["omega0"], f["edges"])
+    omega, couplings = _explicit_parts(f["nodes"], _one_omega(f["omega"], f["omega0"]), f["edges"])
+    probe, recipe = None, NetworkRecipe("explicit")
     if f["probe"] is not None:
         p = _fields(f["probe"], _PROBE_FIELDS, "graph document probe")
-        graph = graph.with_probe(p["site"], p["k"], p["omega_s"])
+        probe = ProbeSpec(p["site"] - 1, p["k"], p["omega_s"])
     if f["recipe"] is not None:
         _recipe(f["recipe"])  # provenance, kept as given once it checks
         r = dict(f["recipe"])
         kind = r.pop("kind")
         seed = r.pop("seed", None)
-        graph = replace(graph, recipe=NetworkRecipe(kind, r, seed))
-    return graph
+        recipe = NetworkRecipe(kind, r, seed)
+    # one construction: the range checks of every edge run once
+    return CouplingGraph(f["nodes"], omega, couplings, probe, recipe)

@@ -21,6 +21,7 @@ from oscnet.cli import (
     bundled_config_path,
     main,
 )
+from oscnet.netmodel import load_graph, save_graph
 from oscnet.probes import _fmt, model_at
 from oscnet.symplectic import SymplecticError
 
@@ -463,19 +464,56 @@ class TestEvolve:
         (["qnm", "--omega-s", "0.58,abc"], "probe.omega_s"),
         (["qnm", "--omega-s", "nan"], "probe.omega_s must be finite"),
         (["spectral", "--omega-s", "0.5,nan"], "probe.omega_s must be finite"),
+        (["spectral", "--method", "analytic", "--samples", "100"], 'samples > 0 needs method "'),
     ],
     ids=[
         "spectral-decreasing-omegas", "spectral-repeated-omega", "qnm-shared-tag",
         "evolve-shared-tag", "masks-shared-tag", "spectral-tmax-negative",
         "evolve-tmax-negative", "spectral-tmax-zero", "spectral-tmax-abc", "evolve-tmax-abc",
         "spectral-tmax-nan", "evolve-tmax-nan", "masks-tmax-inf", "qnm-omega-not-a-number",
-        "qnm-omega-nan", "spectral-omega-nan",
+        "qnm-omega-nan", "spectral-omega-nan", "spectral-analytic-samples",
     ],
 )
 def test_bad_command_line_is_config_error(outdir, capsys, argv, message):
     assert run(argv + ["--config", "network1.cfg", "--out", str(outdir)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qnm", "--t-max", "5"], ["validate", "--method", "probe"], ["masks", "--samples", "100"]],
+    ids=["qnm-t-max", "validate-method", "masks-samples"],
+)
+def test_flag_the_verb_does_not_read_is_rejected(outdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--config", "network1.cfg", "--out", str(outdir)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+
+
+def test_readme_command_lines_parse(request):
+    readme = (request.path.parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```bash\n")[1].split("```")[0]
+    argvs = [line.split()[1:] for line in block.splitlines() if line.startswith("oscnet ")]
+    assert {argv[0] for argv in argvs} == set(oscnet.cli.RUNNERS)
+    for argv in argvs:
+        _parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("config", ["network1.cfg", "network4.cfg"])
+@pytest.mark.parametrize("verb", ["validate", "spectral", "qnm", "masks", "evolve"])
+def test_manifest_is_one_json_line_with_sorted_keys(outdir, verb, config):
+    assert run([verb, "--config", config, "--out", str(outdir)]) == 0
+    data = (outdir / "manifest.json").read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == 1
+    manifest = json.loads(data)
+    assert sorted(manifest) == ["config", "graph", "overrides", "tool", "version"]
+    assert (json.dumps(manifest, sort_keys=True) + "\n").encode() == data
+    cfg, config_dir = _load_config(config)
+    graph = manifest["graph"]
+    assert save_graph(load_graph(graph)) == graph == save_graph(_build_graph(cfg, config_dir))
 
 
 @pytest.mark.parametrize("flag, value", [("150", 150.0), ("auto", "auto"), ("0", 0.0)])

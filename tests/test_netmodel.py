@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oscnet as on
+from oscnet.cli import bundled_config_path
 from oscnet.netmodel import GraphError
 
 
@@ -270,6 +271,52 @@ def test_recipe_defaults_and_integer_numbers():
 def test_malformed_document_rejected(doc, message):
     with pytest.raises(GraphError, match=message):
         on.load_graph(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"nodes": 2, "omega0": 0.25, "edges": [[1, 3, -0.1]], "probe": {"site": 1}},
+            "missing node",
+        ),
+        (
+            {"nodes": 2, "omega0": 0.25, "edges": [[1, 2, -0.1]], "probe": {"site": 3}},
+            "missing field 'k'",
+        ),
+        (
+            {
+                "nodes": 2, "omega0": 0.25, "edges": [[1, 2, -0.1]],
+                "probe": {"site": 3, "k": 0.01, "omega_s": 0.5},
+            },
+            "has weight -0.1",
+        ),
+    ],
+    ids=["edge-before-probe-field", "probe-field-before-range", "range-checks-last"],
+)
+def test_document_errors_come_in_order(doc, message):
+    with pytest.raises(GraphError, match=message):
+        on.load_graph(doc)
+
+
+def test_load_graph_constructs_the_graph_once(monkeypatch):
+    checked = []
+    post_init = on.CouplingGraph.__post_init__
+
+    def counting_post_init(graph):
+        checked.append(graph)
+        post_init(graph)
+
+    monkeypatch.setattr(on.CouplingGraph, "__post_init__", counting_post_init)
+    graph = on.load_graph(bundled_config_path("network4.json").read_text())
+    assert checked == [graph]
+    assert graph.probe is not None and graph.recipe.kind == "watts-strogatz"
+
+
+@pytest.mark.parametrize("name", ["network4.json", "network5.json"])
+def test_bundled_documents_round_trip(name):
+    doc = json.loads(bundled_config_path(name).read_text())
+    assert on.save_graph(on.load_graph(doc)) == doc
 
 
 def test_document_recipe_block_is_checked_as_a_recipe():
