@@ -6,7 +6,6 @@ onto multimode measurement settings."""
 from .netmodel import (
     CouplingGraph,
     GraphError,
-    NetworkRecipe,
     ProbeSpec,
     build_barabasi_albert,
     build_explicit,

@@ -7,6 +7,9 @@ keys. Each verb takes only the flags it reads: every verb ``--config``,
 ``--t-max``; ``spectral`` also ``--points``, ``--method``, ``--samples``,
 ``--reps`` and ``--seed``. Exit codes: 0 success, 2 configuration error,
 3 unstable network, 4 probe saturation.
+
+The runners format every output file here, each float at 17 significant
+digits; the library returns arrays and dataclasses.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import __version__
 from .dynamics import ExpansionRangeError, QuadraticModel, StabilityError
@@ -34,9 +38,7 @@ from .probes import (
     PlateauError,
     ProbeSaturatedError,
     SamplingOptions,
-    _fmt,
-    _fmt_matrix,
-    _fmt_rows,
+    WitnessReport,
     blp_witness,
     model_at,
     qnm_trace,
@@ -282,6 +284,52 @@ def _state(cfg: dict, name: str) -> SqueezedSpec:
 
 
 # ---------------------------------------------------------------------------
+# output text: every number as %.17g, which round-trips a float64
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _fmt_rows(table: NDArray, sep: str) -> str:
+    """Each row of a 2-D table as one line of ``_fmt`` numbers joined by
+    ``sep``; one ``%`` per row over a prebuilt format gives the same bytes."""
+    table = np.asarray(table, dtype=float)
+    line = sep.join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join([line % tuple(row) for row in table.tolist()])
+
+
+def _fmt_matrix(matrix: NDArray, sep: str) -> str:
+    """The bytes of ``_fmt_rows(matrix, sep)``, formatting each distinct entry
+    once: worth it where entries repeat, as in a propagator with its
+    time-reversal structure, and not for tables without repeats.
+
+    Entries are told apart by bit pattern, so 0.0 and -0.0 (and NaN
+    payloads) stay distinct.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    bits, index = np.unique(matrix.view(np.int64), return_inverse=True)
+    k = len(bits)
+    words = ("%.17g\n" * k % tuple(bits.view(np.float64).tolist())).split("\n")
+    table = np.array(words, dtype=object)[index.reshape(matrix.shape)]
+    return "".join([sep.join(row) + "\n" for row in table.tolist()])
+
+
+def _witness_text(report: WitnessReport, omega_s: float) -> str:
+    """The witness file: the probe frequency, N, whether the trace was
+    smoothed and the contributing intervals."""
+    lines = [
+        f"omega_s = {_fmt(omega_s)}",
+        f"N = {_fmt(report.value)}",
+        f"smoothed = {str(report.smoothed).lower()}",
+        "intervals (t_start, t_end, contribution):",
+    ]
+    for a, b, dv in report.intervals:
+        lines.append(f"  {_fmt(a)}, {_fmt(b)}, {_fmt(dv)}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # protocol runners
 
 
@@ -369,8 +417,9 @@ def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> int:
     for tag, model in _tagged_models(cfg, graph).items():
         trace = qnm_trace(model, rho1, rho2, t_grid, window=cfg["smooth_window"])
         report = blp_witness(trace, use_smoothed=True)
-        (out / f"qnm_w{tag}.csv").write_text(trace.to_csv())
-        (out / f"witness_w{tag}.txt").write_text(report.to_text())
+        table = np.column_stack([trace.t, trace.f_raw, trace.f_smooth])
+        (out / f"qnm_w{tag}.csv").write_text("t,F_raw,F_smooth\n" + _fmt_rows(table, ","))
+        (out / f"witness_w{tag}.txt").write_text(_witness_text(report, model.omega_s))
         sys.stdout.write(f"omega_s={tag}: N={_fmt(report.value)}\n")
     return 0
 

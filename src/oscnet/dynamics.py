@@ -108,21 +108,13 @@ def _unstable(name: str, lowest: float) -> StabilityError:
     return StabilityError(f"unstable network: {name} has eigenvalue {lowest:.6g} <= 0")
 
 
-def _check_positive_definite(A: NDArray[np.float64], name: str) -> None:
-    """Raise StabilityError naming the smallest eigenvalue of ``A`` unless its
-    Cholesky factorization exists; ``eigvalsh`` runs only on failure."""
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise _unstable(name, np.linalg.eigvalsh(A)[0]) from None
-
-
 def _decompose(
     A: NDArray[np.float64], name: str
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Eigenvectors and sqrt(eigenvalues) of ``A``. A matrix that passed the
-    Cholesky check can still round to a non-positive eigenvalue; that raises
-    too, rather than leaving a NaN frequency."""
+    """Eigenvectors and sqrt(eigenvalues) of ``A``. V and its environment
+    block, which pass with V's Cholesky check, can still round to a
+    non-positive eigenvalue; that raises too, rather than leaving a NaN
+    frequency."""
     evals, vecs = np.linalg.eigh(A)
     if not evals[0] > 0:
         raise _unstable(name, evals[0])
@@ -134,8 +126,9 @@ def assemble_model(graph: CouplingGraph) -> QuadraticModel:
 
     The environment block uses spring (Laplacian) coupling and the probe
     couples through the bare bilinear V_Sl = k. Raises StabilityError when V
-    or, after it, its environment block is not positive definite (Cholesky
-    checks); no eigendecomposition runs until a verb reads one.
+    is not positive definite (a Cholesky check); its environment block, a
+    principal submatrix, then is too. No eigendecomposition runs until a
+    verb reads one.
     """
     if graph.probe is None:
         raise ValueError("graph has no probe attached")
@@ -155,8 +148,10 @@ def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     V[0, 0] = probe.omega_s**2
     V[0, 1 + probe.site] = V[1 + probe.site, 0] = probe.k
 
-    _check_positive_definite(V, "potential matrix")
-    _check_positive_definite(VE, "environment block")
+    try:  # eigvalsh runs only on failure, to name the smallest eigenvalue
+        np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        raise _unstable("potential matrix", np.linalg.eigvalsh(V)[0]) from None
     freqs = np.concatenate([[probe.omega_s], w])
     return QuadraticModel(V=V, frequencies=freqs, site=probe.site, coupling=probe.k)
 
@@ -229,8 +224,9 @@ def probe_rows(
 
 def _check_schur_margin(model: QuadraticModel, omega_s: NDArray[np.float64]) -> None:
     """Raise StabilityError at the first probe frequency whose potential is
-    not positive definite. The environment block is (``assemble_model``), so
-    V(omega_S) is iff its Schur complement omega_S^2 - sum c_n^2/Omega_n^2 is."""
+    not positive definite. The environment block is (a principal submatrix
+    of the V that ``assemble_model`` checked), so V(omega_S) is iff its
+    Schur complement omega_S^2 - sum c_n^2/Omega_n^2 is."""
     margin = omega_s**2 - model._kernel_weights.sum()
     unstable = np.flatnonzero(margin <= 0)
     if unstable.size:

@@ -8,9 +8,10 @@ reports, 0-based internally.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -130,21 +131,6 @@ class ProbeSpec:
 
 
 @dataclass(frozen=True)
-class NetworkRecipe:
-    """Provenance of a generated graph (kind, parameters, seed)."""
-
-    kind: str
-    params: Mapping[str, object] = field(default_factory=dict)
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, **self.params}
-        if self.seed is not None:
-            out["seed"] = int(self.seed)
-        return out
-
-
-@dataclass(frozen=True)
 class CouplingGraph:
     """Harmonic-oscillator environment network.
 
@@ -160,14 +146,16 @@ class CouplingGraph:
     probe:
         Optional probe attachment; most operations require it.
     recipe:
-        Optional generator provenance.
+        The recipe document that generated the graph (the mapping
+        ``from_recipe`` accepts, ``seed`` an int), or None for an explicit
+        graph.
     """
 
     n_nodes: int
     omega: tuple[float, ...]
     couplings: Mapping[tuple[int, int], float]
     probe: ProbeSpec | None = None
-    recipe: NetworkRecipe | None = None
+    recipe: Mapping[str, object] | None = None
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -242,7 +230,9 @@ def build_linear_chain(n: int, pattern: Sequence[float], omega0: float) -> Coupl
     if not all(0 < g < np.inf for g in pattern):
         raise GraphError("pattern entries must be finite and > 0")
     couplings = {(i, i + 1): float(pattern[i % len(pattern)]) for i in range(n - 1)}
-    recipe = NetworkRecipe("linear-periodic", {"n": n, "pattern": list(map(float, pattern)), "omega0": omega0})
+    recipe = {
+        "kind": "linear-periodic", "n": n, "pattern": list(map(float, pattern)), "omega0": omega0,
+    }
     return CouplingGraph(n, (float(omega0),) * n, couplings, recipe=recipe)
 
 
@@ -272,9 +262,10 @@ def build_watts_strogatz(
         edges = _ws_rewire(n, K, p, np.random.default_rng(ss))
         if _connected(n, edges):
             couplings = {e: float(g) for e in sorted(edges)}
-            recipe = NetworkRecipe(
-                "watts-strogatz", {"n": n, "K": K, "p": p, "g": g, "omega0": omega0}, seed
-            )
+            recipe = {
+                "kind": "watts-strogatz", "n": n, "K": K, "p": p, "g": g, "omega0": omega0,
+                "seed": int(seed),
+            }
             return CouplingGraph(n, (float(omega0),) * n, couplings, recipe=recipe)
     raise GraphError(f"Watts-Strogatz stayed disconnected after {MAX_REWIRE_ATTEMPTS} attempts")
 
@@ -332,9 +323,10 @@ def build_barabasi_albert(
             couplings[(t, new)] = float(g)
             deg[t] += 1
             deg[new] += 1
-    recipe = NetworkRecipe(
-        "barabasi-albert", {"n": n, "kappa": kappa, "m0": m0, "g": g, "omega0": omega0}, seed
-    )
+    recipe = {
+        "kind": "barabasi-albert", "n": n, "kappa": kappa, "m0": m0, "g": g, "omega0": omega0,
+        "seed": int(seed),
+    }
     return CouplingGraph(n, (float(omega0),) * n, couplings, recipe=recipe)
 
 
@@ -344,7 +336,7 @@ def build_explicit(
     """Graph from an explicit 1-based edge list [(i, j, g_ij), ...]; attach a
     probe with ``CouplingGraph.with_probe``."""
     omega_t, couplings = _explicit_parts(n, omega, edges)
-    return CouplingGraph(n, omega_t, couplings, recipe=NetworkRecipe("explicit"))
+    return CouplingGraph(n, omega_t, couplings)
 
 
 def _explicit_parts(n: int, omega: float | Sequence[float], edges: Sequence) -> tuple:
@@ -445,8 +437,8 @@ def save_graph(graph: CouplingGraph) -> dict:
             "k": graph.probe.k,
             "omega_s": graph.probe.omega_s,
         }
-    if graph.recipe is not None and graph.recipe.kind != "explicit":
-        doc["recipe"] = graph.recipe.to_dict()
+    if graph.recipe is not None:
+        doc["recipe"] = copy.deepcopy(graph.recipe)
     return doc
 
 
@@ -476,15 +468,13 @@ def load_graph(doc: Mapping[str, object] | str) -> CouplingGraph:
             raise GraphError(f"graph document is not valid JSON: {exc}") from exc
     f = _fields(doc, _DOCUMENT_FIELDS, "graph document")
     omega, couplings = _explicit_parts(f["nodes"], _one_omega(f["omega"], f["omega0"]), f["edges"])
-    probe, recipe = None, NetworkRecipe("explicit")
+    probe, recipe = None, None
     if f["probe"] is not None:
         p = _fields(f["probe"], _PROBE_FIELDS, "graph document probe")
         probe = ProbeSpec(p["site"] - 1, p["k"], p["omega_s"])
     if f["recipe"] is not None:
         _recipe(f["recipe"])  # provenance, kept as given once it checks
-        r = dict(f["recipe"])
-        kind = r.pop("kind")
-        seed = r.pop("seed", None)
-        recipe = NetworkRecipe(kind, r, seed)
+        if f["recipe"]["kind"] != "explicit":
+            recipe = copy.deepcopy(f["recipe"])
     # one construction: the range checks of every edge run once
     return CouplingGraph(f["nodes"], omega, couplings, probe, recipe)

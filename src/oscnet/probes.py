@@ -13,6 +13,9 @@ each:
 
 The damping-kernel plateau heuristic picks the interaction horizon t_max
 before finite-size revivals set in.
+
+Results are arrays and dataclasses; no text is formatted here (``cli``
+writes every output file).
 """
 
 from __future__ import annotations
@@ -51,34 +54,6 @@ class ProbeSaturatedError(ValueError):
 
 class PlateauError(ValueError):
     """No damping-kernel plateau found within the search horizon."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _fmt_rows(table: NDArray, sep: str) -> str:
-    """Each row of a 2-D table as one line of ``_fmt`` numbers joined by
-    ``sep``; one ``%`` per row over a prebuilt format gives the same bytes."""
-    table = np.asarray(table, dtype=float)
-    line = sep.join(["%.17g"] * table.shape[1]) + "\n"
-    return "".join([line % tuple(row) for row in table.tolist()])
-
-
-def _fmt_matrix(matrix: NDArray, sep: str) -> str:
-    """The bytes of ``_fmt_rows(matrix, sep)``, formatting each distinct entry
-    once: worth it where entries repeat, as in a propagator with its
-    time-reversal structure, and not for tables without repeats.
-
-    Entries are told apart by bit pattern, so 0.0 and -0.0 (and NaN
-    payloads) stay distinct.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    bits, index = np.unique(matrix.view(np.int64), return_inverse=True)
-    k = len(bits)
-    words = ("%.17g\n" * k % tuple(bits.view(np.float64).tolist())).split("\n")
-    table = np.array(words, dtype=object)[index.reshape(matrix.shape)]
-    return "".join([sep.join(row) + "\n" for row in table.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +383,10 @@ class FidelityTrace:
     t: NDArray[np.float64]
     f_raw: NDArray[np.float64]
     f_smooth: NDArray[np.float64]
-    omega_s: float
 
     def __post_init__(self):
         if not np.all((self.f_raw > 0) & (self.f_raw <= 1.0 + 1e-9)):
             raise ValueError("fidelity values must lie in (0, 1]")
-
-    def to_csv(self) -> str:
-        return "t,F_raw,F_smooth\n" + _fmt_rows(
-            np.column_stack([self.t, self.f_raw, self.f_smooth]), ","
-        )
 
 
 @dataclass(frozen=True)
@@ -427,18 +396,6 @@ class WitnessReport:
     value: float
     intervals: tuple[tuple[float, float, float], ...]
     smoothed: bool
-    omega_s: float
-
-    def to_text(self) -> str:
-        lines = [
-            f"omega_s = {_fmt(self.omega_s)}",
-            f"N = {_fmt(self.value)}",
-            f"smoothed = {str(self.smoothed).lower()}",
-            "intervals (t_start, t_end, contribution):",
-        ]
-        for a, b, dv in self.intervals:
-            lines.append(f"  {_fmt(a)}, {_fmt(b)}, {_fmt(dv)}")
-        return "\n".join(lines) + "\n"
 
 
 def qnm_trace(
@@ -462,12 +419,7 @@ def qnm_trace(
     covs = _probe_covariances(model, probe_rows(model, t_grid), sigmas, "vacuum")
     zero = np.zeros(2)
     fs = g.fidelity_from_moments(zero, covs[0], zero, covs[1])
-    return FidelityTrace(
-        t=t_grid,
-        f_raw=fs,
-        f_smooth=moving_average(fs, window),
-        omega_s=model.omega_s,
-    )
+    return FidelityTrace(t=t_grid, f_raw=fs, f_smooth=moving_average(fs, window))
 
 
 def blp_witness(trace: FidelityTrace, use_smoothed: bool = True) -> WitnessReport:
@@ -497,6 +449,4 @@ def blp_witness(trace: FidelityTrace, use_smoothed: bool = True) -> WitnessRepor
             start = None
     if start is not None:
         intervals.append((float(start), float(trace.t[-1]), float(acc)))
-    return WitnessReport(
-        value=total, intervals=tuple(intervals), smoothed=use_smoothed, omega_s=trace.omega_s
-    )
+    return WitnessReport(value=total, intervals=tuple(intervals), smoothed=use_smoothed)

@@ -113,8 +113,6 @@ def _r1_and_d(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.f
             f"input is not symplectic (residual {res:.3e} >= {SYMPLECTIC_TOL:.1e})"
         )
     n = S.shape[0] // 2
-    omega = symplectic_form(n)
-
     gram = _gram(S)
     # S is square, so S S^T = I iff S^T S = I (the same Frobenius residual)
     if np.linalg.norm(gram - np.eye(2 * n)) < SYMPLECTIC_TOL:
@@ -137,8 +135,9 @@ def _r1_and_d(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.f
     w = np.vstack([q.real, q.imag])  # unit columns, each with a real sign left free
     lead = np.argmax(np.abs(w) > 1e-12, axis=0)
     w *= np.copysign(1.0, w[lead, np.arange(n_squeezed)])
+    # each column pair is (w, -Omega w) = (w, (-w_p, w_q)): a block swap
     r1[:, :n_squeezed] = w
-    r1[:, n : n + n_squeezed] = -omega @ w
+    r1[:n, n : n + n_squeezed], r1[n:, n : n + n_squeezed] = -w[n:], w[:n]
 
     # candidate q-columns of the rest: the columns of the projector onto the
     # (near-)unit singular space
@@ -160,7 +159,7 @@ def _r1_and_d(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.f
         if lead.size and w[lead[0]] < 0:
             w = -w
         r1[:, k] = w
-        r1[:, n + k] = -omega @ w
+        r1[:n, n + k], r1[n:, n + k] = -w[n:], w[:n]
         k += 1
     if k != n:
         raise SymplecticError("failed to build a symplectic singular basis")

@@ -521,5 +521,4 @@ def qnm_trace_stacked(
         t=t_grid,
         f_raw=fs,
         f_smooth=moving_average(fs, window),
-        omega_s=model.omega_s,
     )

@@ -14,6 +14,7 @@ from oscnet.cli import (
     EXIT_SATURATED,
     EXIT_UNSTABLE,
     _build_graph,
+    _fmt,
     _load_config,
     _omega_list,
     _parser,
@@ -22,7 +23,7 @@ from oscnet.cli import (
     main,
 )
 from oscnet.netmodel import load_graph, save_graph
-from oscnet.probes import _fmt, model_at
+from oscnet.probes import model_at
 from oscnet.symplectic import SymplecticError
 
 

@@ -144,7 +144,7 @@ class TestDocuments:
         assert doc["recipe"]["kind"] == "watts-strogatz"
         assert doc["recipe"]["seed"] == 5
         g2 = on.load_graph(doc)
-        assert g2.recipe.kind == "watts-strogatz"
+        assert g2.recipe["kind"] == "watts-strogatz"
         # regenerating from the recipe reproduces the same topology
         g3 = on.from_recipe(doc["recipe"])
         assert g3.couplings == g.couplings
@@ -156,7 +156,7 @@ class TestDocuments:
 
         for name in ("network4.json", "network5.json"):
             frozen = bundled_graph(name)
-            regenerated = on.from_recipe(frozen.recipe.to_dict())
+            regenerated = on.from_recipe(frozen.recipe)
             assert regenerated.couplings == frozen.couplings, (
                 f"{name}: generator output drifted from the frozen instance "
                 "(RNG stream change?)"
@@ -244,11 +244,60 @@ def test_malformed_recipe_rejected(recipe, message):
 
 def test_recipe_defaults_and_integer_numbers():
     ws = on.from_recipe({"kind": "watts-strogatz", "n": 20, "p": 0, "g": 1, "omega0": 1, "seed": 5})
-    assert ws.recipe.params == {"n": 20, "K": 4, "p": 0.0, "g": 1.0, "omega0": 1.0}
+    assert ws.recipe == {
+        "kind": "watts-strogatz", "n": 20, "K": 4, "p": 0.0, "g": 1.0, "omega0": 1.0, "seed": 5,
+    }
     ba = on.from_recipe(
         {"kind": "barabasi-albert", "n": 20, "kappa": 2, "g": 0.02, "omega0": 0.25, "seed": 3}
     )
-    assert ba.recipe.params["m0"] == 2
+    assert ba.recipe["m0"] == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: on.build_linear_chain(16, [0.1, 0.05], 0.25),
+        lambda: on.build_watts_strogatz(20, 4, 0.1, 0.08, 0.25, seed=np.int64(5)),
+        lambda: on.build_barabasi_albert(20, 2, 3, 0.02, 0.25, seed=3),
+    ],
+    ids=["chain", "watts-strogatz", "barabasi-albert"],
+)
+def test_recipe_is_the_document_that_rebuilds_the_graph(make):
+    graph = make()
+    assert on.from_recipe(graph.recipe).couplings == graph.couplings
+    assert on.save_graph(graph)["recipe"] == graph.recipe
+    assert type(graph.recipe.get("seed", 0)) is int
+
+
+EXPLICIT = {"nodes": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]}
+EXPLICIT_RECIPE = {"kind": "explicit", "n": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: on.build_explicit(2, 0.25, [(1, 2, 0.1)]),
+        lambda: on.from_recipe(EXPLICIT_RECIPE),
+        lambda: on.load_graph(EXPLICIT),
+        lambda: on.load_graph({**EXPLICIT, "recipe": EXPLICIT_RECIPE}),
+    ],
+    ids=["build-explicit", "explicit-recipe", "no-recipe-block", "explicit-recipe-block"],
+)
+def test_explicit_graph_has_no_recipe(make):
+    graph = make()
+    assert graph.recipe is None
+    assert "recipe" not in on.save_graph(graph)
+
+
+def test_recipe_is_not_shared_with_documents():
+    graph = on.build_linear_chain(16, [0.1, 0.05], 0.25)
+    kept = json.loads(json.dumps(graph.recipe))
+    saved = on.save_graph(graph)
+    loaded = on.load_graph(saved)
+    saved["recipe"]["n"] = 3
+    saved["recipe"]["pattern"][0] = 9.0
+    assert graph.recipe == kept
+    assert loaded.recipe == kept
 
 
 @pytest.mark.parametrize(
@@ -310,7 +359,7 @@ def test_load_graph_constructs_the_graph_once(monkeypatch):
     monkeypatch.setattr(on.CouplingGraph, "__post_init__", counting_post_init)
     graph = on.load_graph(bundled_config_path("network4.json").read_text())
     assert checked == [graph]
-    assert graph.probe is not None and graph.recipe.kind == "watts-strogatz"
+    assert graph.probe is not None and graph.recipe["kind"] == "watts-strogatz"
 
 
 @pytest.mark.parametrize("name", ["network4.json", "network5.json"])

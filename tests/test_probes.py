@@ -30,12 +30,11 @@ from oscnet.probes import (
 from oscnet.probes import (
     _KERNEL_BLOCK,
     _damping_kernel_grid,
-    _fmt,
-    _fmt_matrix,
-    _fmt_rows,
     _quadrature_seeds,
     _sample_second_moments,
 )
+
+from oscnet.cli import _fmt, _fmt_matrix, _fmt_rows, _witness_text
 
 from conftest import PAPER_STATES, random_stable_graph
 from oracles import (
@@ -673,10 +672,10 @@ class TestWitness:
 
         t = np.arange(4.0)
         f = np.array([0.5, 0.6, 0.7, 0.8])
-        tr = FidelityTrace(t, f, f, omega_s=0.5)
+        tr = FidelityTrace(t, f, f)
         rep = blp_witness(tr, use_smoothed=False)
         assert rep.value == 0.0 and np.copysign(1.0, rep.value) == 1.0
-        assert rep.to_text().splitlines()[1] == "N = 0"
+        assert _witness_text(rep, 0.5).splitlines()[1] == "N = 0"
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.1, 1.0 + 1e-8])
     def test_fidelity_outside_unit_interval_rejected(self, bad):
@@ -684,14 +683,14 @@ class TestWitness:
 
         f = np.array([0.9, bad, 0.8])
         with pytest.raises(ValueError, match="lie in"):
-            FidelityTrace(np.arange(3.0), f, f, omega_s=0.5)
+            FidelityTrace(np.arange(3.0), f, f)
 
     def test_hand_computed_sum(self):
         from oscnet.probes import FidelityTrace
 
         t = np.arange(4.0)
         f = np.array([1.0, 0.8, 0.9, 0.7])
-        tr = FidelityTrace(t, f, f, omega_s=0.5)
+        tr = FidelityTrace(t, f, f)
         rep = blp_witness(tr, use_smoothed=False)
         assert np.isclose(rep.value, 0.4, atol=1e-15)
         assert len(rep.intervals) == 2

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oscnet as on
+from oscnet.cli import bundled_config_path
 from oscnet.symplectic import SymplecticError, bloch_messiah, is_symplectic, symplectic_form
 
 from oracles import discard_passive, random_orthogonal_symplectic, random_symplectic
@@ -131,6 +134,24 @@ class TestBlochMessiah:
         for R in (f.r1, f.r2):
             assert np.linalg.norm(R @ R.T - np.eye(2 * m)) < tol
             assert is_symplectic(R, tol)[0]
+
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    def test_r1_pairs_each_column_with_minus_omega_times_it(self, networks, idx):
+        # R1's last M columns are -Omega times its first M, to the bit: on the
+        # paper networks (near the passive limit, early, at the bundled
+        # t_max) and on squeezers with unit and degenerate d
+        cfg = json.loads(bundled_config_path(f"network{idx}.cfg").read_text())
+        model = on.assemble_model(networks[idx])
+        rng = np.random.default_rng(idx)
+        cases = [on.evolve(model, t) for t in (1e-9, 3.0, cfg["t_max"])]
+        for r in ([0.5, 0.0, 0.0], [0.3, 0.3, 0.0, 0.0], [0.7, 0.2, 0.2, 0.0]):
+            delta = np.diag(np.exp(np.concatenate([r, np.negative(r)])))
+            rotate = [random_orthogonal_symplectic(len(r), rng) for _ in range(2)]
+            cases.append(rotate[0] @ delta @ rotate[1])
+        for S in cases:
+            r1 = bloch_messiah(S).r1
+            n = len(r1) // 2
+            assert np.array_equal(r1[:, n:], -symplectic_form(n) @ r1[:, :n])
 
     def test_deterministic_output(self):
         S = random_symplectic(4, np.random.default_rng(11))
