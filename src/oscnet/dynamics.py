@@ -14,6 +14,7 @@ vacua have covariance I/2 and free evolution is a phase rotation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -178,6 +179,12 @@ def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
     return rows.reshape(2 * len(rt), 2 * len(rt))
 
 
+# a 1-D time grid of at least _ANGLE_MIN_POINTS times, uniform to within
+# _UNIFORM_ULPS ulp of its largest time, takes cos and sin of Omega t by angle
+# addition; below that size direct cos and sin cost less
+_ANGLE_MIN_POINTS = 64
+_UNIFORM_ULPS = 4
+
 # Chebyshev vectors T_k(V~) e_S held per block; each full block is folded
 # into the three row sums by one GEMM
 _CHEB_BLOCK = 16
@@ -243,8 +250,14 @@ def _eigen_rows(
     """Rows of cos(tW), W^-1 sin(tW) and W sin(tW), W = V^(1/2), as
     ``left`` f(Omega t) O^T from the cached V = O Omega^2 O^T: ``left`` = O[0]
     gives the probe's row, O every row. Shape (3, *t.shape, *left.shape),
-    from one (3TR, M) @ (M, M) GEMM over the T times and R rows."""
+    from one (3TR, M) @ (M, M) GEMM over the T times and R rows. One row
+    over a uniform 1-D grid (``_uniform_step``) takes f(Omega t) by angle
+    addition (``_angle_rows``); a single time or any other grid takes a
+    cosine and a sine per time and mode."""
     O, om = model.modes, model.freqs_normal
+    dt = _uniform_step(t) if left.ndim == 1 else None
+    if dt is not None:
+        return _angle_rows(model, t[0], dt, len(t), left)
     phase = om * t[..., None]
     coef = np.empty((3, *phase.shape))
     np.cos(phase, out=coef[0])
@@ -256,6 +269,53 @@ def _eigen_rows(
     else:
         coef = coef[..., None, :] * left
     return (coef.reshape(-1, len(om)) @ O.T).reshape(coef.shape)
+
+
+def _uniform_step(t: NDArray[np.float64]) -> float | None:
+    """The step dt of a 1-D grid of at least ``_ANGLE_MIN_POINTS`` times with
+    t_k = t_0 + k dt to within ``_UNIFORM_ULPS`` ulp of max|t|, else None."""
+    if t.ndim != 1 or len(t) < _ANGLE_MIN_POINTS:
+        return None
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    deviation = np.abs(t - (t[0] + np.arange(len(t)) * dt)).max()
+    return dt if deviation <= _UNIFORM_ULPS * np.spacing(np.abs(t).max()) else None
+
+
+def _angle_rows(
+    model: QuadraticModel, t0: float, dt: float, n: int, left: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """The (3, n, M) rows of ``_eigen_rows`` for one row ``left`` at the
+    times t_k = t0 + k dt, k < n, by angle addition over J blocks of
+    B = ceil(sqrt(n)) times.
+
+    ``left`` and the Omega factors are folded into the (J, M) start tables;
+    per mode, one (3J, 2) @ (2, B) product of those with the offset tables
+    gives the coefficients of all J B times, and one (3JB, M) @ (M, M) GEMM
+    the rows: about 4 sqrt(n) M transcendentals instead of 2 n M.
+    """
+    O, om = model.modes, model.freqs_normal
+    block = math.isqrt(n - 1) + 1
+    cos_start, sin_start, cos_offset, sin_offset = _angle_tables(om, t0, dt, n, block)
+    cs, ss = cos_start * left, sin_start * left
+    # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
+    starts = np.stack([[cs, -ss], [ss / om, cs / om], [ss * om, cs * om]])  # (3, 2, J, M)
+    offsets = np.stack([cos_offset, sin_offset], axis=1)  # (M, 2, B)
+    m = len(om)
+    coef = starts.transpose(3, 0, 2, 1).reshape(m, -1, 2) @ offsets
+    rows = coef.reshape(m, -1).T @ O.T
+    return rows.reshape(3, -1, m)[:, :n]  # the last block runs past the grid
+
+
+def _angle_tables(
+    om: NDArray[np.float64], t0: float, dt: float, n: int, block: int
+) -> tuple[NDArray[np.float64], ...]:
+    """cos and sin of om t at the J = ceil(n / ``block``) block starts
+    t0 + j block dt, each (J, M), and at the in-block offsets i dt, i <
+    ``block``, each (M, block): om (t0 + k dt) for k = j block + i is then
+    their angle sum."""
+    starts = np.outer(t0 + np.arange(-(-n // block)) * (block * dt), om)
+    offsets = np.outer(om, np.arange(block) * dt)
+    return np.cos(starts), np.sin(starts), np.cos(offsets), np.sin(offsets)
 
 
 def _chebyshev_rows(

@@ -16,6 +16,10 @@ from numpy.typing import NDArray
 COV_SYMMETRY_TOL = 1e-12
 UNCERTAINTY_SLACK = 1e-9
 
+# a state with det cov - 1/4 <= _PURITY_TOL (|c00 c11| + |c01 c10|) is pure to
+# round-off: propagated pure preparations land within 44 eps of that scale
+_PURITY_TOL = 1e-13
+
 
 class StateError(ValueError):
     """State specification violates a physicality requirement."""
@@ -140,12 +144,32 @@ def fidelity_from_moments(
     pure-state fidelity is |<psi1|psi2>|^2 and F(rho, rho) = 1. Broadcasts
     over the leading axes of (..., 2) means and (..., 2, 2) covariances;
     the determinants and the inverse are the 2x2 closed forms (adjugate).
+
+    A state whose det S - 1/4 is round-off (``_PURITY_TOL``) counts as pure,
+    d = 0: F is then the pure-state form Tr(rho1 rho2), where the general
+    form would move like the square root of that round-off.
     """
+    return _fidelity(mean1, cov1, mean2, cov2)
+
+
+def _fidelity(
+    mean1: NDArray[np.float64],
+    cov1: NDArray[np.float64],
+    mean2: NDArray[np.float64],
+    cov2: NDArray[np.float64],
+    excess1: NDArray[np.float64] | None = None,
+    excess2: NDArray[np.float64] | None = None,
+) -> NDArray[np.float64]:
+    """``fidelity_from_moments``, given det S - 1/4 of a state as its
+    ``excess`` where the caller has it to better accuracy than the
+    covariance carries (``_excess`` of the covariance otherwise)."""
     total = cov1 + cov2
     lam = _det2(total)
     if not np.all((0 < lam) & (lam < np.inf) & (total[..., 0, 0] > 0)):
         raise StateError("sum of covariances not finite and positive definite")
-    delta = np.maximum(4.0 * (_det2(cov1) - 0.25) * (_det2(cov2) - 0.25), 0.0)
+    excess1 = _excess(cov1) if excess1 is None else excess1
+    excess2 = _excess(cov2) if excess2 is None else excess2
+    delta = 4.0 * excess1 * excess2
     du = mean1 - mean2
     dq, dp = du[..., 0], du[..., 1]
     quad = (
@@ -157,6 +181,13 @@ def fidelity_from_moments(
 
 def _det2(a: NDArray[np.float64]) -> NDArray[np.float64]:
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def _excess(cov: NDArray[np.float64]) -> NDArray[np.float64]:
+    """det cov - 1/4, or 0 where that is within the round-off of a pure state."""
+    ad, bc = cov[..., 0, 0] * cov[..., 1, 1], cov[..., 0, 1] * cov[..., 1, 0]
+    excess = ad - bc - 0.25  # _det2(cov) - 0.25
+    return np.where(excess > _PURITY_TOL * (np.abs(ad) + np.abs(bc)), excess, 0.0)
 
 
 def fidelity(s1: GaussianState, s2: GaussianState) -> float:

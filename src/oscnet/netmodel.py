@@ -8,7 +8,6 @@ reports, 0-based internally.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -121,6 +120,40 @@ def _fields(doc: object, fields: Mapping[str, _Field], where: str) -> dict:
     return out
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a graph's couplings and recipe are read-only; build a new graph")
+
+
+class _FrozenDict(dict):
+    """A dict that raises TypeError on every in-place change."""
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copy and pickle rebuild it whole
+        return type(self), (dict(self),)
+
+
+class _FrozenList(list):
+    """A list that raises TypeError on every in-place change."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def _copy_json(value: object, obj: type = dict, arr: type = list) -> object:
+    """A deep copy of a JSON value (dicts, lists and scalars), its objects
+    built by ``obj`` and its lists by ``arr``."""
+    if isinstance(value, dict):
+        return obj({k: _copy_json(v, obj, arr) for k, v in value.items()})
+    if isinstance(value, list):
+        return arr([_copy_json(v, obj, arr) for v in value])
+    return value
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Probe oscillator attachment: 0-based site, coupling k >= 0, frequency."""
@@ -149,6 +182,9 @@ class CouplingGraph:
         The recipe document that generated the graph (the mapping
         ``from_recipe`` accepts, ``seed`` an int), or None for an explicit
         graph.
+
+    ``couplings`` and ``recipe`` are held as read-only copies of what is
+    passed: a change in place raises TypeError, so a graph stays as checked.
     """
 
     n_nodes: int
@@ -158,6 +194,11 @@ class CouplingGraph:
     recipe: Mapping[str, object] | None = None
 
     def __post_init__(self):
+        # copies that refuse change: the checks below hold for the graph's life
+        object.__setattr__(self, "couplings", _FrozenDict(self.couplings))
+        if self.recipe is not None:
+            recipe = _copy_json(dict(self.recipe), _FrozenDict, _FrozenList)
+            object.__setattr__(self, "recipe", recipe)
         if self.n_nodes < 1:
             raise GraphError("graph needs at least one node")
         if len(self.omega) != self.n_nodes:
@@ -438,7 +479,7 @@ def save_graph(graph: CouplingGraph) -> dict:
             "omega_s": graph.probe.omega_s,
         }
     if graph.recipe is not None:
-        doc["recipe"] = copy.deepcopy(graph.recipe)
+        doc["recipe"] = _copy_json(graph.recipe)
     return doc
 
 
@@ -475,6 +516,6 @@ def load_graph(doc: Mapping[str, object] | str) -> CouplingGraph:
     if f["recipe"] is not None:
         _recipe(f["recipe"])  # provenance, kept as given once it checks
         if f["recipe"]["kind"] != "explicit":
-            recipe = copy.deepcopy(f["recipe"])
+            recipe = f["recipe"]  # the graph keeps a read-only copy
     # one construction: the range checks of every edge run once
     return CouplingGraph(f["nodes"], omega, couplings, probe, recipe)

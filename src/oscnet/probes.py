@@ -28,8 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from . import gaussian as g
-from .dynamics import QuadraticModel, assemble_model, probe_rows
-from .gaussian import GaussianState, SqueezedSpec
+from .dynamics import QuadraticModel, _angle_tables, assemble_model, probe_rows
+from .gaussian import GaussianState, SqueezedSpec, _fidelity
 from .netmodel import CouplingGraph
 
 DEFAULT_TEMPERATURE = 1.0
@@ -64,15 +64,15 @@ def _damping_kernel_grid(model: QuadraticModel, dt: float, n_points: int) -> NDA
     """gamma(i dt) for i < n_points by angle addition.
 
     With t = t0 + tau, block starts t0 = j B dt and in-block offsets
-    tau = i dt (i < B = _KERNEL_BLOCK),
+    tau = i dt (i < B = _KERNEL_BLOCK) from ``dynamics._angle_tables``,
     gamma = (amp cos W t0) @ cos W tau - (amp sin W t0) @ sin W tau:
     two small GEMMs instead of n_points x N cosines.
     """
     om, amp = model.env_freqs, model._kernel_weights
-    n_blocks = -(-n_points // _KERNEL_BLOCK)
-    start = np.outer(np.arange(n_blocks) * (_KERNEL_BLOCK * dt), om)
-    offset = np.outer(om, np.arange(_KERNEL_BLOCK) * dt)
-    gam = (amp * np.cos(start)) @ np.cos(offset) - (amp * np.sin(start)) @ np.sin(offset)
+    cos_start, sin_start, cos_offset, sin_offset = _angle_tables(
+        om, 0.0, dt, n_points, _KERNEL_BLOCK
+    )
+    gam = (amp * cos_start) @ cos_offset - (amp * sin_start) @ sin_offset
     return gam.ravel()[:n_points]
 
 
@@ -415,11 +415,40 @@ def qnm_trace(
     t_grid = np.asarray(list(t_grid), dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
-    sigmas = [g.squeezed_state(spec).cov for spec in (rho1, rho2)]
-    covs = _probe_covariances(model, probe_rows(model, t_grid), sigmas, "vacuum")
+    specs = (rho1, rho2)
+    sigmas = [g.squeezed_state(spec).cov for spec in specs]
+    rows = probe_rows(model, t_grid)
+    covs = _probe_covariances(model, rows, sigmas, "vacuum")
+    # a pure preparation's det S - 1/4 from the rows; a mixed one's from S
+    excess = [
+        _pure_excess(rows, sigma) if spec.squeeze_db + spec.antisqueeze_db == 0 else None
+        for spec, sigma in zip(specs, sigmas)
+    ]
     zero = np.zeros(2)
-    fs = g.fidelity_from_moments(zero, covs[0], zero, covs[1])
+    fs = _fidelity(zero, covs[0], zero, covs[1], *excess)
     return FidelityTrace(t=t_grid, f_raw=fs, f_smooth=moving_average(fs, window))
+
+
+def _pure_excess(rows: NDArray[np.float64], sigma: NDArray[np.float64]) -> NDArray[np.float64]:
+    """det S - 1/4 of the probe covariance S evolved from the pure
+    preparation ``sigma`` with the environment in vacuum, over the
+    (..., 2, 2M) probe rows, to the accuracy of the rows.
+
+    With sigma = 1/2 L L^T (det L = 1), S = 1/2 Y Y^T for the rows Y with
+    the probe columns C replaced by C L. For rows that keep
+    q . Omega . p = 1, det S - 1/4 = 1/4 det(Z Z^H) with Z = Y_q - i Y_p,
+    one complex row per quadrature; Gram-Schmidt gives that as
+    1/4 |z_q|^2 |z_p - (z_q^H z_p / |z_q|^2) z_q|^2, a sum of squares of
+    the small residual where det S - 1/4 would cancel to round-off.
+    """
+    m = rows.shape[-1] // 2
+    z = rows[..., :m] - 1j * rows[..., m:]
+    cl = rows[..., [0, m]] @ np.linalg.cholesky(2.0 * sigma)
+    z[..., 0] = cl[..., 0] - 1j * cl[..., 1]
+    zq, zp = z[..., 0, :], z[..., 1, :]
+    norm = np.einsum("...i,...i", zq.conj(), zq).real
+    resid = zp - (np.einsum("...i,...i", zq.conj(), zp) / norm)[..., None] * zq
+    return 0.25 * norm * np.einsum("...i,...i", resid.conj(), resid).real
 
 
 def blp_witness(trace: FidelityTrace, use_smoothed: bool = True) -> WitnessReport:

@@ -9,7 +9,9 @@ the chi-square draws of the sampled probe path, the multi-mode state calculus
 (``JointState`` with its Williamson check and purity, product states,
 symplectic propagation and the single-mode marginal) and the full-covariance
 environment states for the probe path's moments, the stacked fidelity trace
-for ``probes.qnm_trace``, the SVD route and the vacuum discard for
+for ``probes.qnm_trace`` (with a Cauchy-Binet det S - 1/4 of a pure
+preparation), 40-digit mpmath probe rows over a time grid and fidelity of
+two preparations, the SVD route and the vacuum discard for
 ``symplectic.bloch_messiah``, the unsymmetrized product form of
 ``dynamics.evolve``, the per-mode squeezers and the quadratic energy for the
 propagator, and random (orthogonal) symplectic matrices as decomposition
@@ -21,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath as mp
 import numpy as np
 from numpy.typing import NDArray
 
 from oscnet import gaussian as g
 from oscnet.dynamics import QuadraticModel, StabilityError
-from oscnet.gaussian import GaussianState, SqueezedSpec, StateError
+from oscnet.gaussian import _PURITY_TOL, GaussianState, SqueezedSpec, StateError
 from oscnet.probes import (
     DEFAULT_SMOOTH_WINDOW,
     FidelityTrace,
@@ -104,6 +107,44 @@ def _probe_rows(
     q_row = np.concatenate([c * (rt[..., :1] * inv), sin_over * (rt[..., :1] * rt)], axis=-1)
     p_row = np.concatenate([-sin_times * (inv[..., :1] * inv), c * (inv[..., :1] * rt)], axis=-1)
     return np.stack([q_row, p_row], axis=-2)
+
+
+# working precision of the mpmath references
+MP_DIGITS = 40
+
+
+def probe_rows_mp(model: QuadraticModel, t_grid: Sequence[float]) -> NDArray[np.float64]:
+    """Probe rows (T, 2, 2M) of the renormalized propagator over a time grid
+    at ``MP_DIGITS`` digits, rounded to float64: ``mp.eigsy`` of V (its
+    float64 entries taken as exact), then row S of cos(Wt), W^-1 sin(Wt)
+    and W sin(Wt) and the sqrt(omega) scaling, all in mpmath. Pure Python:
+    keep M small (about 8 modes) and T to some dozens of times."""
+    with mp.workdps(MP_DIGITS):
+        evals, modes = mp.eigsy(mp.matrix(model.V.tolist()))
+        m = model.n_modes
+        om = [mp.sqrt(e) for e in evals]
+        rt = [mp.sqrt(mp.mpf(float(w))) for w in model.frequencies]
+        out = np.empty((len(t_grid), 2, 2 * m))
+        for k, t in enumerate(t_grid):
+            t = mp.mpf(float(t))
+            w = [
+                [modes[0, n] * f for n, f in enumerate(fs)]
+                for fs in (
+                    [mp.cos(x * t) for x in om],
+                    [mp.sin(x * t) / x for x in om],
+                    [mp.sin(x * t) * x for x in om],
+                )
+            ]
+            c, sin_over, sin_times = (
+                [mp.fsum(wn * modes[j, n] for n, wn in enumerate(row)) for j in range(m)]
+                for row in w
+            )
+            for j in range(m):
+                out[k, 0, j] = float(c[j] * rt[0] / rt[j])
+                out[k, 0, m + j] = float(sin_over[j] * rt[0] * rt[j])
+                out[k, 1, j] = float(-sin_times[j] / (rt[0] * rt[j]))
+                out[k, 1, m + j] = float(c[j] * rt[j] / rt[0])
+    return out
 
 
 def renormalization_scaling(model: QuadraticModel) -> NDArray[np.float64]:
@@ -364,6 +405,23 @@ def reduce_state(state: JointState, mode: int) -> GaussianState:
     return GaussianState(state.mean[ix], state.cov[np.ix_(ix, ix)])
 
 
+def squeezed_fidelity_mp(spec1: SqueezedSpec, spec2: SqueezedSpec) -> float:
+    """Fidelity of two squeezed preparations (zero means) at ``MP_DIGITS``
+    digits: each covariance R diag(v_min, v_max) R^T built from its dB levels
+    in mpmath, so a pure one has det = 1/4 to 40 digits, then
+    F = 1 / (sqrt(L + d) - sqrt(d))."""
+    with mp.workdps(MP_DIGITS):
+        covs = []
+        for spec in (spec1, spec2):
+            v = [mp.mpf(1) / 2 * mp.power(10, mp.mpf(db) / 10)
+                 for db in (spec.squeeze_db, spec.antisqueeze_db)]
+            c, s = mp.cos(mp.mpf(spec.angle)), mp.sin(mp.mpf(spec.angle))
+            covs.append(mp.matrix([[c, -s], [s, c]]) * mp.diag(v) * mp.matrix([[c, s], [-s, c]]))
+        d = 4 * (mp.det(covs[0]) - mp.mpf(1) / 4) * (mp.det(covs[1]) - mp.mpf(1) / 4)
+        d = max(d, mp.mpf(0))  # a pure state's det - 1/4 rounds either way at 40 digits
+        return float(1 / (mp.sqrt(mp.det(covs[0] + covs[1]) + d) - mp.sqrt(d)))
+
+
 def pure_fidelity_reference(r1: float, r2: float, phi0: float) -> float:
     """Closed form for two pure squeezed vacua with relative phase phi0.
 
@@ -379,14 +437,24 @@ def fidelity_from_moments_lapack(
     cov1: NDArray[np.float64],
     mean2: NDArray[np.float64],
     cov2: NDArray[np.float64],
+    excess: Sequence[NDArray[np.float64] | None] = (None, None),
 ) -> NDArray[np.float64]:
     """``gaussian.fidelity_from_moments`` through batched LAPACK: ``det`` and
-    ``solve`` on the (..., 2, 2) stacks instead of the adjugate closed form."""
+    ``solve`` on the (..., 2, 2) stacks instead of the adjugate closed form.
+    det S - 1/4 of each state is its entry of ``excess`` if given, else
+    LAPACK's, with the same purity rule: within ``_PURITY_TOL`` of
+    |S00 S11| + |S01 S10| it counts as 0."""
     total = cov1 + cov2
     lam = np.linalg.det(total)
     if np.any(lam <= 0):
         raise StateError("sum of covariances not positive definite")
-    delta = np.maximum(4.0 * (np.linalg.det(cov1) - 0.25) * (np.linalg.det(cov2) - 0.25), 0.0)
+    excess = list(excess)
+    for i, cov in enumerate((cov1, cov2)):
+        if excess[i] is None:
+            scale = np.abs(cov[..., 0, 0] * cov[..., 1, 1]) + np.abs(cov[..., 0, 1] * cov[..., 1, 0])
+            e = np.linalg.det(cov) - 0.25
+            excess[i] = np.where(e > _PURITY_TOL * scale, e, 0.0)
+    delta = 4.0 * excess[0] * excess[1]
     du = np.broadcast_to(mean1 - mean2, total.shape[:-1])
     quad = (du * np.linalg.solve(total, du[..., None])[..., 0]).sum(axis=-1)
     return np.exp(-0.5 * quad) / (np.sqrt(lam + delta) - np.sqrt(delta))
@@ -500,8 +568,9 @@ def qnm_trace_stacked(
 
     The probe rows come from the broadcast (T, 3, M) @ (M, M) product of
     ``_probe_rows``, each probe covariance from 1/2 S_p S_p^T plus two 2x2
-    matrix products with the probe's excess over vacuum, and the fidelity
-    from ``fidelity_from_moments_lapack``.
+    matrix products with the probe's excess over vacuum, det S - 1/4 of a
+    pure preparation from ``pure_excess_minors``, and the fidelity from
+    ``fidelity_from_moments_lapack``.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
@@ -515,10 +584,36 @@ def qnm_trace_stacked(
         vacuum + cols @ (g.squeezed_state(spec).cov - 0.5 * np.eye(2)) @ np.swapaxes(cols, -1, -2)
         for spec in (rho1, rho2)
     ]
+    excess = [
+        pure_excess_minors(rows, spec) if spec.squeeze_db + spec.antisqueeze_db == 0 else None
+        for spec in (rho1, rho2)
+    ]
     zero = np.zeros(2)
-    fs = fidelity_from_moments_lapack(zero, covs[0], zero, covs[1])
+    fs = fidelity_from_moments_lapack(zero, covs[0], zero, covs[1], excess)
     return FidelityTrace(
         t=t_grid,
         f_raw=fs,
         f_smooth=moving_average(fs, window),
     )
+
+
+def pure_excess_minors(rows: NDArray[np.float64], spec: SqueezedSpec) -> NDArray[np.float64]:
+    """det S - 1/4 of the probe covariance S evolved from the pure squeezed
+    preparation ``spec`` with the environment in vacuum, for (..., 2, 2M)
+    probe rows: by Cauchy-Binet, 1/4 sum over mode pairs k < l of
+    |det[z_k z_l]|^2, z_k = (column q_k) - i (column p_k) of the rows with
+    the probe columns C replaced by C L, L = R(angle) diag(sqrt(2 v)) the
+    preparation's symplectic square root. Reference for the Gram-Schmidt
+    form of ``probes._pure_excess``."""
+    if spec.squeeze_db + spec.antisqueeze_db != 0:
+        raise ValueError("the preparation is not pure")
+    c, s = np.cos(spec.angle), np.sin(spec.angle)
+    v = [g.db_to_variance(spec.squeeze_db), g.db_to_variance(spec.antisqueeze_db)]
+    L = np.array([[c, -s], [s, c]]) * np.sqrt(2.0 * np.array(v))
+    m = rows.shape[-1] // 2
+    y = rows.copy()
+    y[..., [0, m]] = rows[..., [0, m]] @ L
+    z = y[..., :m] - 1j * y[..., m:]
+    zq, zp = z[..., 0, :], z[..., 1, :]
+    minors = zq[..., :, None] * zp[..., None, :] - zq[..., None, :] * zp[..., :, None]
+    return 0.125 * (np.abs(minors) ** 2).sum(axis=(-2, -1))  # each pair twice

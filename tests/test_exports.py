@@ -79,6 +79,8 @@ OPTIONS = {
 PRIVATE_IMPORTS = {
     ("cli", "netmodel"): {"_Field", "_POSITIVE", "_at_least", "_one_of", "_value_error"},
     ("dynamics", "symplectic"): {"_r1_and_d"},
+    ("probes", "dynamics"): {"_angle_tables"},
+    ("probes", "gaussian"): {"_fidelity"},
 }
 
 

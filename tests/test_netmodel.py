@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -298,6 +300,50 @@ def test_recipe_is_not_shared_with_documents():
     saved["recipe"]["pattern"][0] = 9.0
     assert graph.recipe == kept
     assert loaded.recipe == kept
+
+
+def probed_chain():
+    return on.build_linear_chain(4, [0.1, 0.05], 0.25).with_probe(1, 0.01, 0.3)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda g: g.couplings.__setitem__((0, 1), -5.0),
+        lambda g: g.couplings.update({(0, 2): 1.0}),
+        lambda g: g.couplings.pop((0, 1)),
+        lambda g: g.recipe.__setitem__("n", 99),
+        lambda g: g.recipe.clear(),
+        lambda g: g.recipe["pattern"].__setitem__(0, 9.0),
+        lambda g: g.recipe["pattern"].append(1.0),
+    ],
+    ids=[
+        "coupling-set", "coupling-update", "coupling-pop", "recipe-set", "recipe-clear",
+        "pattern-set", "pattern-append",
+    ],
+)
+def test_graph_refuses_change_in_place(change):
+    graph = probed_chain()
+    with pytest.raises(TypeError, match="read-only"):
+        change(graph)
+    assert graph == probed_chain()
+    on.assemble_model(graph)  # still the checked, stable graph
+
+
+def test_graph_keeps_its_own_copies_and_writes_plain_json():
+    couplings = {(0, 1): 0.1, (1, 2): 0.1}
+    recipe = {"kind": "linear-periodic", "n": 3, "pattern": [0.1], "omega0": 0.25}
+    graph = on.CouplingGraph(3, (0.25,) * 3, couplings, recipe=recipe)
+    couplings[(0, 1)] = -5.0
+    recipe["pattern"][0] = 9.0
+    assert graph.couplings == {(0, 1): 0.1, (1, 2): 0.1}
+    assert graph.recipe["pattern"] == [0.1]
+    doc = on.save_graph(probed_chain())
+    assert type(doc["recipe"]) is dict and type(doc["recipe"]["pattern"]) is list
+    doc["recipe"]["pattern"].append(1.0)  # the document is the caller's to change
+    assert json.loads(json.dumps(on.save_graph(graph)))["recipe"] == graph.recipe
+    assert pickle.loads(pickle.dumps(graph)) == graph
+    assert copy.deepcopy(graph) == graph
 
 
 @pytest.mark.parametrize(

@@ -43,9 +43,11 @@ from oracles import (
     joint_vacuum,
     product_state,
     propagate,
+    pure_fidelity_reference,
     qnm_trace_stacked,
     reduce_state,
     squeezed_environment,
+    squeezed_fidelity_mp,
     thermal_environment,
 )
 
@@ -528,15 +530,15 @@ class TestBatchedEquivalence:
         seed=st.integers(0, 2**32 - 1),
         t_stop=st.floats(1.0, 600.0),
         squeeze=st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2),
-        excess=st.lists(st.floats(0.5, 6.0), min_size=2, max_size=2),
+        excess=st.lists(st.one_of(st.just(0.0), st.floats(0.5, 6.0)), min_size=2, max_size=2),
         axis=st.floats(0.0, np.pi),
     )
     def test_qnm_trace_matches_stacked_oracle_on_random_networks(
         self, seed, t_stop, squeeze, excess, axis
     ):
-        # mixed preparations only: at a pure one d = 4 (det S1 - 1/4)(det S2 - 1/4)
-        # vanishes at t = 0 and F moves like the square root of its round-off
-        # (about 1e-9 relative), by either route
+        # excess 0 is a pure preparation: det S - 1/4 of its evolved state comes
+        # from the rows by Gram-Schmidt here and by Cauchy-Binet in the oracle,
+        # not from det S, which cancels to round-off near t = 0
         m = on.assemble_model(random_stable_graph(np.random.default_rng(seed)))
         rho1 = SqueezedSpec(-squeeze[0], squeeze[0] + excess[0], "q")
         rho2 = SqueezedSpec(-squeeze[1], squeeze[1] + excess[1], axis)
@@ -555,6 +557,31 @@ class TestBatchedEquivalence:
         tr = qnm_trace(m, *PAPER_STATES, ts)
         ref = oracle_fidelity_trace(m, *PAPER_STATES, ts)
         assert np.max(np.abs(tr.f_raw - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("idx", [1, 5])
+    def test_qnm_trace_from_a_nonzero_start_matches_per_time_oracle(self, networks, idx):
+        m = on.assemble_model(networks[idx])
+        ts = np.linspace(37.5, 537.5, 251)  # uniform: probe rows by angle addition
+        tr = qnm_trace(m, *PAPER_STATES, ts)
+        ref = oracle_fidelity_trace(m, *PAPER_STATES, ts)
+        assert np.max(np.abs(tr.f_raw - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rho2", [*PAPER_STATES, SqueezedSpec(-2.0, 3.0, 0.7), SqueezedSpec(-2.5, 2.5, 0.7)],
+        ids=["paper-q", "paper-p", "mixed-angle", "pure-angle"],
+    )
+    def test_pure_preparation_keeps_its_digits_at_time_zero(self, rho2):
+        # the example of a pure rho1 on this network: F(0) was off by about
+        # 7e-9 relative when det S1 - 1/4 came from the covariance; measured
+        # now within 6.7e-16 of the 40-digit value
+        m = on.assemble_model(random_stable_graph(np.random.default_rng(133595)))
+        rho1 = SqueezedSpec(-1.0, 1.0)
+        f0 = qnm_trace(m, rho1, rho2, np.linspace(0.0, 10.0, 11), window=3).f_raw[0]
+        assert abs(f0 / squeezed_fidelity_mp(rho1, rho2) - 1) <= 4e-15
+        if rho2.squeeze_db + rho2.antisqueeze_db == 0:
+            r1, r2 = (-spec.squeeze_db * np.log(10) / 20 for spec in (rho1, rho2))
+            phi0 = 2 * (rho2.angle - rho1.angle)
+            assert abs(f0 / pure_fidelity_reference(r1, r2, phi0) - 1) <= 4e-15
 
     @pytest.mark.parametrize("squeezed_probe", [False, True])
     @pytest.mark.parametrize("env_prep", ["thermal", "squeezed", "vacuum"])
