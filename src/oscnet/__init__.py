@@ -37,7 +37,6 @@ from .gaussian import (
     fidelity,
     mean_photon,
     squeezed_state,
-    thermal_state,
     vacuum_state,
 )
 from .probes import (

@@ -15,7 +15,6 @@ digits; the library returns arrays and dataclasses.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import importlib.resources
 import json
@@ -157,17 +156,25 @@ def _check_config(cfg: dict) -> None:
         )
 
 
+# SCHEMA's top-level defaults as JSON text: each run parses itself a fresh copy
+_DEFAULTS_JSON = json.dumps({
+    k: key.default for k, key in SCHEMA.items()
+    if "." not in k and key.default is not None and key.default is not ...
+})
+
+_CONFIGS_DIR = Path(str(importlib.resources.files("oscnet").joinpath("configs")))
+
+
 def bundled_config_path(name: str) -> Path:
     """Path of a bundled example config such as 'network1.cfg'."""
-    return Path(str(importlib.resources.files("oscnet").joinpath("configs", name)))
+    return _CONFIGS_DIR / name
 
 
 def _load_config(path: str | None) -> tuple[dict, Path | None]:
     """The run config merged over SCHEMA's defaults, and the directory of the
     config file (None without one), against which a relative graph document
     path is resolved."""
-    defaults = {k: key.default for k, key in SCHEMA.items() if "." not in k}
-    cfg = copy.deepcopy({k: v for k, v in defaults.items() if v is not None and v is not ...})
+    cfg = json.loads(_DEFAULTS_JSON)
     if path is None:
         return cfg, None
     p = Path(path)

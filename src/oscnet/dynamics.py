@@ -131,22 +131,19 @@ def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     principal submatrix, then is too. No eigendecomposition runs until a
     verb reads one.
     """
-    if graph.probe is None:
-        raise ValueError("graph has no probe attached")
-    n = graph.n_nodes
-    w = np.asarray(graph.omega)
-    VE = np.zeros((n, n))
-    np.fill_diagonal(VE, w**2)
-    for (i, j), g in graph.couplings.items():
-        VE[i, i] += g
-        VE[j, j] += g
-        VE[i, j] -= g
-        VE[j, i] -= g
-
     probe = graph.probe
-    V = np.zeros((n + 1, n + 1))
-    V[1:, 1:] = VE
-    V[0, 0] = probe.omega_s**2
+    if probe is None:
+        raise ValueError("graph has no probe attached")
+    w = np.asarray(graph.omega)
+    edges = graph.couplings
+    # each edge (i, j) as its rows (1 + i, 1 + j) of V, interleaved: i0, j0, i1, j1, ...
+    ij = np.array(list(edges), dtype=np.intp).reshape(-1) + 1
+    g = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    diag = np.concatenate([[probe.omega_s**2], w**2])
+    # unbuffered, in index order: each V_ii adds its g_ij in edge order
+    np.add.at(diag, ij, np.repeat(g, 2))
+    V = np.diag(diag)
+    V[ij[0::2], ij[1::2]] = V[ij[1::2], ij[0::2]] = -g
     V[0, 1 + probe.site] = V[1 + probe.site, 0] = probe.k
 
     try:  # eigvalsh runs only on failure, to name the smallest eigenvalue
@@ -179,10 +176,11 @@ def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:
     return rows.reshape(2 * len(rt), 2 * len(rt))
 
 
-# a 1-D time grid of at least _ANGLE_MIN_POINTS times, uniform to within
-# _UNIFORM_ULPS ulp of its largest time, takes cos and sin of Omega t by angle
-# addition; below that size direct cos and sin cost less
-_ANGLE_MIN_POINTS = 64
+# a 1-D grid of T times for M modes with T M at least _ANGLE_MIN_SIZE, uniform
+# to within _UNIFORM_ULPS ulp of its largest time, takes cos and sin of
+# Omega t by angle addition; below that size direct cos and sin cost less (the
+# crossover measured near T M = 1400 at 17 modes and 1700 at 51)
+_ANGLE_MIN_SIZE = 1600
 _UNIFORM_ULPS = 4
 
 # Chebyshev vectors T_k(V~) e_S held per block; each full block is folded
@@ -251,11 +249,11 @@ def _eigen_rows(
     ``left`` f(Omega t) O^T from the cached V = O Omega^2 O^T: ``left`` = O[0]
     gives the probe's row, O every row. Shape (3, *t.shape, *left.shape),
     from one (3TR, M) @ (M, M) GEMM over the T times and R rows. One row
-    over a uniform 1-D grid (``_uniform_step``) takes f(Omega t) by angle
-    addition (``_angle_rows``); a single time or any other grid takes a
-    cosine and a sine per time and mode."""
+    over a large enough uniform 1-D grid (``_uniform_step``) takes
+    f(Omega t) by angle addition (``_angle_rows``); a single time or any
+    other grid takes a cosine and a sine per time and mode."""
     O, om = model.modes, model.freqs_normal
-    dt = _uniform_step(t) if left.ndim == 1 else None
+    dt = _uniform_step(t, len(om)) if left.ndim == 1 else None
     if dt is not None:
         return _angle_rows(model, t[0], dt, len(t), left)
     phase = om * t[..., None]
@@ -271,10 +269,11 @@ def _eigen_rows(
     return (coef.reshape(-1, len(om)) @ O.T).reshape(coef.shape)
 
 
-def _uniform_step(t: NDArray[np.float64]) -> float | None:
-    """The step dt of a 1-D grid of at least ``_ANGLE_MIN_POINTS`` times with
-    t_k = t_0 + k dt to within ``_UNIFORM_ULPS`` ulp of max|t|, else None."""
-    if t.ndim != 1 or len(t) < _ANGLE_MIN_POINTS:
+def _uniform_step(t: NDArray[np.float64], modes: int) -> float | None:
+    """The step dt of a 1-D grid of T >= 2 times, T ``modes`` at least
+    ``_ANGLE_MIN_SIZE``, with t_k = t_0 + k dt to within ``_UNIFORM_ULPS``
+    ulp of max|t|, else None."""
+    if t.ndim != 1 or len(t) < 2 or len(t) * modes < _ANGLE_MIN_SIZE:
         return None
     dt = (t[-1] - t[0]) / (len(t) - 1)
     deviation = np.abs(t - (t[0] + np.arange(len(t)) * dt)).max()

@@ -110,12 +110,6 @@ def squeezed_state(spec: SqueezedSpec) -> GaussianState:
     return GaussianState(np.zeros(2), cov).require_physical()
 
 
-def thermal_state(nbar: float) -> GaussianState:
-    if nbar < 0:
-        raise StateError("thermal occupancy must be >= 0")
-    return GaussianState(np.zeros(2), (nbar + 0.5) * np.eye(2))
-
-
 def mean_photon_from_moments(
     mean: NDArray[np.float64], cov: NDArray[np.float64]
 ) -> NDArray[np.float64]:

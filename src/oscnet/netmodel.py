@@ -2,15 +2,18 @@
 Barabasi-Albert graphs, and a JSON document format for arbitrary topologies.
 
 All generators are pure functions of their parameters and seed; graphs are
-immutable after construction. Node indices are 1-based in documents and
-reports, 0-based internally.
+immutable after construction. A graph checks its edges once, where it is
+built: a probed copy (``CouplingGraph.with_probe``) checks only the probe and
+shares the read-only couplings and recipe. Node indices are 1-based in
+documents and reports, 0-based internally.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -163,6 +166,16 @@ class ProbeSpec:
     omega_s: float
 
 
+def _check_probe(probe: ProbeSpec, n_nodes: int) -> None:
+    """Raise GraphError when a probe does not fit a graph of ``n_nodes``."""
+    if not 0 <= probe.site < n_nodes:
+        raise GraphError(f"probe site {probe.site} out of range")
+    if not 0 <= probe.k < np.inf:
+        raise GraphError("probe coupling k must be finite and >= 0")
+    if not 0 < probe.omega_s < np.inf:
+        raise GraphError("probe frequency must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
     """Harmonic-oscillator environment network.
@@ -184,7 +197,8 @@ class CouplingGraph:
         graph.
 
     ``couplings`` and ``recipe`` are held as read-only copies of what is
-    passed: a change in place raises TypeError, so a graph stays as checked.
+    passed: a change in place raises TypeError, so a graph stays as checked,
+    and the copies ``with_probe`` returns share them.
     """
 
     n_nodes: int
@@ -211,13 +225,7 @@ class CouplingGraph:
             if not 0 < g < np.inf:
                 raise GraphError(f"edge ({i}, {j}) has weight {g}, not finite and > 0")
         if self.probe is not None:
-            p = self.probe
-            if not 0 <= p.site < self.n_nodes:
-                raise GraphError(f"probe site {p.site} out of range")
-            if not 0 <= p.k < np.inf:
-                raise GraphError("probe coupling k must be finite and >= 0")
-            if not 0 < p.omega_s < np.inf:
-                raise GraphError("probe frequency must be finite and > 0")
+            _check_probe(self.probe, self.n_nodes)
 
     @property
     def n_edges(self) -> int:
@@ -234,9 +242,15 @@ class CouplingGraph:
         return _connected(self.n_nodes, self.couplings.keys())
 
     def with_probe(self, site_1based: int, k: float, omega_s: float) -> "CouplingGraph":
-        """Return a copy with the probe attached at a 1-based node index."""
+        """Return a copy with the probe attached at a 1-based node index.
+
+        Only the probe is checked: the copy shares this graph's checked,
+        read-only couplings and recipe instead of being built anew."""
         probe = ProbeSpec(site=site_1based - 1, k=float(k), omega_s=float(omega_s))
-        return replace(self, probe=probe)
+        _check_probe(probe, self.n_nodes)
+        graph = copy.copy(self)
+        object.__setattr__(graph, "probe", probe)
+        return graph
 
 
 def _connected(n: int, edges) -> bool:

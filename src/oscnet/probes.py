@@ -20,7 +20,7 @@ writes every output file).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -297,9 +297,10 @@ def _probe_covariances(
 
 def model_at(graph: CouplingGraph, omega_s: float) -> QuadraticModel:
     """Assemble the model with the probe frequency replaced."""
-    if graph.probe is None:
+    probe = graph.probe
+    if probe is None:
         raise ValueError("graph has no probe attached")
-    return assemble_model(dc_replace(graph, probe=dc_replace(graph.probe, omega_s=omega_s)))
+    return assemble_model(graph.with_probe(probe.site + 1, probe.k, omega_s))
 
 
 def sweep_spectral_density(

@@ -1,18 +1,19 @@
 """Reference implementations and generators that only the tests use.
 
 Each one is an independent oracle or input generator for a production path:
-the batched ``eigh`` probe rows for the Chebyshev omega_S branch of
+the per-edge assembly of the potential V for ``dynamics.assemble_model``, the
+batched ``eigh`` probe rows for the Chebyshev omega_S branch of
 ``dynamics.probe_rows``, the direct-cosine damping kernel for
 ``probes._damping_kernel_grid``, the pure-state fidelity closed form and the
 LAPACK route for ``gaussian.fidelity``, the per-outcome homodyne sampler for
 the chi-square draws of the sampled probe path, the multi-mode state calculus
 (``JointState`` with its Williamson check and purity, product states,
-symplectic propagation and the single-mode marginal) and the full-covariance
-environment states for the probe path's moments, the stacked fidelity trace
-for ``probes.qnm_trace`` (with a Cauchy-Binet det S - 1/4 of a pure
-preparation), 40-digit mpmath probe rows over a time grid and fidelity of
-two preparations, the SVD route and the vacuum discard for
-``symplectic.bloch_messiah``, the unsymmetrized product form of
+symplectic propagation and the single-mode marginal), the thermal state and
+the full-covariance environment states for the probe path's moments, the
+stacked fidelity trace for ``probes.qnm_trace`` (with a Cauchy-Binet
+det S - 1/4 of a pure preparation), 40-digit mpmath probe rows over a time
+grid and fidelity of two preparations, the SVD route and the vacuum discard
+for ``symplectic.bloch_messiah``, the unsymmetrized product form of
 ``dynamics.evolve``, the per-mode squeezers and the quadratic energy for the
 propagator, and random (orthogonal) symplectic matrices as decomposition
 inputs.
@@ -30,6 +31,7 @@ from numpy.typing import NDArray
 from oscnet import gaussian as g
 from oscnet.dynamics import QuadraticModel, StabilityError
 from oscnet.gaussian import _PURITY_TOL, GaussianState, SqueezedSpec, StateError
+from oscnet.netmodel import CouplingGraph
 from oscnet.probes import (
     DEFAULT_SMOOTH_WINDOW,
     FidelityTrace,
@@ -48,6 +50,24 @@ from oscnet.symplectic import (
 
 # ---------------------------------------------------------------------------
 # dynamics
+
+
+def potential_per_edge(graph: CouplingGraph) -> NDArray[np.float64]:
+    """V of ``dynamics.assemble_model`` by one pass over the edges, adding
+    each g_ij to V_ii and V_jj and subtracting it from V_ij and V_ji in
+    edge order: the arithmetic, and so the bits, of its array form."""
+    n = graph.n_nodes
+    probe = graph.probe
+    V = np.zeros((n + 1, n + 1))
+    V[0, 0] = probe.omega_s**2
+    V[1:, 1:][np.diag_indices(n)] = np.asarray(graph.omega) ** 2
+    for (i, j), weight in graph.couplings.items():
+        V[1 + i, 1 + i] += weight
+        V[1 + j, 1 + j] += weight
+        V[1 + i, 1 + j] -= weight
+        V[1 + j, 1 + i] -= weight
+    V[0, 1 + probe.site] = V[1 + probe.site, 0] = probe.k
+    return V
 
 
 # probe frequencies diagonalized per batch: bounds the (batch, M, M)
@@ -365,6 +385,13 @@ class JointState:
         if sign <= 0:
             raise StateError("covariance is not positive definite")
         return float(np.exp(-0.5 * logdet - self.n_modes * np.log(2.0)))
+
+
+def thermal_state(nbar: float) -> GaussianState:
+    """Single-mode thermal state of mean occupancy ``nbar``."""
+    if nbar < 0:
+        raise StateError("thermal occupancy must be >= 0")
+    return GaussianState(np.zeros(2), (nbar + 0.5) * np.eye(2))
 
 
 def joint_vacuum(n_modes: int) -> JointState:

@@ -15,7 +15,6 @@ from oscnet.gaussian import (
     SqueezedSpec,
     fidelity,
     squeezed_state,
-    thermal_state,
     vacuum_state,
 )
 from oscnet.probes import (
@@ -37,6 +36,7 @@ from oracles import (
     random_orthogonal_symplectic,
     random_symplectic,
     renormalization_scaling,
+    thermal_state,
 )
 
 pytestmark = pytest.mark.acceptance

@@ -517,6 +517,23 @@ def test_manifest_is_one_json_line_with_sorted_keys(outdir, verb, config):
     assert save_graph(load_graph(graph)) == graph == save_graph(_build_graph(cfg, config_dir))
 
 
+@pytest.mark.parametrize("config", ["network1.cfg", "network4.cfg"])
+@pytest.mark.parametrize("verb", ["validate", "spectral", "qnm", "masks", "evolve"])
+def test_each_verb_builds_its_graph_once(outdir, monkeypatch, verb, config):
+    # network1.cfg builds from a recipe, network4.cfg loads a graph document;
+    # the probe and every model's probe frequency attach without a rebuild
+    built = []
+    post_init = oscnet.CouplingGraph.__post_init__
+
+    def counting_post_init(graph):
+        built.append(graph)
+        post_init(graph)
+
+    monkeypatch.setattr(oscnet.CouplingGraph, "__post_init__", counting_post_init)
+    assert run([verb, "--config", config, "--out", str(outdir)]) == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("flag, value", [("150", 150.0), ("auto", "auto"), ("0", 0.0)])
 def test_valid_tmax_flag_recorded_as_before(outdir, flag, value):
     assert run(["evolve", "--config", "network1.cfg", "--t-max", flag, "--out", str(outdir)]) == 0

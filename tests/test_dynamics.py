@@ -26,12 +26,30 @@ from oracles import (
     bloch_messiah_svd,
     compose_preparation,
     evolve_product,
+    potential_per_edge,
     preparation_matrix,
     probe_rows_eigh,
     probe_rows_mp,
     quadratic_energy,
     renormalization_scaling,
 )
+
+
+@st.composite
+def stable_graphs(draw):
+    """A probed network with edges in drawn order, revisiting nodes, down to
+    one node without edges; stable by construction: V_E >= min(omega)^2 I,
+    so k < omega_S min(omega) keeps the probe's Schur complement positive."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weight = st.floats(1e-3, 2.0)
+    omega = tuple(draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)))
+    couplings = {edge: draw(weight) for edge in edges}
+    omega_s = draw(st.floats(0.05, 2.0))
+    k = draw(st.floats(0.0, 0.99)) * omega_s * min(omega)
+    probe = on.ProbeSpec(draw(st.integers(0, n - 1)), k, omega_s)
+    return on.CouplingGraph(n, omega, couplings, probe)
 
 
 def row_atol(model, ts):
@@ -86,6 +104,20 @@ class TestAssemble:
         m = assemble_model(g)
         # environment node 2 (0-based 1) couples with 0.1 and 0.05
         assert np.isclose(m.V[2, 2], 0.25**2 + 0.15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=stable_graphs())
+    def test_potential_matches_the_per_edge_sum(self, graph):
+        # each V_ii sums its edges in edge order, as the per-edge loop does
+        assert np.array_equal(assemble_model(graph).V, potential_per_edge(graph))
+
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    def test_bundled_potential_matches_the_per_edge_sum(self, networks, idx):
+        assert np.array_equal(assemble_model(networks[idx]).V, potential_per_edge(networks[idx]))
+
+    def test_one_node_without_edges(self):
+        g = on.build_explicit(1, 0.25, []).with_probe(1, 0.01, 0.3)
+        assert np.array_equal(assemble_model(g).V, [[0.3**2, 0.01], [0.01, 0.25**2]])
 
     def test_schur_instability_detected(self):
         # single env node at omega0: stability needs omega_s^2 > k^2 / omega0^2
@@ -355,13 +387,15 @@ class TestProbeRows:
             rows = probe_rows(assemble_model(graph), np.linspace(0.0, 500.0, 251))
             assert commutator_residual(rows).max() <= 1e-13
 
-    # grid sizes around the angle-addition path: 63 is one below its
-    # smallest grid (64 = 8^2), 80-82 and 255-257 the block edges b^2 - 1,
-    # b^2, b^2 + 1, 251 the bundled qnm grid
+    # grid sizes around the angle-addition path: T M = _ANGLE_MIN_SIZE lies
+    # between 94 and 95 times at 17 modes (nets 1-3) and between 31 and 32 at
+    # 51 (nets 4, 5); 80-82 and 255-257 are the block edges b^2 - 1, b^2,
+    # b^2 + 1, 251 the bundled qnm grid
     @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
-        "n, start", [(63, 0.0), (64, 0.0), (65, 0.0), (80, 0.0), (81, 0.0), (82, 0.0),
-                     (251, 0.0), (251, 37.5), (255, 0.0), (256, 0.0), (257, 0.0)]
+        "n, start", [(31, 0.0), (32, 0.0), (63, 0.0), (64, 0.0), (65, 0.0), (80, 0.0),
+                     (81, 0.0), (82, 0.0), (94, 0.0), (95, 0.0), (251, 0.0), (251, 37.5),
+                     (255, 0.0), (256, 0.0), (257, 0.0)]
     )
     def test_uniform_grid_matches_direct_rows(self, networks, monkeypatch, idx, n, start):
         m = assemble_model(networks[idx])
@@ -372,7 +406,7 @@ class TestProbeRows:
             dynamics, "_angle_rows", lambda *a: calls.append(a) or angle_rows(*a)
         )
         rows = probe_rows(m, ts)
-        assert len(calls) == (n >= dynamics._ANGLE_MIN_POINTS)
+        assert len(calls) == (n * m.n_modes >= dynamics._ANGLE_MIN_SIZE)
         direct = np.array([probe_rows(m, t) for t in ts])  # one time: the direct path
         assert np.allclose(rows, direct, rtol=0.0, atol=row_atol(m, ts))
         assert commutator_residual(rows).max() <= 1e-13
@@ -408,18 +442,22 @@ class TestProbeRows:
         m = assemble_model(random_stable_graph(np.random.default_rng(seed), max_nodes=30))
         ts = np.linspace(start, start + span, n)
         direct = probe_rows(m, ts[:, None])[:, 0]
-        assert np.allclose(probe_rows(m, ts), direct, rtol=0.0, atol=row_atol(m, ts))
+        with pytest.MonkeyPatch.context() as patch:  # the angle path at any network size
+            patch.setattr(dynamics, "_ANGLE_MIN_SIZE", 0)
+            rows = probe_rows(m, ts)
+        assert np.allclose(rows, direct, rtol=0.0, atol=row_atol(m, ts))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_both_time_grid_paths_match_40_digit_rows(self, seed):
+    def test_both_time_grid_paths_match_40_digit_rows(self, seed, monkeypatch):
         # float64 error of either path against mpmath at 40 digits; the
         # largest measured on seeds 0-19 is 1.2e-13 (angle) and 1.1e-13
         # (direct): both inherit the eigenfrequencies' round-off times t
         m = assemble_model(random_stable_graph(np.random.default_rng(seed), max_nodes=7))
         ts = np.linspace(3.5, 500.0, 64)
         ref = probe_rows_mp(m, ts)
-        assert np.abs(probe_rows(m, ts) - ref).max() <= 2.5e-13
         assert np.abs(probe_rows(m, ts[:, None])[:, 0] - ref).max() <= 2.5e-13
+        monkeypatch.setattr(dynamics, "_ANGLE_MIN_SIZE", 0)  # the angle path at <= 8 modes
+        assert np.abs(probe_rows(m, ts) - ref).max() <= 2.5e-13
 
     def test_commutator_check_rejects_corrupted_rows(self, net1_model):
         rows = probe_rows(net1_model, np.array([0.0, 90.0]))

@@ -39,7 +39,6 @@ EXPORTED = {
     "fidelity",
     "mean_photon",
     "squeezed_state",
-    "thermal_state",
     "vacuum_state",
     # probes
     "FidelityTrace",
@@ -120,7 +119,7 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == EXPORTED
-    assert len(EXPORTED) == 41
+    assert len(EXPORTED) == 40
 
 
 def test_settable_defaults_are_pinned():

@@ -12,7 +12,6 @@ from oscnet.gaussian import (
     fidelity_from_moments,
     mean_photon,
     squeezed_state,
-    thermal_state,
     vacuum_state,
 )
 
@@ -28,6 +27,7 @@ from oracles import (
     squeezed_fidelity_mp,
     random_orthogonal_symplectic,
     reduce_state,
+    thermal_state,
 )
 
 

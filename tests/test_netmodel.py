@@ -408,6 +408,60 @@ def test_load_graph_constructs_the_graph_once(monkeypatch):
     assert graph.probe is not None and graph.recipe["kind"] == "watts-strogatz"
 
 
+def test_probed_copy_shares_the_checked_edges(monkeypatch):
+    graph = on.build_linear_chain(4, [0.1, 0.05], 0.25)
+    built = on.CouplingGraph(4, graph.omega, graph.couplings, on.ProbeSpec(1, 0.01, 0.3),
+                             graph.recipe)
+    checked = []
+    monkeypatch.setattr(on.CouplingGraph, "__post_init__", lambda g: checked.append(g))
+    probed = graph.with_probe(2, 0.01, 0.3)
+    again = probed.with_probe(3, 0.02, 0.4)
+    assert checked == []  # no copy is built anew
+    for copy_ in (probed, again):
+        assert copy_.couplings is graph.couplings and copy_.recipe is graph.recipe
+    assert graph.probe is None and probed.probe == on.ProbeSpec(1, 0.01, 0.3)
+    assert again.probe == on.ProbeSpec(2, 0.02, 0.4)
+    with pytest.raises(TypeError, match="read-only"):
+        probed.couplings[(0, 1)] = -5.0
+    with pytest.raises(TypeError, match="read-only"):
+        again.recipe["pattern"].append(1.0)
+    assert probed == built  # the graph a full construction checks
+
+
+BAD_PROBES = [
+    ((0, 0.01, 0.3), "probe site -1 out of range"),
+    ((5, 0.01, 0.3), "probe site 4 out of range"),
+    ((1, -0.01, 0.3), "probe coupling k must be finite and >= 0"),
+    ((1, np.nan, 0.3), "probe coupling k must be finite and >= 0"),
+    ((1, 0.01, 0.0), "probe frequency must be finite and > 0"),
+    ((1, 0.01, -0.3), "probe frequency must be finite and > 0"),
+    ((1, 0.01, np.inf), "probe frequency must be finite and > 0"),
+    ((1, 0.01, np.nan), "probe frequency must be finite and > 0"),
+]
+BAD_PROBE_IDS = [
+    "site-0", "site-past-end", "negative-k", "nan-k", "zero-omega_s", "negative-omega_s",
+    "inf-omega_s", "nan-omega_s",
+]
+
+
+@pytest.mark.parametrize("probe, message", BAD_PROBES, ids=BAD_PROBE_IDS)
+def test_with_probe_rejects_a_bad_probe(probe, message):
+    graph = on.build_linear_chain(4, [0.1, 0.05], 0.25)
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        graph.with_probe(*probe)
+    # the constructor keeps the same check and message
+    site, k, omega_s = probe
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        on.CouplingGraph(4, graph.omega, graph.couplings, on.ProbeSpec(site - 1, k, omega_s))
+
+
+@pytest.mark.parametrize("omega_s", [0.0, -0.3, np.inf, np.nan])
+def test_model_at_rejects_a_bad_probe_frequency(omega_s):
+    graph = probed_chain()
+    with pytest.raises(GraphError, match="^probe frequency must be finite and > 0$"):
+        on.model_at(graph, omega_s)
+
+
 @pytest.mark.parametrize("name", ["network4.json", "network5.json"])
 def test_bundled_documents_round_trip(name):
     doc = json.loads(bundled_config_path(name).read_text())
