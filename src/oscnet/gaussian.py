@@ -142,6 +142,15 @@ def fidelity_from_moments(
     A state whose det S - 1/4 is round-off (``_PURITY_TOL``) counts as pure,
     d = 0: F is then the pure-state form Tr(rho1 rho2), where the general
     form would move like the square root of that round-off.
+
+    That band, det S - 1/4 <= ``_PURITY_TOL`` (|S00 S11| + |S01 S10|), also
+    takes in states just above purity: up to about 4e-13 dB of excess over
+    a pure state at the vacuum scale. F is off there by about sqrt(d / L)
+    relative, d the true value. Against a 40-digit reference, with
+    SqueezedSpec(-1, 1 + x) against SqueezedSpec(-1.3, 2.4, 'p'), that is
+    1.1e-8, 3.6e-8 and 6.3e-8 at x = 1e-14, 1e-13 and 3e-13 dB; from
+    x = 1e-12 dB up the general form is off by at most 4.7e-12, and an
+    exactly pure state by 0.
     """
     return _fidelity(mean1, cov1, mean2, cov2)
 
@@ -186,7 +195,9 @@ def _excess(cov: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def fidelity(s1: GaussianState, s2: GaussianState) -> float:
     """Uhlmann fidelity of two single-mode Gaussian states; StateError if
-    either violates the uncertainty relation."""
+    either violates the uncertainty relation. A nearly pure state (within
+    about 4e-13 dB of purity at the vacuum scale) counts as pure, which costs
+    up to about 6e-8 relative (``fidelity_from_moments``)."""
     s1.require_physical()
     s2.require_physical()
     return float(fidelity_from_moments(s1.mean, s1.cov, s2.mean, s2.cov))

@@ -478,7 +478,8 @@ def from_recipe(doc: Mapping[str, object]) -> CouplingGraph:
 
 
 def save_graph(graph: CouplingGraph) -> dict:
-    """Serialize to the JSON document schema (1-based node indices)."""
+    """Serialize to the JSON document schema (1-based node indices), as plain
+    dicts and lists."""
     omegas = set(graph.omega)
     doc: dict[str, object] = {"nodes": graph.n_nodes}
     if len(omegas) == 1:

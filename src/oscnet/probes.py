@@ -90,8 +90,11 @@ def suggest_tmax(model: QuadraticModel) -> float:
     ``_damping_kernel_grid``; the envelope is the exact max over each
     trailing window, sampled every ``_TMAX_STRIDE`` grid steps.
 
-    Raises PlateauError when the envelope never flattens (e.g. a single
-    environment mode) or never crosses the threshold within the horizon.
+    t_max is the first envelope reading at or below the threshold. Raises
+    PlateauError for an uncoupled probe, when the envelope never flattens
+    (a quantile above gamma(0)/2, e.g. a single environment mode) or never
+    crosses the threshold within the horizon, and when the window outlasts
+    the horizon (slowest environment mode below about 0.0209).
     """
     gamma0 = model._kernel_weights.sum()
     if gamma0 == 0.0:
@@ -411,7 +414,9 @@ def qnm_trace(
     Both initial probe states (environment in vacuum) evolve under the
     same renormalized propagator; only the probe rows of the propagator
     are formed, for the whole grid at once, and the probe blocks are
-    compared via the Gaussian fidelity.
+    compared via the Gaussian fidelity. An exactly pure preparation
+    (squeeze_db + antisqueeze_db == 0) reads its det S - 1/4 from the rows
+    (``_pure_excess``); a mixed one keeps the covariance route.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
@@ -440,7 +445,10 @@ def _pure_excess(rows: NDArray[np.float64], sigma: NDArray[np.float64]) -> NDArr
     q . Omega . p = 1, det S - 1/4 = 1/4 det(Z Z^H) with Z = Y_q - i Y_p,
     one complex row per quadrature; Gram-Schmidt gives that as
     1/4 |z_q|^2 |z_p - (z_q^H z_p / |z_q|^2) z_q|^2, a sum of squares of
-    the small residual where det S - 1/4 would cancel to round-off.
+    the small residual. From the 2x2 covariance, det S - 1/4 cancels to
+    round-off and F = 1/(sqrt(L + d) - sqrt(d)) moves like its square root,
+    about 1e-8 relative at t = 0; from the rows, the trace agrees with a
+    40-digit reference to 6e-15.
     """
     m = rows.shape[-1] // 2
     z = rows[..., :m] - 1j * rows[..., m:]

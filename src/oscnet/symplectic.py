@@ -43,10 +43,11 @@ def symplectic_residual(S: NDArray[np.float64]) -> float:
     return float(np.linalg.norm(S.T @ omega @ S - omega))
 
 
-def is_symplectic(S: NDArray[np.float64], tol: float = SYMPLECTIC_TOL) -> tuple[bool, float]:
-    """Check S^T Omega S = Omega; returns (verdict, residual)."""
+def is_symplectic(S: NDArray[np.float64]) -> tuple[bool, float]:
+    """Check S^T Omega S = Omega to ``SYMPLECTIC_TOL``; returns (verdict,
+    residual)."""
     res = symplectic_residual(S)
-    return res < tol, res
+    return res < SYMPLECTIC_TOL, res
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,12 @@ def bloch_messiah(S: NDArray[np.float64]) -> BlochMessiahFactors:
     ``is_symplectic`` already refuses S with |S| beyond about 1e3, where the
     rounding of S S^T (eps |S|^2) would blur the d >= 1 block. Column signs
     are fixed so each of the first M columns of R1 has a positive leading
-    entry (paired column signs follow). Inside a degenerate d, R1 is the
-    basis LAPACK returns. Passive S is returned as R1.
+    entry (paired column signs follow). Passive S is returned as R1.
+
+    Inside a degenerate d, R1 is the basis LAPACK returns (network 5 has a
+    threefold d = 1.27983, where the probe rows of R1 are about 1e-16). A
+    near-degenerate d is resolved only to about eps |S|^2 / gap, the gap its
+    eigenvalue of S S^T leaves to the others, here as by an SVD.
     """
     r1, d, passive = _r1_and_d(S)
     if passive:

@@ -43,8 +43,8 @@ from oscnet.symplectic import (
     SYMPLECTIC_TOL,
     BlochMessiahFactors,
     SymplecticError,
-    is_symplectic,
     symplectic_form,
+    symplectic_residual,
 )
 
 
@@ -255,8 +255,8 @@ def bloch_messiah_svd(
     are fixed so each of the first M columns of R1 has a positive leading
     entry (paired column signs follow). Passive S is returned as R1.
     """
-    ok, res = is_symplectic(S, tol)
-    if not ok:
+    res = symplectic_residual(S)
+    if not res < tol:
         raise SymplecticError(f"input is not symplectic (residual {res:.3e} >= {tol:.1e})")
     n = S.shape[0] // 2
     omega = symplectic_form(n)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -63,7 +64,6 @@ OPTIONS = {
     ("CouplingGraph", "recipe"),
     ("SqueezedSpec", "axis"),
     ("blp_witness", "use_smoothed"),
-    ("is_symplectic", "tol"),
     ("probe_rows", "omega_s"),
     ("qnm_trace", "window"),
     ("sweep_spectral_density", "env_prep"),
@@ -124,7 +124,7 @@ def test_exported_names_are_pinned():
 
 def test_settable_defaults_are_pinned():
     assert settable_defaults() == OPTIONS
-    assert len(OPTIONS) == 11
+    assert len(OPTIONS) == 10
 
 
 def test_private_imports_are_pinned():
@@ -143,3 +143,15 @@ def test_readme_quick_start_runs(request):
     readme = (request.path.parents[1] / "README.md").read_text()
     block = readme.split("## Library quick start")[1].split("```python\n")[1].split("```")[0]
     exec(compile(block, "README.md quick start", "exec"), {})
+
+
+# a duration (ms, µs, ns), a speed-up factor (×) or a speed comparison: timings
+# belong to the benchmark record and CHANGES.md, not to the reference
+TIMING = re.compile(r"\d\s*(?:ms|[µμu]s|ns)\b|\d\s*×|\b(?:faster|slower)\b", re.IGNORECASE)
+
+
+def test_readme_holds_no_timing_figures(request):
+    readme = (request.path.parents[1] / "README.md").read_text()
+    assert TIMING.findall(readme) == []
+    for text in ("took 0.35 ms", "3 µs", "40 ns", "9–13× faster", "2.3 against 1.0 ms", "slower than"):
+        assert TIMING.search(text), text

@@ -225,6 +225,26 @@ class TestFidelity:
             f = fidelity(squeezed_state(pure), squeezed_state(mixed))
             assert abs(f / squeezed_fidelity_mp(pure, mixed) - 1) <= 2e-15
 
+    @pytest.mark.parametrize(
+        "excess_db, bound",
+        [
+            # within _PURITY_TOL the state counts as pure, d = 0, and F moves
+            # like sqrt(d / L): measured 1.1e-8, 3.6e-8 and 6.3e-8
+            (1e-14, 2e-8),
+            (1e-13, 5e-8),
+            (3e-13, 1e-7),
+            # above it the 2x2 determinant keeps d: measured 4.7e-12 and 1.4e-12
+            (1e-12, 1e-11),
+            (1e-9, 3e-12),
+            (0.0, 2e-15),  # exactly pure: measured 0
+        ],
+    )
+    def test_nearly_pure_state_stays_in_its_documented_band(self, excess_db, bound):
+        nearly_pure = SqueezedSpec(-1.0, 1.0 + excess_db)
+        mixed = SqueezedSpec(-1.3, 2.4, "p")
+        f = fidelity(squeezed_state(nearly_pure), squeezed_state(mixed))
+        assert abs(f / squeezed_fidelity_mp(nearly_pure, mixed) - 1) <= bound
+
     def test_negative_definite_sum_rejected(self):
         # det(S1 + S2) = 1.44 > 0, yet S1 + S2 = -1.2 I
         cov = -0.6 * np.eye(2)
