@@ -276,11 +276,19 @@ def _out_dir(cfg: dict) -> Path:
     return path
 
 
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to a new file at ``path``, replacing (not following) any
+    file or symlink there: on ext4, truncating a non-empty file forces
+    writeback of its delayed blocks."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def _write_manifest(out: Path, cfg: dict, overrides: dict, graph: CouplingGraph) -> None:
     manifest = {"tool": "oscnet", "version": __version__, "config": cfg, "overrides": overrides}
     manifest["graph"] = save_graph(graph)  # resolved input, run is self-contained
     # one line: indent would force the pure-Python encoder on every run
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    _write(out / "manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def _state(cfg: dict, name: str) -> SqueezedSpec:
@@ -359,7 +367,7 @@ def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> int:
         lines.append(f"suggested t_max = n/a ({exc})")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    (out / "validate.txt").write_text(report)
+    _write(out / "validate.txt", report)
     return 0
 
 
@@ -389,7 +397,7 @@ def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
         if stderr is not None:
             columns["stderr"] = stderr
     table = np.column_stack(list(columns.values()))
-    (out / "spectral.csv").write_text(",".join(columns) + "\n" + _fmt_rows(table, ","))
+    _write(out / "spectral.csv", ",".join(columns) + "\n" + _fmt_rows(table, ","))
     if method == "both":
         # deviation statistics over the significant-J region only
         j_analytic, j_probe = columns["J_analytic"], columns["J_probe"]
@@ -411,7 +419,7 @@ def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
             summary = (
                 f"cross-path deviation (J > 0.1 max): no such point, max J_analytic {_fmt(j_max)}\n"
             )
-        (out / "crosspath.txt").write_text(summary)
+        _write(out / "crosspath.txt", summary)
         sys.stdout.write(summary)
     sys.stdout.write(f"spectral sweep done: {len(grid)} points, t_max={_fmt(t_max)}\n")
     return 0
@@ -425,8 +433,8 @@ def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> int:
         trace = qnm_trace(model, rho1, rho2, t_grid, window=cfg["smooth_window"])
         report = blp_witness(trace, use_smoothed=True)
         table = np.column_stack([trace.t, trace.f_raw, trace.f_smooth])
-        (out / f"qnm_w{tag}.csv").write_text("t,F_raw,F_smooth\n" + _fmt_rows(table, ","))
-        (out / f"witness_w{tag}.txt").write_text(_witness_text(report, model.omega_s))
+        _write(out / f"qnm_w{tag}.csv", "t,F_raw,F_smooth\n" + _fmt_rows(table, ","))
+        _write(out / f"witness_w{tag}.txt", _witness_text(report, model.omega_s))
         sys.stdout.write(f"omega_s={tag}: N={_fmt(report.value)}\n")
     return 0
 
@@ -441,7 +449,7 @@ def run_evolve(cfg: dict, graph: CouplingGraph, out: Path) -> int:
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
             f"t={_fmt(t_max)} omega_s={_fmt(model.omega_s)}"
         )
-        (out / f"evolution_w{tag}_t{t_max:g}.txt").write_text(header + "\n" + _fmt_matrix(S, " "))
+        _write(out / f"evolution_w{tag}_t{t_max:g}.txt", header + "\n" + _fmt_matrix(S, " "))
         sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={t_max:g}\n")
     return 0
 
@@ -456,9 +464,8 @@ def run_masks(cfg: dict, graph: CouplingGraph, out: Path) -> int:
         modes = np.arange(1.0, n + 1)
         for row, quad in ((0, "q"), (1, "p")):
             table = np.column_stack([modes, pair[row, :n], pair[row, n:]])
-            (out / f"mask_{quad}_w{tag}_t{t_max:g}.csv").write_text(
-                "mode,q_coefficient,p_coefficient\n" + _fmt_rows(table, ",")
-            )
+            text = "mode,q_coefficient,p_coefficient\n" + _fmt_rows(table, ",")
+            _write(out / f"mask_{quad}_w{tag}_t{t_max:g}.csv", text)
         sys.stdout.write(f"wrote mask pair at omega_s={tag}, t={t_max:g}\n")
     return 0
 

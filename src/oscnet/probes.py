@@ -190,7 +190,8 @@ class SamplingOptions:
     Each repetition's sample second moment of q_S and of p_S is drawn from
     its exact law, the (noncentral) chi-square distribution of the mean of
     n_samples squared Gaussian outcomes, so the cost does not grow with
-    n_samples.
+    n_samples. A sweep draws all of them from one generator seeded with
+    ``seed``; ``sweep_spectral_density`` gives the layout.
     """
 
     n_samples: int
@@ -205,31 +206,18 @@ class SamplingOptions:
 
 
 def _sample_second_moments(
-    mean: float, var: float, n_samples: int, n_reps: int, seed: np.random.SeedSequence
+    mean: float | NDArray, var: float | NDArray, n_samples: int, n_reps: int, seed
 ) -> NDArray[np.float64]:
     """``n_reps`` draws of (1/n) sum_i x_i^2 over n = ``n_samples`` outcomes
-    x_i ~ N(mean, var): (var/n) times a chi-square with n degrees of freedom
-    and noncentrality n mean^2 / var."""
-    rng = np.random.default_rng(seed)
-    return rng.noncentral_chisquare(n_samples, n_samples * mean**2 / var, n_reps) * var / n_samples
-
-
-def _quadrature_seeds(
-    seed: int | None, n_points: int
-) -> list[tuple[np.random.SeedSequence, np.random.SeedSequence]]:
-    """Seeds of the q and p draws at each of ``n_points`` points: the
-    grandchildren (i, k) that ``SeedSequence(seed).spawn(n_points)`` and a
-    further ``spawn(2)`` per child give, built directly from the root's
-    entropy (the same streams, without the intermediate children). The root
-    is built once, so ``seed=None`` draws its entropy once."""
-    root = np.random.SeedSequence(seed)
-    return [
-        tuple(
-            np.random.SeedSequence(root.entropy, spawn_key=(i, k), pool_size=root.pool_size)
-            for k in (0, 1)
-        )
-        for i in range(n_points)
-    ]
+    x_i ~ N(mean, var) per value of ``mean`` and ``var``: (var/n) times a
+    chi-square with n degrees of freedom and noncentrality n mean^2 / var.
+    One generator, ``np.random.default_rng(seed)`` (an int, None, a
+    SeedSequence or a Generator), fills the (*mean.shape, n_reps) draws in C
+    order, each value's n_reps draws in a row."""
+    mean, var = np.asarray(mean), np.asarray(var)
+    nonc = (n_samples * mean**2 / var)[..., None]
+    draws = np.random.default_rng(seed).noncentral_chisquare(n_samples, nonc, (*mean.shape, n_reps))
+    return draws * var[..., None] / n_samples
 
 
 def _invert_excitation(
@@ -328,9 +316,13 @@ def sweep_spectral_density(
     With sampling, each repetition's homodyne second moments of q_S and p_S
     are drawn from their exact (noncentral) chi-square law given the probe
     moments, J is inverted per repetition, and stderr is the standard error
-    over repetitions. Each point draws from its own child of the master seed,
-    split into one grandchild per quadrature, so its samples do not depend on
-    the rest of the grid: point 0 draws as a one-point sweep at its frequency.
+    over repetitions. One generator seeded with ``seed`` fills the stream
+    point by point, q reps then p reps. NumPy's draw count per value depends
+    only on the stream and on whether that value's noncentrality is exactly
+    zero, so point i's draws depend on the seed, the counts, i and which
+    quadrature means before them are exactly zero (all for the vacuum probe,
+    generically none for a displaced one), never on the other grid
+    frequencies: point 0 draws as a one-point sweep at its frequency.
     """
     omega = np.asarray(list(omega_grid), dtype=float)
     if len(omega) == 0:
@@ -351,12 +343,9 @@ def sweep_spectral_density(
     var = np.diagonal(cov, axis1=1, axis2=2)
     if not np.all(var > 0):
         raise g.StateError("probe quadrature variance is not positive")
-    reps, n = sampling.n_reps, sampling.n_samples
+    reps = sampling.n_reps
     # sample second moments of q_S and p_S per point and rep; they include the means
-    m2 = np.empty((len(omega), 2, reps))
-    for i, pair in enumerate(_quadrature_seeds(sampling.seed, len(omega))):
-        for k, quad_seed in enumerate(pair):
-            m2[i, k] = _sample_second_moments(mean[i, k], var[i, k], n, reps, quad_seed)
+    m2 = _sample_second_moments(mean, var, sampling.n_samples, reps, sampling.seed)
     n_s = 0.5 * (m2.sum(axis=1) - 1.0)
     js = _invert_excitation(omega[:, None], t_max, n_bath[:, None], n0, n_s)
     stderr = js.std(axis=1, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(omega))

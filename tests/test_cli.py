@@ -220,6 +220,21 @@ class TestSpectral:
         assert run(args + ["--out", str(out2)]) == 0
         assert (out1 / "spectral.csv").read_bytes() == (out2 / "spectral.csv").read_bytes()
 
+    @pytest.mark.parametrize("config", ["network1.cfg", "network5.cfg"])
+    def test_sampled_sweep_scatters_about_the_exact_path(self, tmp_path, config):
+        # the benchmark's sampled check: with 20 reps z = (J_sampled -
+        # J_exact) / stderr is close to Student t, so the RMS of 12 values
+        # sits near 1; a broken stream layout moves it out of [0.1, 3]
+        args = ["spectral", "--config", config, "--method", "probe", "--points", "12"]
+        assert run(args + ["--out", str(tmp_path / "exact")]) == 0
+        _, j_exact = np.loadtxt(tmp_path / "exact" / "spectral.csv", delimiter=",", skiprows=1).T
+        for seed in ("1", "2", "3"):
+            out = tmp_path / seed
+            sampled = ["--samples", "2000", "--reps", "20", "--seed", seed, "--out", str(out)]
+            assert run(args + sampled) == 0
+            _, j, stderr = np.loadtxt(out / "spectral.csv", delimiter=",", skiprows=1).T
+            assert 0.1 <= np.sqrt(np.mean(((j - j_exact) / stderr) ** 2)) <= 3.0
+
     def test_empty_sweep_is_config_error(self, outdir, capsys):
         args = ["spectral", "--config", "network1.cfg", "--points", "0", "--out", str(outdir)]
         assert run(args) == EXIT_CONFIG
@@ -582,6 +597,28 @@ def test_one_point_sweep_reports_no_correlation(outdir, capsys):
     assert summary.startswith("cross-path deviation (J > 0.1 max): median ")
     assert summary.endswith(", corr n/a (one point)\n")
     assert "nan" not in capsys.readouterr().out
+
+
+def test_rerun_replaces_longer_stale_outputs(outdir):
+    args = ["validate", "--config", "network1.cfg", "--out", str(outdir)]
+    assert run(args) == 0
+    names = ("manifest.json", "validate.txt")
+    fresh = {name: (outdir / name).read_bytes() for name in names}
+    for name in names:
+        (outdir / name).write_bytes(b"stale\n" * len(fresh[name]))
+    assert run(args) == 0
+    assert {name: (outdir / name).read_bytes() for name in names} == fresh
+
+
+def test_output_symlink_is_replaced_not_followed(tmp_path, outdir):
+    target = tmp_path / "elsewhere.txt"
+    target.write_text("kept\n")
+    outdir.mkdir()
+    (outdir / "validate.txt").symlink_to(target)
+    assert run(["validate", "--config", "network1.cfg", "--out", str(outdir)]) == 0
+    assert not (outdir / "validate.txt").is_symlink()
+    assert (outdir / "validate.txt").read_text().startswith("nodes = ")
+    assert target.read_text() == "kept\n"
 
 
 def test_outdir_that_is_a_file_is_config_error(tmp_path, capsys):

@@ -30,7 +30,6 @@ from oscnet.probes import (
 from oscnet.probes import (
     _KERNEL_BLOCK,
     _damping_kernel_grid,
-    _quadrature_seeds,
     _sample_second_moments,
 )
 
@@ -230,26 +229,53 @@ class TestMatrixFormatter:
         assert _fmt_matrix(S, " ") == _fmt_rows(S, " ")
 
 
-class TestQuadratureSeeds:
-    @staticmethod
-    def spawn_tree(root, n_points):
-        return [child.spawn(2) for child in root.spawn(n_points)]
+DISPLACED_PROBE = GaussianState(np.array([1.0, -0.5]), 0.5 * np.eye(2))
 
-    @staticmethod
-    def draws(seeds):
-        return [[np.random.default_rng(s).standard_normal(4) for s in pair] for pair in seeds]
 
-    @pytest.mark.parametrize("seed", [20240817, 0])
-    def test_streams_match_spawn_tree(self, seed):
-        got = self.draws(_quadrature_seeds(seed, 3))
-        want = self.draws(self.spawn_tree(np.random.SeedSequence(seed), 3))
-        assert np.array_equal(got, want)
+class TestSampleStream:
+    OPTIONS = SamplingOptions(n_samples=500, n_reps=6, seed=11)
 
-    def test_unseeded_root_draws_entropy_once(self):
-        seeds = _quadrature_seeds(None, 3)
-        assert len({s.entropy for pair in seeds for s in pair}) == 1
-        root = np.random.SeedSequence(seeds[0][0].entropy)
-        assert np.array_equal(self.draws(seeds), self.draws(self.spawn_tree(root, 3)))
+    @pytest.mark.parametrize("probe", [None, DISPLACED_PROBE], ids=["vacuum", "displaced"])
+    def test_sweep_draws_one_stream_point_by_point(self, net1, probe):
+        # one generator fills the (point, quadrature, rep) draws in C order
+        grid, t_max, opts = np.array([0.25, 0.3, 0.4]), 150.0, self.OPTIONS
+        j, stderr = sweep_spectral_density(
+            model_at(net1, grid[0]), grid, t_max, probe_state=probe, sampling=opts
+        )
+        state0 = probe or vacuum_state()
+        states = []
+        for w in grid:
+            m = model_at(net1, w)
+            joint = product_state(state0, thermal_environment(m, 1.0))
+            states.append(reduce_state(propagate(joint, on.evolve(m, t_max)), 0))
+        mean = np.array([s.mean for s in states])
+        var = np.array([np.diag(s.cov) for s in states])
+        n, reps = opts.n_samples, opts.n_reps
+        draws = np.random.default_rng(opts.seed).noncentral_chisquare(
+            n, (n * mean**2 / var)[..., None], (len(grid), 2, reps)
+        )
+        n_s = 0.5 * ((draws * var[..., None] / n).sum(axis=1) - 1.0)
+        n_bath = thermal_occupancy(grid, 1.0)[:, None]
+        js = (grid[:, None] / t_max) * np.log((n_bath - mean_photon(state0)) / (n_bath - n_s))
+        assert np.allclose(j, js.mean(axis=1), rtol=1e-9, atol=0.0)
+        assert np.allclose(stderr, js.std(axis=1, ddof=1) / np.sqrt(reps), rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("probe", [None, DISPLACED_PROBE], ids=["vacuum", "displaced"])
+    def test_a_point_draws_independently_of_other_frequencies(self, net1_model, probe):
+        opts = self.OPTIONS
+        a, b = (
+            sweep_spectral_density(net1_model, grid, 150.0, probe_state=probe, sampling=opts)
+            for grid in ([0.25, 0.3, 0.4], [0.25, 0.35, 0.4])
+        )
+        assert a[0][1] != b[0][1]
+        assert a[0][2] == b[0][2] and a[1][2] == b[1][2]
+
+    def test_scalar_moments_draw_as_one_value(self):
+        # a scalar call is the first (q) value of a broadcast call
+        mean, var = np.array([[1.3, 0.0]]), np.array([[0.7, 0.4]])
+        drawn = _sample_second_moments(mean, var, 50, 8, 21)
+        assert drawn.shape == (1, 2, 8)
+        assert np.array_equal(drawn[0, 0], _sample_second_moments(1.3, 0.7, 50, 8, 21))
 
 
 class TestAnalyticJ:
