@@ -30,33 +30,24 @@ class GraphError(ValueError):
 # in ``cli``
 
 
-def _is_integer(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# JSON value types by name: how messages say them, and the test
+# JSON value types by name: how messages say them, and the test of the value's own
+# type. Entries are checked in one walk, the first bad one reported: numbers by
+# ``_value_error``, [i, j, g] edges (integer 1-based i != j, numeric g) by ``_explicit_parts``
 _JSON_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "integer": ("an integer", _is_integer),
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "number": ("a number", _is_number),
     "string": ("a string", lambda v: isinstance(v, str)),
     "object": ("a JSON object", lambda v: isinstance(v, dict)),
-    "numbers": (
-        "a non-empty list of numbers",
-        lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
-    ),
-    "edges": (
-        "a list of [i, j, g] edges",
-        lambda v: isinstance(v, list) and all(
-            isinstance(e, list) and len(e) == 3
-            and _is_integer(e[0]) and _is_integer(e[1]) and _is_number(e[2])
-            for e in v
-        ),
-    ),
+    "numbers": ("a non-empty list of numbers", lambda v: isinstance(v, list) and len(v) > 0),
+    "edges": ("a list of [i, j, g] edges", lambda v: isinstance(v, list)),
 }
+
+# a graph's node indices and weights, from Python or NumPy (each use refuses bool)
+_INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
 
 
 class _Field(NamedTuple):
@@ -84,15 +75,18 @@ _POSITIVE = ((lambda v: v > 0), "> 0")
 
 def _value_error(name: str, value: object, field: _Field) -> str | None:
     """What is wrong with ``value`` as the value of ``field`` (its JSON type,
-    a number that is not finite, or its range), or None."""
+    a number that is not finite, or its range), or None. A list of numbers
+    is checked entry by entry, and its first bad entry is reported."""
     types = field.types.split(" or ")
-    for t in types:
-        if _JSON_TYPES[t][1](value):
+    for kind in types:
+        if _JSON_TYPES[kind][1](value):
             break
     else:
-        what = " or ".join(_JSON_TYPES[t][0] for t in types)
-        return f"'{name}' must be {what}, got {json.dumps(value)}"
-    for v in value if "numbers" in types and isinstance(value, list) else (value,):
+        kind = None
+    for v in value if kind == "numbers" else (value,):
+        if kind is None or kind == "numbers" and not _is_number(v):
+            what = " or ".join(_JSON_TYPES[t][0] for t in types)
+            return f"'{name}' must be {what}, got {json.dumps(value)}"
         if isinstance(v, float) and not math.isfinite(v):
             return f"{name} must be finite, got {json.dumps(value)}"
         if field.ok is not None and not field.ok(v):
@@ -168,8 +162,9 @@ class ProbeSpec:
 
 def _check_probe(probe: ProbeSpec, n_nodes: int) -> None:
     """Raise GraphError when a probe does not fit a graph of ``n_nodes``."""
-    if not 0 <= probe.site < n_nodes:
-        raise GraphError(f"probe site {probe.site} out of range")
+    site = probe.site
+    if not (isinstance(site, _INTEGERS) and not isinstance(site, bool) and 0 <= site < n_nodes):
+        raise GraphError(f"probe site {site} out of range")
     if not 0 <= probe.k < np.inf:
         raise GraphError("probe coupling k must be finite and >= 0")
     if not 0 < probe.omega_s < np.inf:
@@ -183,12 +178,12 @@ class CouplingGraph:
     Parameters
     ----------
     n_nodes:
-        Number of environment oscillators.
+        Number of environment oscillators (an integer).
     omega:
         Node frequencies, all > 0.
     couplings:
-        Map (i, j) -> g_ij with i < j (0-based), g_ij > 0. Symmetry is
-        implicit in the canonical key ordering.
+        Map (i, j) -> g_ij with integer i < j (0-based; Python or NumPy, not
+        bool), real g_ij > 0. Symmetry is implicit in the key ordering.
     probe:
         Optional probe attachment; most operations require it.
     recipe:
@@ -213,19 +208,22 @@ class CouplingGraph:
         if self.recipe is not None:
             recipe = _copy_json(dict(self.recipe), _FrozenDict, _FrozenList)
             object.__setattr__(self, "recipe", recipe)
-        if self.n_nodes < 1:
+        n = self.n_nodes
+        if not (isinstance(n, _INTEGERS) and not isinstance(n, bool) and n >= 1):
             raise GraphError("graph needs at least one node")
-        if len(self.omega) != self.n_nodes:
+        if len(self.omega) != n:
             raise GraphError("omega list length != n_nodes")
         if not all(0 < w < np.inf for w in self.omega):
             raise GraphError("all node frequencies must be finite and > 0")
         for (i, j), g in self.couplings.items():
-            if not (0 <= i < j < self.n_nodes):
+            if not (
+                isinstance(i, _INTEGERS) and isinstance(j, _INTEGERS) and 0 <= i < j < n
+            ) or bool in (type(i), type(j)):
                 raise GraphError(f"bad edge ({i}, {j}): indices out of range or not i < j")
-            if not 0 < g < np.inf:
+            if not (isinstance(g, _REALS) and not isinstance(g, bool) and 0 < g < np.inf):
                 raise GraphError(f"edge ({i}, {j}) has weight {g}, not finite and > 0")
         if self.probe is not None:
-            _check_probe(self.probe, self.n_nodes)
+            _check_probe(self.probe, n)
 
     @property
     def n_edges(self) -> int:
@@ -246,7 +244,9 @@ class CouplingGraph:
 
         Only the probe is checked: the copy shares this graph's checked,
         read-only couplings and recipe instead of being built anew."""
-        probe = ProbeSpec(site=site_1based - 1, k=float(k), omega_s=float(omega_s))
+        # True - 1 is the int 0: a bool site stays bool for the check to refuse
+        site = site_1based if isinstance(site_1based, bool) else site_1based - 1
+        probe = ProbeSpec(site=site, k=float(k), omega_s=float(omega_s))
         _check_probe(probe, self.n_nodes)
         graph = copy.copy(self)
         object.__setattr__(graph, "probe", probe)
@@ -389,22 +389,32 @@ def build_explicit(
     n: int, omega: float | Sequence[float], edges: Sequence[tuple[int, int, float]]
 ) -> CouplingGraph:
     """Graph from an explicit 1-based edge list [(i, j, g_ij), ...]; attach a
-    probe with ``CouplingGraph.with_probe``."""
+    probe with ``CouplingGraph.with_probe``. Each edge is a 3-item list or
+    tuple of integer nodes i != j (Python or NumPy, not bool) and a numeric
+    g; the first bad entry raises GraphError, as in a document or recipe."""
     omega_t, couplings = _explicit_parts(n, omega, edges)
     return CouplingGraph(n, omega_t, couplings)
 
 
 def _explicit_parts(n: int, omega: float | Sequence[float], edges: Sequence) -> tuple:
-    """The node frequencies and 0-based couplings of an explicit graph, with
-    the edge errors of ``build_explicit``; ``CouplingGraph`` checks ranges."""
+    """The node frequencies and couplings (0-based int keys, float weights) of
+    an explicit graph; the one edge-entry check (integer 1-based i != j,
+    numeric g, the first bad entry reported) of ``build_explicit``, explicit
+    recipes and graph documents. ``CouplingGraph`` checks the weights."""
     omega_t = (float(omega),) * n if np.isscalar(omega) else tuple(float(w) for w in omega)
     couplings: dict[tuple[int, int], float] = {}
-    for i, j, g in edges:
+    for e in edges:
+        i, j, g = e if isinstance(e, (list, tuple)) and len(e) == 3 else (None,) * 3
+        if bool in (type(i), type(j), type(g)) or not (
+            isinstance(i, _INTEGERS) and isinstance(j, _INTEGERS) and isinstance(g, _REALS)
+        ):
+            what = "a list of [i, j, g] edges (integer i, j; numeric g)"
+            raise GraphError(f"'edges' must be {what}, got entry {json.dumps(e, default=repr)}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) references missing node")
         if i == j:
             raise GraphError(f"self-loop on node {i}")
-        a, b = min(i, j) - 1, max(i, j) - 1
+        a, b = (int(i) - 1, int(j) - 1) if i < j else (int(j) - 1, int(i) - 1)
         if (a, b) in couplings and couplings[(a, b)] != g:
             raise GraphError(f"asymmetric weights for edge ({i}, {j}): {couplings[(a, b)]} vs {g}")
         couplings[(a, b)] = float(g)
@@ -481,7 +491,7 @@ def save_graph(graph: CouplingGraph) -> dict:
     """Serialize to the JSON document schema (1-based node indices), as plain
     dicts and lists."""
     omegas = set(graph.omega)
-    doc: dict[str, object] = {"nodes": graph.n_nodes}
+    doc: dict[str, object] = {"nodes": int(graph.n_nodes)}
     if len(omegas) == 1:
         doc["omega0"] = graph.omega[0]
     else:
@@ -489,7 +499,7 @@ def save_graph(graph: CouplingGraph) -> dict:
     doc["edges"] = [[i + 1, j + 1, g] for (i, j), g in sorted(graph.couplings.items())]
     if graph.probe is not None:
         doc["probe"] = {
-            "site": graph.probe.site + 1,
+            "site": int(graph.probe.site) + 1,
             "k": graph.probe.k,
             "omega_s": graph.probe.omega_s,
         }

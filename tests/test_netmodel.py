@@ -394,6 +394,86 @@ def test_document_errors_come_in_order(doc, message):
         on.load_graph(doc)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[1, 2]], "'edges' must be a list of [i, j, g] edges (integer i, j; numeric g), got "
+                   "entry [1, 2]"),
+        (["1 2 0.1"], "'edges' must be a list of [i, j, g] edges"),
+        ([[1, "2", 0.1]], "'edges' must be a list of [i, j, g] edges"),
+        ([[1, 2.0, 0.1]], "'edges' must be a list of [i, j, g] edges"),
+        ([[1, 2.5, 0.1], [2, 3, 0.1]], "'edges' must be a list of [i, j, g] edges"),
+        ([[True, 2, 0.1]], "'edges' must be a list of [i, j, g] edges"),
+        ([[1, 2, "0.1"]], "'edges' must be a list of [i, j, g] edges"),
+        ([[1, 4, 0.1]], "edge (1, 4) references missing node"),
+        ([[2, 2, 0.1]], "self-loop on node 2"),
+        ([[1, 2, 0.1], [2, 1, 0.2]], "asymmetric weights for edge (2, 1): 0.1 vs 0.2"),
+        ([[1, 4, 0.1], [1, 2]], "edge (1, 4) references missing node"),
+        ([[1, 2], [1, 4, 0.1]], "got entry [1, 2]"),
+    ],
+    ids=[
+        "short-entry", "string-entry", "string-index", "float-index", "fractional-index",
+        "bool-index", "string-weight", "missing-node", "self-loop", "asymmetric",
+        "first-bad-entry-wins", "first-bad-type-wins",
+    ],
+)
+def test_documents_recipes_and_build_explicit_share_one_edge_check(edges, message):
+    makers = [
+        lambda: on.load_graph({"nodes": 3, "omega0": 0.25, "edges": edges}),
+        lambda: on.from_recipe({"kind": "explicit", "n": 3, "omega0": 0.25, "edges": edges}),
+        lambda: on.build_explicit(3, 0.25, edges),
+    ]
+    texts = set()
+    for make in makers:
+        with pytest.raises(GraphError) as info:
+            make()
+        texts.add(str(info.value))
+    assert len(texts) == 1
+    assert message in texts.pop()
+
+
+def test_first_bad_number_of_a_list_wins():
+    with pytest.raises(GraphError, match=r"pattern must be finite, got \[NaN, \"x\"\]$"):
+        on.from_recipe({**LINEAR, "pattern": [np.nan, "x"]})
+    with pytest.raises(GraphError, match=r"'pattern' must be a non-empty list of numbers"):
+        on.from_recipe({**LINEAR, "pattern": ["x", np.nan]})
+
+
+def test_numpy_integer_edges_build_plain_json_graphs():
+    plain = on.build_explicit(3, 0.25, [(1, 2, 0.1), (2, 3, 0.5)]).with_probe(2, 0.01, 0.3)
+    edges = [(np.int64(1), np.int32(2), np.float64(0.1)), [np.uint8(3), 2, 0.5]]
+    graph = on.build_explicit(np.int64(3), 0.25, edges).with_probe(np.int64(2), 0.01, 0.3)
+    assert graph == plain
+    assert all(type(i) is int and type(j) is int for i, j in graph.couplings)
+    doc = json.loads(json.dumps(on.save_graph(graph)))
+    assert doc == on.save_graph(plain)
+    assert on.load_graph(doc) == plain
+    numpy_keys = {(np.intp(0), np.int32(1)): np.float32(0.1)}
+    direct = on.CouplingGraph(np.int64(3), plain.omega, numpy_keys)
+    on.assemble_model(direct.with_probe(np.int64(1), 0.01, 0.3))
+
+
+@pytest.mark.parametrize(
+    "n_nodes, couplings, message",
+    [
+        (3, {(0, 1.5): 0.1}, r"bad edge \(0, 1.5\)"),
+        (3, {(0.0, 1): 0.1}, r"bad edge \(0.0, 1\)"),
+        (3, {(False, 1): 0.1}, r"bad edge \(False, 1\)"),
+        (3, {(0, 1): "x"}, r"edge \(0, 1\) has weight x"),
+        (3, {(0, 1): True}, r"edge \(0, 1\) has weight True"),
+        (3.0, {(0, 1): 0.1}, "graph needs at least one node"),
+        (True, {}, "graph needs at least one node"),
+    ],
+    ids=[
+        "fractional-index", "float-index", "bool-index", "string-weight", "bool-weight",
+        "float-n_nodes", "bool-n_nodes",
+    ],
+)
+def test_graph_refuses_couplings_it_cannot_build(n_nodes, couplings, message):
+    with pytest.raises(GraphError, match=message):
+        on.CouplingGraph(n_nodes, (0.25,) * int(n_nodes), couplings)
+
+
 def test_load_graph_constructs_the_graph_once(monkeypatch):
     checked = []
     post_init = on.CouplingGraph.__post_init__
@@ -437,10 +517,11 @@ BAD_PROBES = [
     ((1, 0.01, -0.3), "probe frequency must be finite and > 0"),
     ((1, 0.01, np.inf), "probe frequency must be finite and > 0"),
     ((1, 0.01, np.nan), "probe frequency must be finite and > 0"),
+    ((1.5, 0.01, 0.3), "probe site 0.5 out of range"),
 ]
 BAD_PROBE_IDS = [
     "site-0", "site-past-end", "negative-k", "nan-k", "zero-omega_s", "negative-omega_s",
-    "inf-omega_s", "nan-omega_s",
+    "inf-omega_s", "nan-omega_s", "fractional-site",
 ]
 
 
@@ -453,6 +534,15 @@ def test_with_probe_rejects_a_bad_probe(probe, message):
     site, k, omega_s = probe
     with pytest.raises(GraphError, match=f"^{message}$"):
         on.CouplingGraph(4, graph.omega, graph.couplings, on.ProbeSpec(site - 1, k, omega_s))
+
+
+def test_probe_site_must_be_an_integer_not_bool():
+    graph = on.build_linear_chain(3, [0.1], 0.25)
+    with pytest.raises(GraphError, match="^probe site True out of range$"):
+        graph.with_probe(True, 0.01, 0.3)
+    with pytest.raises(GraphError, match="^probe site False out of range$"):
+        on.CouplingGraph(3, graph.omega, graph.couplings, on.ProbeSpec(False, 0.01, 0.3))
+    assert graph.with_probe(np.int64(2), 0.01, 0.3).probe.site == 1
 
 
 @pytest.mark.parametrize("omega_s", [0.0, -0.3, np.inf, np.nan])
