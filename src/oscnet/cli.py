@@ -30,7 +30,7 @@ from .dynamics import ExpansionRangeError, QuadraticModel, StabilityError
 from .dynamics import assemble_model, evolve, probe_mask
 from .gaussian import SqueezedSpec, StateError
 from .netmodel import CouplingGraph, GraphError, from_recipe, load_graph, save_graph
-from .netmodel import _POSITIVE, _at_least, _Field, _one_of, _value_error
+from .netmodel import _POSITIVE, _at_least, _Field, _fields, _one_of
 from .probes import (
     DEFAULT_SMOOTH_WINDOW,
     DEFAULT_TEMPERATURE,
@@ -62,10 +62,11 @@ _ANTISQUEEZE = _Field("number", ..., *_at_least(0))
 _AXIS = _Field("string or number", "q", lambda v: v in ("q", "p") or not isinstance(v, str),
                '"q", "p" or an angle')
 
-# The run-config format, every key by dotted name, a block before its keys.
-# Top-level defaults are merged shallowly: a block that is given replaces its
-# default whole, so the keys of a given block are required (an omitted axis
-# is SqueezedSpec's "q"). The network block belongs to netmodel.
+# The run-config format as a ``netmodel._fields`` table: every key by dotted
+# name, a block before its keys. Top-level defaults are merged shallowly: a
+# block that is given replaces its default whole, so the keys of a given block
+# are required (an omitted axis is SqueezedSpec's "q"). The network block lists
+# no keys here: netmodel checks it as a recipe or a document path.
 SCHEMA: dict[str, _Field] = {
     "protocol": _Field("string", None),  # set from the verb
     "network": _Field("object"),
@@ -108,46 +109,10 @@ SCHEMA: dict[str, _Field] = {
 }
 
 
-def _block(cfg: dict, path: str) -> object:
-    """The value at a dotted path ('' the whole config), None where absent."""
-    for part in filter(None, path.split(".")):
-        cfg = cfg.get(part) if isinstance(cfg, dict) else None
-    return cfg
-
-
-def _block_keys() -> dict[str, set[str]]:
-    """SCHEMA's key names by block, '' the top level, blocks in SCHEMA order."""
-    known: dict[str, set[str]] = {}
-    for path in SCHEMA:
-        parent, _, name = path.rpartition(".")
-        known.setdefault(parent, set()).add(name)
-    return known
-
-
-_BLOCK_KEYS = _block_keys()
-
-
 def _check_config(cfg: dict) -> None:
-    """Check a merged run config against SCHEMA: every unknown key in the tree
-    first, then the first missing key of a given block, value of the wrong
-    JSON type, non-finite number or value out of range, by its dotted name."""
-    blocks = {path: _block(cfg, path) for path in _BLOCK_KEYS}
-    unknown = []
-    for path, names in _BLOCK_KEYS.items():  # a block without listed keys is not ours
-        if isinstance(blocks[path], dict):
-            unknown += sorted(f"{path}.{k}".lstrip(".") for k in blocks[path] if k not in names)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    for path, key in SCHEMA.items():  # a block comes before its keys
-        parent, _, name = path.rpartition(".")
-        block = blocks[parent]
-        if block is None or name not in block:
-            if block is not None and key.default is ...:
-                raise ConfigError(f"config key '{path}' is missing")
-            continue
-        problem = _value_error(path, block[name], key)
-        if problem:
-            raise ConfigError(problem)
+    """Check a merged run config against SCHEMA (GraphError), then the rules
+    that join keys."""
+    _fields(cfg, SCHEMA, "run config")
     if cfg["protocol"] == "spectral" and cfg["t_max"] == 0:
         raise ConfigError("t_max must be > 0 for spectral, which divides by it")
     if cfg["protocol"] == "spectral" and cfg["samples"] > 0 and cfg["method"] == "analytic":

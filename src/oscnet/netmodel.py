@@ -22,12 +22,13 @@ MAX_REWIRE_ATTEMPTS = 100
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or document."""
+    """Invalid graph construction, or a JSON document (graph document, recipe
+    or run config) that does not fit its format."""
 
 
 # ---------------------------------------------------------------------------
-# JSON document formats: the recipe and graph documents here, the run config
-# in ``cli``
+# JSON document formats, all checked by ``_fields``: the recipe and graph
+# document tables here, the run config's in ``cli``
 
 
 def _is_number(v: object) -> bool:
@@ -48,6 +49,11 @@ _JSON_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
 
 # a graph's node indices and weights, from Python or NumPy (each use refuses bool)
 _INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
+
+
+def _is_int(v: object) -> bool:
+    """Whether ``v`` is an integer, Python or NumPy, and not bool."""
+    return isinstance(v, _INTEGERS) and not isinstance(v, bool)
 
 
 class _Field(NamedTuple):
@@ -95,25 +101,37 @@ def _value_error(name: str, value: object, field: _Field) -> str | None:
 
 
 def _fields(doc: object, fields: Mapping[str, _Field], where: str) -> dict:
-    """The fields of a JSON object, checked against ``fields``, with the
-    defaults filled in and numbers as floats; GraphError names an unknown,
-    missing or malformed field."""
+    """The top-level fields of a JSON object, checked against ``fields``,
+    with the defaults filled in and numbers as floats. A dotted name is a key
+    of a nested block, listed after its block; a block without listed keys is
+    not checked inside. GraphError names every unknown key in the tree by
+    dotted name, else the first missing or malformed key in table order."""
     if not isinstance(doc, Mapping):
         raise GraphError(f"{where} must be a JSON object, got {json.dumps(doc)}")
-    unknown = sorted(set(doc) - set(fields))
+    blocks, names, out, problem = {"": doc}, {}, {}, None
+    for path, spec in fields.items():
+        parent, _, name = path.rpartition(".")
+        names.setdefault(parent, set()).add(name)
+        block = blocks.get(parent)  # None: the block is absent or not an object
+        if block is None or name not in block:
+            if block is not None and spec.default is ...:
+                problem = problem or f"{where} is missing field '{path}'"
+            elif not parent:
+                out[name] = spec.default
+            continue
+        value = block[name]
+        error = _value_error(path, value, spec)
+        problem = problem or error and f"{where}: {error}"
+        if isinstance(value, dict):
+            blocks[path] = value
+        if not (parent or problem):
+            out[name] = float(value) if spec.types == "number" else value
+    unknown = [f"{p}.{k}" if p else k for p, known in names.items() if p in blocks
+               for k in sorted(set(blocks[p]) - known)]
     if unknown:
         raise GraphError(f"{where} has unknown field(s): {', '.join(unknown)}")
-    out = {}
-    for name, spec in fields.items():
-        if name not in doc:
-            if spec.default is ...:
-                raise GraphError(f"{where} is missing field '{name}'")
-            out[name] = spec.default
-            continue
-        problem = _value_error(name, doc[name], spec)
-        if problem:
-            raise GraphError(f"{where}: {problem}")
-        out[name] = float(doc[name]) if spec.types == "number" else doc[name]
+    if problem:
+        raise GraphError(problem)
     return out
 
 
@@ -163,7 +181,7 @@ class ProbeSpec:
 def _check_probe(probe: ProbeSpec, n_nodes: int) -> None:
     """Raise GraphError when a probe does not fit a graph of ``n_nodes``."""
     site = probe.site
-    if not (isinstance(site, _INTEGERS) and not isinstance(site, bool) and 0 <= site < n_nodes):
+    if not (_is_int(site) and 0 <= site < n_nodes):
         raise GraphError(f"probe site {site} out of range")
     if not 0 <= probe.k < np.inf:
         raise GraphError("probe coupling k must be finite and >= 0")
@@ -209,7 +227,7 @@ class CouplingGraph:
             recipe = _copy_json(dict(self.recipe), _FrozenDict, _FrozenList)
             object.__setattr__(self, "recipe", recipe)
         n = self.n_nodes
-        if not (isinstance(n, _INTEGERS) and not isinstance(n, bool) and n >= 1):
+        if not (_is_int(n) and n >= 1):
             raise GraphError("graph needs at least one node")
         if len(self.omega) != n:
             raise GraphError("omega list length != n_nodes")
@@ -221,7 +239,7 @@ class CouplingGraph:
             ) or bool in (type(i), type(j)):
                 raise GraphError(f"bad edge ({i}, {j}): indices out of range or not i < j")
             if not (isinstance(g, _REALS) and not isinstance(g, bool) and 0 < g < np.inf):
-                raise GraphError(f"edge ({i}, {j}) has weight {g}, not finite and > 0")
+                raise GraphError(f"edge ({i + 1}, {j + 1}) has weight {g}, not finite and > 0")
         if self.probe is not None:
             _check_probe(self.probe, n)
 
@@ -278,8 +296,8 @@ def build_linear_chain(n: int, pattern: Sequence[float], omega0: float) -> Coupl
     Edge (i, i+1) gets pattern[(i-1) mod len(pattern)] in 1-based node
     numbering, i.e. the pattern starts at the first edge and repeats.
     """
-    if n < 2:
-        raise GraphError("chain needs n >= 2")
+    if not (_is_int(n) and n >= 2):
+        raise GraphError("chain needs an integer n >= 2")
     if not pattern:
         raise GraphError("empty coupling pattern")
     if not all(0 < g < np.inf for g in pattern):
@@ -303,8 +321,8 @@ def build_watts_strogatz(
     """
     if K % 2 != 0:
         raise GraphError("K must be even")
-    if not 0 < K < n:
-        raise GraphError("need 0 < K < n")
+    if not (_is_int(n) and _is_int(K) and 0 < K < n):
+        raise GraphError("need integers 0 < K < n")
     if not 0.0 <= p <= 1.0:
         raise GraphError("rewiring probability must be in [0, 1]")
     if not 0 < g < np.inf:
@@ -360,8 +378,8 @@ def build_barabasi_albert(
     edges, degree-weighted (uniform while all degrees are zero). Total edge
     count is exactly kappa * (n - m0).
     """
-    if not 1 <= kappa <= m0 < n:
-        raise GraphError("need 1 <= kappa <= m0 < n")
+    if not (_is_int(n) and _is_int(kappa) and _is_int(m0) and 1 <= kappa <= m0 < n):
+        raise GraphError("need integers 1 <= kappa <= m0 < n")
     if not 0 < g < np.inf:
         raise GraphError("coupling weight must be finite and > 0")
     rng = np.random.default_rng(seed)
@@ -401,7 +419,9 @@ def _explicit_parts(n: int, omega: float | Sequence[float], edges: Sequence) -> 
     an explicit graph; the one edge-entry check (integer 1-based i != j,
     numeric g, the first bad entry reported) of ``build_explicit``, explicit
     recipes and graph documents. ``CouplingGraph`` checks the weights."""
-    omega_t = (float(omega),) * n if np.isscalar(omega) else tuple(float(w) for w in omega)
+    if np.isscalar(omega):  # no frequencies for a non-integer n, which CouplingGraph refuses
+        omega = [omega] * n if _is_int(n) else []
+    omega_t = tuple(float(w) for w in omega)
     couplings: dict[tuple[int, int], float] = {}
     for e in edges:
         i, j, g = e if isinstance(e, (list, tuple)) and len(e) == 3 else (None,) * 3

@@ -12,7 +12,8 @@ symplectic propagation and the single-mode marginal), the thermal state and
 the full-covariance environment states for the probe path's moments, the
 stacked fidelity trace for ``probes.qnm_trace`` (with a Cauchy-Binet
 det S - 1/4 of a pure preparation), 40-digit mpmath probe rows over a time
-grid and fidelity of two preparations, the SVD route and the vacuum discard
+grid, fidelity of two preparations and the ``qnm_trace`` fidelity over those
+rows, the SVD route and the vacuum discard
 for ``symplectic.bloch_messiah``, the unsymmetrized product form of
 ``dynamics.evolve``, the per-mode squeezers and the quadratic energy for the
 propagator, and random (orthogonal) symplectic matrices as decomposition
@@ -644,3 +645,42 @@ def pure_excess_minors(rows: NDArray[np.float64], spec: SqueezedSpec) -> NDArray
     zq, zp = z[..., 0, :], z[..., 1, :]
     minors = zq[..., :, None] * zp[..., None, :] - zq[..., None, :] * zp[..., :, None]
     return 0.125 * (np.abs(minors) ** 2).sum(axis=(-2, -1))  # each pair twice
+
+
+def qnm_fidelity_mp(
+    model: QuadraticModel, rho1: SqueezedSpec, rho2: SqueezedSpec, t_grid: Sequence[float]
+) -> NDArray[np.float64]:
+    """F_raw of ``probes.qnm_trace`` at ``MP_DIGITS`` digits over the rows
+    of ``probe_rows_mp`` (their float64 entries taken as exact): S = 1/2 Y Y^T
+    for the rows Y with the probe columns C replaced by C L, L = R(angle)
+    diag(sqrt(2 v)) from the dB levels. A pure preparation's det S - 1/4 is
+    the Cauchy-Binet sum of ``pure_excess_minors``, which the rounding of the
+    rows leaves accurate; a mixed one's is det S - 1/4. Pure Python: keep M
+    and T small."""
+    rows = probe_rows_mp(model, t_grid)
+    m = rows.shape[-1] // 2
+    out = np.empty(len(rows))
+    with mp.workdps(MP_DIGITS):
+        roots = []
+        for spec in (rho1, rho2):
+            c, s = mp.cos(mp.mpf(spec.angle)), mp.sin(mp.mpf(spec.angle))
+            v = [mp.power(10, mp.mpf(db) / 10) for db in (spec.squeeze_db, spec.antisqueeze_db)]
+            roots.append(mp.matrix([[c, -s], [s, c]]) * mp.diag([mp.sqrt(x) for x in v]))
+        for n, r in enumerate(rows):
+            covs, excess = [], []
+            for spec, L in zip((rho1, rho2), roots):
+                y = mp.matrix(r.tolist())
+                for a in range(2):
+                    y[a, 0], y[a, m] = (mp.matrix([[y[a, 0], y[a, m]]]) * L)[0, :]
+                covs.append(y * y.T / 2)
+                if spec.squeeze_db + spec.antisqueeze_db == 0:
+                    z = [[y[a, k] - 1j * y[a, m + k] for k in range(m)] for a in range(2)]
+                    excess.append(mp.fsum(
+                        abs(z[0][k] * z[1][l] - z[0][l] * z[1][k]) ** 2
+                        for k in range(m) for l in range(k + 1, m)
+                    ) / 4)
+                else:
+                    excess.append(mp.det(covs[-1]) - mp.mpf(1) / 4)
+            d = 4 * excess[0] * excess[1]
+            out[n] = float(1 / (mp.sqrt(mp.det(covs[0] + covs[1]) + d) - mp.sqrt(d)))
+    return out

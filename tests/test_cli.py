@@ -92,7 +92,7 @@ class TestValidate:
             (lambda cfg: {**cfg, "t_max": -5}, "t_max must be"),
             (
                 lambda cfg: {**cfg, "probe": {"sitee": 8, "k": 0.01}},
-                "unknown config key(s): probe.sitee",
+                "run config has unknown field(s): probe.sitee",
             ),
             (lambda cfg: {**cfg, "temperature": "1.0"}, "'temperature' must be a number"),
             (lambda cfg: {**cfg, "seed": 1.5}, "'seed' must be an integer"),
@@ -101,12 +101,15 @@ class TestValidate:
             (lambda cfg: {**cfg, "temperature": float("nan")}, "temperature must be finite"),
             (lambda cfg: {**cfg, "smooth_window": 50}, "smooth_window must be odd"),
             (lambda cfg: {**cfg, "method": "exact"}, "method must be"),
-            (lambda cfg: {**cfg, "probe": {"k": 0.01, "omega_s": 0.45}}, "'probe.site' is missing"),
+            (
+                lambda cfg: {**cfg, "probe": {"k": 0.01, "omega_s": 0.45}},
+                "run config is missing field 'probe.site'",
+            ),
             (lambda cfg: {**cfg, "probe": {**cfg["probe"], "site": 8.0}}, "'probe.site' must be"),
             (lambda cfg: {**cfg, "probe": {**cfg["probe"], "omega_s": []}}, "'probe.omega_s'"),
             (
                 lambda cfg: {**cfg, "states": {"rho1": {"squeeze_db": -1.8}, "rho2": {}}},
-                "'states.rho1.antisqueeze_db' is missing",
+                "run config is missing field 'states.rho1.antisqueeze_db'",
             ),
             (
                 lambda cfg: {**cfg, "states": {"rho1": {"squeeze_db": 1.0, "antisqueeze_db": 2.9}}},
@@ -114,7 +117,10 @@ class TestValidate:
             ),
             (lambda cfg: {**cfg, "network": {**cfg["network"], "pattern": [0.1, "0.05"]}}, "'pattern'"),
             (lambda cfg: {**cfg, "network": {**cfg["network"], "size": 3}}, "unknown field(s): size"),
-            (lambda cfg: {k: v for k, v in cfg.items() if k != "network"}, "'network' is missing"),
+            (
+                lambda cfg: {k: v for k, v in cfg.items() if k != "network"},
+                "run config is missing field 'network'",
+            ),
         ],
         ids=[
             "unknown-key",
@@ -689,7 +695,13 @@ def test_private_key_in_config_is_unknown(tmp_path, outdir, capsys):
     cfg = {**json.loads(bundled_config_path("network1.cfg").read_text()), "_config_dir": "/"}
     argv = ["validate", "--config", _write_config(tmp_path, cfg), "--out", str(outdir)]
     assert run(argv) == EXIT_CONFIG
-    assert "unknown config key(s): _config_dir" in capsys.readouterr().err
+    assert "run config has unknown field(s): _config_dir" in capsys.readouterr().err
+
+
+def test_exit_codes_are_the_documented_numbers():
+    # scripts test the numbers of the module docstring and README, not the
+    # names; the tests above compare against the names
+    assert (EXIT_CONFIG, EXIT_UNSTABLE, EXIT_SATURATED) == (2, 3, 4)
 
 
 def test_internal_key_error_is_not_a_config_error(monkeypatch, outdir):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oscnet as on
-from oscnet.cli import bundled_config_path
-from oscnet.netmodel import GraphError
+from oscnet.cli import SCHEMA, bundled_config_path
+from oscnet.netmodel import _DOCUMENT_FIELDS, _PROBE_FIELDS, _RECIPES, GraphError, _Field, _fields
 
 
 class TestLinearChain:
@@ -459,8 +459,8 @@ def test_numpy_integer_edges_build_plain_json_graphs():
         (3, {(0, 1.5): 0.1}, r"bad edge \(0, 1.5\)"),
         (3, {(0.0, 1): 0.1}, r"bad edge \(0.0, 1\)"),
         (3, {(False, 1): 0.1}, r"bad edge \(False, 1\)"),
-        (3, {(0, 1): "x"}, r"edge \(0, 1\) has weight x"),
-        (3, {(0, 1): True}, r"edge \(0, 1\) has weight True"),
+        (3, {(0, 1): "x"}, r"edge \(1, 2\) has weight x"),
+        (3, {(0, 1): True}, r"edge \(1, 2\) has weight True"),
         (3.0, {(0, 1): 0.1}, "graph needs at least one node"),
         (True, {}, "graph needs at least one node"),
     ],
@@ -472,6 +472,95 @@ def test_numpy_integer_edges_build_plain_json_graphs():
 def test_graph_refuses_couplings_it_cannot_build(n_nodes, couplings, message):
     with pytest.raises(GraphError, match=message):
         on.CouplingGraph(n_nodes, (0.25,) * int(n_nodes), couplings)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[1, 2, 0.1], [2, 3, np.nan]], "edge (2, 3) has weight nan"),
+        ([[1, 2, 0.1], [3, 2, -0.5]], "edge (2, 3) has weight -0.5"),
+    ],
+    ids=["nan", "reversed-negative"],
+)
+def test_a_bad_weight_is_reported_under_its_own_nodes(edges, message):
+    makers = [
+        lambda: on.load_graph({"nodes": 3, "omega0": 0.25, "edges": edges}),
+        lambda: on.from_recipe({"kind": "explicit", "n": 3, "omega0": 0.25, "edges": edges}),
+        lambda: on.build_explicit(3, 0.25, [tuple(e) for e in edges]),
+    ]
+    for make in makers:
+        with pytest.raises(GraphError) as info:
+            make()
+        assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: on.build_explicit(3.0, 0.25, [(1, 2, 0.1)]), "graph needs at least one node"),
+        (lambda: on.build_explicit(np.float64(3), 0.25, []), "graph needs at least one node"),
+        (lambda: on.build_linear_chain(4.0, [0.1], 0.25), "chain needs an integer n >= 2"),
+        (lambda: on.build_watts_strogatz(10.0, 4, 0.1, 0.05, 0.25, 1), "need integers 0 < K < n"),
+        (lambda: on.build_watts_strogatz(10, 4.0, 0.1, 0.05, 0.25, 1), "need integers 0 < K < n"),
+        (
+            lambda: on.build_barabasi_albert(10.0, 2, 2, 0.02, 0.25, 1),
+            "need integers 1 <= kappa <= m0 < n",
+        ),
+        (
+            lambda: on.build_barabasi_albert(10, 2.0, 2, 0.02, 0.25, 1),
+            "need integers 1 <= kappa <= m0 < n",
+        ),
+        (
+            lambda: on.build_barabasi_albert(10, 2, 2.0, 0.02, 0.25, 1),
+            "need integers 1 <= kappa <= m0 < n",
+        ),
+    ],
+    ids=[
+        "explicit-n", "explicit-numpy-n", "chain-n", "ws-n", "ws-K", "ba-n", "ba-kappa", "ba-m0",
+    ],
+)
+def test_a_non_integer_size_is_a_graph_error(build, message):
+    with pytest.raises(GraphError, match=message):
+        build()
+
+
+TABLES = {
+    "run-config": SCHEMA,
+    "document": _DOCUMENT_FIELDS,
+    "document-probe": _PROBE_FIELDS,
+    **{f"{kind}-recipe": fields for kind, (_, fields) in _RECIPES.items()},
+}
+
+
+@pytest.mark.parametrize("table", TABLES.values(), ids=TABLES.keys())
+def test_every_dotted_key_comes_after_its_block(table):
+    # _fields checks a key in the one walk only where it met its block before
+    seen = set()
+    for path in table:
+        parent = path.rpartition(".")[0]
+        assert not parent or parent in seen and "object" in table[parent].types, path
+        seen.add(path)
+
+
+def test_fields_reads_a_dotted_table():
+    table = {
+        "a": _Field("number", 1),
+        "b": _Field("object", None),
+        "b.x": _Field("integer"),
+        "c": _Field("object", {}),  # no listed keys: not checked inside
+    }
+    fields = _fields({"a": 2, "c": {"any": "thing"}}, table, "t")
+    assert fields == {"a": 2.0, "b": None, "c": {"any": "thing"}}
+    assert type(fields["a"]) is float
+    with pytest.raises(GraphError, match=r"^t is missing field 'b.x'$"):
+        _fields({"b": {}}, table, "t")
+    with pytest.raises(GraphError, match=r"^t: 'b' must be a JSON object, got 3$"):
+        _fields({"b": 3}, table, "t")
+    with pytest.raises(GraphError, match=r"^t: 'b.x' must be an integer, got 1.5$"):
+        _fields({"b": {"x": 1.5}}, table, "t")
+    # every unknown key, block by block, before a malformed or missing one
+    with pytest.raises(GraphError, match=r"^t has unknown field\(s\): y, z, b.w$"):
+        _fields({"a": "x", "b": {"w": 1}, "z": 0, "y": 0}, table, "t")
 
 
 def test_load_graph_constructs_the_graph_once(monkeypatch):

@@ -43,6 +43,7 @@ from oracles import (
     product_state,
     propagate,
     pure_fidelity_reference,
+    qnm_fidelity_mp,
     qnm_trace_stacked,
     reduce_state,
     squeezed_environment,
@@ -608,6 +609,17 @@ class TestBatchedEquivalence:
             r1, r2 = (-spec.squeeze_db * np.log(10) / 20 for spec in (rho1, rho2))
             phi0 = 2 * (rho2.angle - rho1.angle)
             assert abs(f0 / pure_fidelity_reference(r1, r2, phi0) - 1) <= 4e-15
+
+    def test_pure_preparation_reads_its_excess_from_the_rows(self):
+        # a weak probe (k = 4.69e-4) shortly after t = 0: at t = 0.05 the
+        # pure rho1 has det S1 - 1/4 = 9.7e-11, which the 2x2 covariance
+        # cancels to round-off, and F from it is off by 4.1e-12 against 40
+        # digits; the row route measures 2.2e-16 over the grid (bound 2e-15)
+        m = on.assemble_model(random_stable_graph(np.random.default_rng(17441)))
+        rho1, rho2 = SqueezedSpec(-1.0, 1.0), PAPER_STATES[1]
+        ts = np.linspace(0.0, 0.1, 3)
+        f = qnm_trace(m, rho1, rho2, ts, window=3).f_raw
+        assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1)) <= 2e-15
 
     @pytest.mark.parametrize("squeezed_probe", [False, True])
     @pytest.mark.parametrize("env_prep", ["thermal", "squeezed", "vacuum"])
