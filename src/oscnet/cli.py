@@ -273,10 +273,10 @@ def _fmt(x: float) -> str:
 
 def _fmt_rows(table: NDArray, sep: str) -> str:
     """Each row of a 2-D table as one line of ``_fmt`` numbers joined by
-    ``sep``; one ``%`` per row over a prebuilt format gives the same bytes."""
+    ``sep``; one ``%`` over the format of the whole table gives the same bytes."""
     table = np.asarray(table, dtype=float)
     line = sep.join(["%.17g"] * table.shape[1]) + "\n"
-    return "".join([line % tuple(row) for row in table.tolist()])
+    return (line * len(table)) % tuple(table.ravel().tolist())
 
 
 def _fmt_matrix(matrix: NDArray, sep: str) -> str:

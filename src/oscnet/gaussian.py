@@ -150,9 +150,11 @@ def fidelity_from_moments(
     SqueezedSpec(-1, 1 + x) against SqueezedSpec(-1.3, 2.4, 'p'), that is
     1.1e-8, 3.6e-8 and 6.3e-8 at x = 1e-14, 1e-13 and 3e-13 dB; from
     x = 1e-12 dB up the general form is off by at most 4.7e-12, and an
-    exactly pure state by 0.
+    exactly pure state by 0. The band is that of a bare covariance:
+    ``probes.qnm_trace`` passes ``_fidelity`` each preparation's det S - 1/4
+    from the propagator rows and never enters it.
     """
-    return _fidelity(mean1, cov1, mean2, cov2)
+    return _fidelity(mean1, cov1, mean2, cov2, _excess(cov1), _excess(cov2))
 
 
 def _fidelity(
@@ -160,18 +162,16 @@ def _fidelity(
     cov1: NDArray[np.float64],
     mean2: NDArray[np.float64],
     cov2: NDArray[np.float64],
-    excess1: NDArray[np.float64] | None = None,
-    excess2: NDArray[np.float64] | None = None,
+    excess1: NDArray[np.float64],
+    excess2: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """``fidelity_from_moments``, given det S - 1/4 of a state as its
-    ``excess`` where the caller has it to better accuracy than the
-    covariance carries (``_excess`` of the covariance otherwise)."""
+    """``fidelity_from_moments`` with det S - 1/4 of each state given as its
+    ``excess``: ``_excess`` of the covariance, or a value the caller has to
+    better accuracy than the covariance carries (``probes.qnm_trace``)."""
     total = cov1 + cov2
     lam = _det2(total)
     if not np.all((0 < lam) & (lam < np.inf) & (total[..., 0, 0] > 0)):
         raise StateError("sum of covariances not finite and positive definite")
-    excess1 = _excess(cov1) if excess1 is None else excess1
-    excess2 = _excess(cov2) if excess2 is None else excess2
     delta = 4.0 * excess1 * excess2
     du = mean1 - mean2
     dq, dp = du[..., 0], du[..., 1]

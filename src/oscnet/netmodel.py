@@ -319,10 +319,12 @@ def build_watts_strogatz(
     uniformly random non-neighbour. Edge count is exactly n*K/2. Disconnected
     draws are retried with a derived seed up to MAX_REWIRE_ATTEMPTS times.
     """
-    if K % 2 != 0:
-        raise GraphError("K must be even")
     if not (_is_int(n) and _is_int(K) and 0 < K < n):
         raise GraphError("need integers 0 < K < n")
+    if K % 2 != 0:
+        raise GraphError("K must be even")
+    if not (_is_int(seed) and seed >= 0):
+        raise GraphError("seed must be an integer >= 0")
     if not 0.0 <= p <= 1.0:
         raise GraphError("rewiring probability must be in [0, 1]")
     if not 0 < g < np.inf:
@@ -380,6 +382,8 @@ def build_barabasi_albert(
     """
     if not (_is_int(n) and _is_int(kappa) and _is_int(m0) and 1 <= kappa <= m0 < n):
         raise GraphError("need integers 1 <= kappa <= m0 < n")
+    if not (_is_int(seed) and seed >= 0):
+        raise GraphError("seed must be an integer >= 0")
     if not 0 < g < np.inf:
         raise GraphError("coupling weight must be finite and > 0")
     rng = np.random.default_rng(seed)
@@ -419,8 +423,10 @@ def _explicit_parts(n: int, omega: float | Sequence[float], edges: Sequence) -> 
     an explicit graph; the one edge-entry check (integer 1-based i != j,
     numeric g, the first bad entry reported) of ``build_explicit``, explicit
     recipes and graph documents. ``CouplingGraph`` checks the weights."""
-    if np.isscalar(omega):  # no frequencies for a non-integer n, which CouplingGraph refuses
-        omega = [omega] * n if _is_int(n) else []
+    if not _is_int(n):
+        raise GraphError("graph needs at least one node")
+    if np.isscalar(omega):
+        omega = [omega] * n
     omega_t = tuple(float(w) for w in omega)
     couplings: dict[tuple[int, int], float] = {}
     for e in edges:

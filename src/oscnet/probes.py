@@ -92,9 +92,9 @@ def suggest_tmax(model: QuadraticModel) -> float:
 
     t_max is the first envelope reading at or below the threshold. Raises
     PlateauError for an uncoupled probe, when the envelope never flattens
-    (a quantile above gamma(0)/2, e.g. a single environment mode) or never
-    crosses the threshold within the horizon, and when the window outlasts
-    the horizon (slowest environment mode below about 0.0209).
+    (a quantile above gamma(0)/2, e.g. a single environment mode), and when
+    the window outlasts the horizon (slowest environment mode below about
+    0.0209).
     """
     gamma0 = model._kernel_weights.sum()
     if gamma0 == 0.0:
@@ -114,12 +114,8 @@ def suggest_tmax(model: QuadraticModel) -> float:
             "damping kernel shows no plateau within the horizon; set t_max manually"
         )
     threshold = max(_TMAX_PLATEAU * floor, _TMAX_THETA * gamma0)
-    hits = np.flatnonzero(env <= threshold)
-    if len(hits) == 0:
-        raise PlateauError(
-            "damping-kernel envelope never flattens below threshold; set t_max manually"
-        )
-    return float(ts[idx[hits[0]]])
+    # floor is a quantile of env, so min(env) <= floor <= threshold: a hit exists
+    return float(ts[idx[np.flatnonzero(env <= threshold)[0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +240,19 @@ def _invert_excitation(
 def _probe_covariances(
     model: QuadraticModel,
     rows: NDArray[np.float64],
-    probe_covs: Sequence[NDArray[np.float64]],
+    probe_cov: NDArray[np.float64],
     env_prep: str,
     temperature: float | None = None,
 ) -> NDArray[np.float64]:
-    """Probe covariances S_p (Sigma_probe + Sigma_env) S_p^T, one (..., 2, 2)
-    stack per initial probe covariance, for the (..., 2, 2M) probe rows S_p.
+    """Probe covariances S_p (Sigma_probe + Sigma_env) S_p^T, a (..., 2, 2)
+    stack for the (..., 2, 2M) probe rows S_p and the initial probe
+    covariance ``probe_cov``.
 
     The environment term is three row dot products over the columns in which
     the preparation is diagonal: every column with weight 1/2 for 'vacuum'
     (1/2 I in the node-renormalized frame, the probe's columns included), the
     environment normal modes scaled by sqrt(``_environment_variances``)
-    otherwise. Each probe adds C E C^T in closed form, C = [[a, b], [c, d]]
+    otherwise. The probe adds C E C^T in closed form, C = [[a, b], [c, d]]
     the probe columns and E its covariance less what the vacuum term counts.
     """
     m = model.n_modes
@@ -275,15 +272,14 @@ def _probe_covariances(
         weight * np.einsum("...i,...i", u, v) for u, v in ((xq, xq), (xq, xp), (xp, xp))
     )
     a, b, c, d = rows[..., 0, 0], rows[..., 0, m], rows[..., 1, 0], rows[..., 1, m]
-    covs = np.empty((len(probe_covs), *rows.shape[:-2], 2, 2))
-    for cov, sigma in zip(covs, probe_covs):
-        (e_qq, e_qp), (_, e_pp) = sigma - counted * np.eye(2)
-        qa, qb = a * e_qq + b * e_qp, a * e_qp + b * e_pp  # rows of C E
-        pa, pb = c * e_qq + d * e_qp, c * e_qp + d * e_pp
-        cov[..., 0, 0] = env_qq + (qa * a + qb * b)
-        cov[..., 0, 1] = cov[..., 1, 0] = env_qp + (qa * c + qb * d)
-        cov[..., 1, 1] = env_pp + (pa * c + pb * d)
-    return covs
+    (e_qq, e_qp), (_, e_pp) = probe_cov - counted * np.eye(2)
+    qa, qb = a * e_qq + b * e_qp, a * e_qp + b * e_pp  # rows of C E
+    pa, pb = c * e_qq + d * e_qp, c * e_qp + d * e_pp
+    cov = np.empty((*rows.shape[:-2], 2, 2))
+    cov[..., 0, 0] = env_qq + (qa * a + qb * b)
+    cov[..., 0, 1] = cov[..., 1, 0] = env_qp + (qa * c + qb * d)
+    cov[..., 1, 1] = env_pp + (pa * c + pb * d)
+    return cov
 
 
 def model_at(graph: CouplingGraph, omega_s: float) -> QuadraticModel:
@@ -335,7 +331,7 @@ def sweep_spectral_density(
     rows = probe_rows(model, t_max, omega)
     # the environment's mean is zero: only the probe columns carry one
     mean = rows[..., [0, model.n_modes]] @ probe.mean
-    cov = _probe_covariances(model, rows, [probe.cov], env_prep, temperature)[0]
+    cov = _probe_covariances(model, rows, probe.cov, env_prep, temperature)
     if sampling is None:
         n_s = g.mean_photon_from_moments(mean, cov)
         return _invert_excitation(omega, t_max, n_bath, n0, n_s), None
@@ -403,50 +399,61 @@ def qnm_trace(
     Both initial probe states (environment in vacuum) evolve under the
     same renormalized propagator; only the probe rows of the propagator
     are formed, for the whole grid at once, and the probe blocks are
-    compared via the Gaussian fidelity. An exactly pure preparation
-    (squeeze_db + antisqueeze_db == 0) reads its det S - 1/4 from the rows
-    (``_pure_excess``); a mixed one keeps the covariance route.
+    compared via the Gaussian fidelity. Each preparation, pure or mixed,
+    reads its covariance and det S - 1/4 from the rows in one pass
+    (``_purified_moments``).
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
-    specs = (rho1, rho2)
-    sigmas = [g.squeezed_state(spec).cov for spec in specs]
-    rows = probe_rows(model, t_grid)
-    covs = _probe_covariances(model, rows, sigmas, "vacuum")
-    # a pure preparation's det S - 1/4 from the rows; a mixed one's from S
-    excess = [
-        _pure_excess(rows, sigma) if spec.squeeze_db + spec.antisqueeze_db == 0 else None
-        for spec, sigma in zip(specs, sigmas)
-    ]
+    covs, excess = _purified_moments(probe_rows(model, t_grid), (rho1, rho2))
     zero = np.zeros(2)
     fs = _fidelity(zero, covs[0], zero, covs[1], *excess)
     return FidelityTrace(t=t_grid, f_raw=fs, f_smooth=moving_average(fs, window))
 
 
-def _pure_excess(rows: NDArray[np.float64], sigma: NDArray[np.float64]) -> NDArray[np.float64]:
-    """det S - 1/4 of the probe covariance S evolved from the pure
-    preparation ``sigma`` with the environment in vacuum, over the
-    (..., 2, 2M) probe rows, to the accuracy of the rows.
+def _purified_moments(
+    rows: NDArray[np.float64], specs: Sequence[SqueezedSpec]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Probe covariances S (P, T, 2, 2) and det S - 1/4 (P, T) over the
+    (T, 2, 2M) probe rows for P preparations, environment in vacuum.
 
-    With sigma = 1/2 L L^T (det L = 1), S = 1/2 Y Y^T for the rows Y with
-    the probe columns C replaced by C L. For rows that keep
-    q . Omega . p = 1, det S - 1/4 = 1/4 det(Z Z^H) with Z = Y_q - i Y_p,
-    one complex row per quadrature; Gram-Schmidt gives that as
-    1/4 |z_q|^2 |z_p - (z_q^H z_p / |z_q|^2) z_q|^2, a sum of squares of
-    the small residual. From the 2x2 covariance, det S - 1/4 cancels to
-    round-off and F = 1/(sqrt(L + d) - sqrt(d)) moves like its square root,
-    about 1e-8 relative at t = 0; from the rows, the trace agrees with a
-    40-digit reference to 6e-15.
+    Each preparation is sigma = 1/2 nu L L^T, nu - 1 = expm1(ln 10 (s+a)/20)
+    and L = R(angle) diag(h, 1/h), h = 10^((s-a)/40), from its dB levels s, a.
+    With u = W[:, 0] - i W[:, 1], W = C L (C the probe columns), and the
+    environment vectors e = row[q cols] - i row[p cols] (n_q = |e_q|^2,
+    n_p = |e_p|^2, g_qp = e_q^H e_p), S = 1/2 (nu W W^T + [[n_q, Re g_qp], [Re g_qp, n_p]]).
+    As the probe half of a pure two-mode state, rows (sqrt((nu+1)/2) u,
+    ancilla sqrt((nu-1)/2) conj(u), e), 4 (det S - 1/4) is their Gram
+    determinant; Gram-Schmidt against e_q (beta = g_qp/n_q, residual
+    r = e_p - beta e_q, shared by the preparations) sums it from non-negative
+    terms with nothing to cancel: (nu^2 - 1) det(C)^2 + |r|^2 (n_q + nu |u_q|^2)
+    + n_q [(nu+1)/2 |beta u_q - u_p|^2 + (nu-1)/2 |beta conj(u_q) - conj(u_p)|^2].
     """
     m = rows.shape[-1] // 2
-    z = rows[..., :m] - 1j * rows[..., m:]
-    cl = rows[..., [0, m]] @ np.linalg.cholesky(2.0 * sigma)
-    z[..., 0] = cl[..., 0] - 1j * cl[..., 1]
-    zq, zp = z[..., 0, :], z[..., 1, :]
-    norm = np.einsum("...i,...i", zq.conj(), zq).real
-    resid = zp - (np.einsum("...i,...i", zq.conj(), zp) / norm)[..., None] * zq
-    return 0.25 * norm * np.einsum("...i,...i", resid.conj(), resid).real
+    x, y = rows[..., 1:m], rows[..., m + 1 :]  # e = x - i y
+    env = np.einsum("tak,tbk->tab", x, x) + np.einsum("tak,tbk->tab", y, y)
+    n_q, g_qp = env[:, 0, 0], env[:, 0, 1] + 1j * np.einsum("tk,tk->t", y[:, 0], x[:, 1])
+    g_qp -= 1j * np.einsum("tk,tk->t", x[:, 0], y[:, 1])
+    beta = np.divide(g_qp, n_q, out=np.zeros_like(g_qp), where=n_q > 0)
+    r_x = x[:, 1] - beta.real[:, None] * x[:, 0] - beta.imag[:, None] * y[:, 0]
+    r_y = y[:, 1] - beta.real[:, None] * y[:, 0] + beta.imag[:, None] * x[:, 0]
+    r2 = np.einsum("tk,tk->t", r_x, r_x) + np.einsum("tk,tk->t", r_y, r_y)
+    c = rows[..., [0, m]]
+    s, a, angle = np.array([(p.squeeze_db, p.antisqueeze_db, p.angle) for p in specs]).T
+    nu1 = np.expm1(np.log(10.0) * (s + a) / 20.0)[:, None]  # nu - 1
+    h, cos, sin = 10.0 ** ((s - a) / 40.0), np.cos(angle), np.sin(angle)
+    u = np.einsum("taj,jp->pta", c, [cos * h + 1j * sin / h, sin * h - 1j * cos / h])
+    ww = (u.conj()[..., :, None] * u[..., None, :]).real
+    cov = 0.5 * ((1.0 + nu1)[..., None, None] * ww + env)
+    u_q, u_p = u[..., 0], u[..., 1]
+    excess = 0.25 * (
+        nu1 * (nu1 + 2.0) * (c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]) ** 2
+        + r2 * (n_q + (1.0 + nu1) * ww[..., 0, 0])
+        + 0.5 * n_q * (nu1 + 2.0) * np.abs(beta * u_q - u_p) ** 2
+        + 0.5 * n_q * nu1 * np.abs(beta * u_q.conj() - u_p.conj()) ** 2
+    )
+    return cov, excess
 
 
 def blp_witness(trace: FidelityTrace, use_smoothed: bool = True) -> WitnessReport:

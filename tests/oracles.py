@@ -11,9 +11,9 @@ the chi-square draws of the sampled probe path, the multi-mode state calculus
 symplectic propagation and the single-mode marginal), the thermal state and
 the full-covariance environment states for the probe path's moments, the
 stacked fidelity trace for ``probes.qnm_trace`` (with a Cauchy-Binet
-det S - 1/4 of a pure preparation), 40-digit mpmath probe rows over a time
-grid, fidelity of two preparations and the ``qnm_trace`` fidelity over those
-rows, the SVD route and the vacuum discard
+det S - 1/4 over each preparation's purified rows), 40-digit mpmath probe
+rows over a time grid, fidelity of two preparations and the ``qnm_trace``
+fidelity over those rows, the SVD route and the vacuum discard
 for ``symplectic.bloch_messiah``, the unsymmetrized product form of
 ``dynamics.evolve``, the per-mode squeezers and the quadratic energy for the
 propagator, and random (orthogonal) symplectic matrices as decomposition
@@ -596,8 +596,8 @@ def qnm_trace_stacked(
 
     The probe rows come from the broadcast (T, 3, M) @ (M, M) product of
     ``_probe_rows``, each probe covariance from 1/2 S_p S_p^T plus two 2x2
-    matrix products with the probe's excess over vacuum, det S - 1/4 of a
-    pure preparation from ``pure_excess_minors``, and the fidelity from
+    matrix products with the probe's excess over vacuum, det S - 1/4 of
+    each preparation from ``purified_excess_minors``, and the fidelity from
     ``fidelity_from_moments_lapack``.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
@@ -612,10 +612,7 @@ def qnm_trace_stacked(
         vacuum + cols @ (g.squeezed_state(spec).cov - 0.5 * np.eye(2)) @ np.swapaxes(cols, -1, -2)
         for spec in (rho1, rho2)
     ]
-    excess = [
-        pure_excess_minors(rows, spec) if spec.squeeze_db + spec.antisqueeze_db == 0 else None
-        for spec in (rho1, rho2)
-    ]
+    excess = [purified_excess_minors(rows, spec) for spec in (rho1, rho2)]
     zero = np.zeros(2)
     fs = fidelity_from_moments_lapack(zero, covs[0], zero, covs[1], excess)
     return FidelityTrace(
@@ -625,23 +622,26 @@ def qnm_trace_stacked(
     )
 
 
-def pure_excess_minors(rows: NDArray[np.float64], spec: SqueezedSpec) -> NDArray[np.float64]:
-    """det S - 1/4 of the probe covariance S evolved from the pure squeezed
+def purified_excess_minors(rows: NDArray[np.float64], spec: SqueezedSpec) -> NDArray[np.float64]:
+    """det S - 1/4 of the probe covariance S evolved from the squeezed
     preparation ``spec`` with the environment in vacuum, for (..., 2, 2M)
-    probe rows: by Cauchy-Binet, 1/4 sum over mode pairs k < l of
-    |det[z_k z_l]|^2, z_k = (column q_k) - i (column p_k) of the rows with
-    the probe columns C replaced by C L, L = R(angle) diag(sqrt(2 v)) the
-    preparation's symplectic square root. Reference for the Gram-Schmidt
-    form of ``probes._pure_excess``."""
-    if spec.squeeze_db + spec.antisqueeze_db != 0:
-        raise ValueError("the preparation is not pure")
+    probe rows: by Cauchy-Binet, 1/4 sum over column pairs k < l of
+    |det[z_k z_l]|^2 over the purified rows z. Writing the preparation as
+    1/2 nu L L^T with L = R(angle) diag(h, 1/h), h = 10^((s - a)/40), from
+    its dB levels s, a, the rows z_k = (column q_k) - i (column p_k) have
+    the probe column replaced by sqrt((nu + 1)/2) u and an ancilla column
+    sqrt((nu - 1)/2) conj(u) appended, u = (C L)[:, 0] - i (C L)[:, 1] for
+    the probe columns C. Reference for ``probes._purified_moments``."""
     c, s = np.cos(spec.angle), np.sin(spec.angle)
-    v = [g.db_to_variance(spec.squeeze_db), g.db_to_variance(spec.antisqueeze_db)]
-    L = np.array([[c, -s], [s, c]]) * np.sqrt(2.0 * np.array(v))
+    h = 10.0 ** ((spec.squeeze_db - spec.antisqueeze_db) / 40.0)
+    nu1 = np.expm1(np.log(10.0) * (spec.squeeze_db + spec.antisqueeze_db) / 20.0)  # nu - 1
+    L = np.array([[c, -s], [s, c]]) * np.array([h, 1.0 / h])
     m = rows.shape[-1] // 2
-    y = rows.copy()
-    y[..., [0, m]] = rows[..., [0, m]] @ L
-    z = y[..., :m] - 1j * y[..., m:]
+    w = rows[..., [0, m]] @ L
+    u = w[..., 0] - 1j * w[..., 1]
+    z = rows[..., :m] - 1j * rows[..., m:]
+    z[..., 0] = np.sqrt(1.0 + 0.5 * nu1) * u
+    z = np.concatenate([z, np.sqrt(0.5 * nu1) * u.conj()[..., None]], axis=-1)
     zq, zp = z[..., 0, :], z[..., 1, :]
     minors = zq[..., :, None] * zp[..., None, :] - zq[..., None, :] * zp[..., :, None]
     return 0.125 * (np.abs(minors) ** 2).sum(axis=(-2, -1))  # each pair twice
@@ -651,36 +651,43 @@ def qnm_fidelity_mp(
     model: QuadraticModel, rho1: SqueezedSpec, rho2: SqueezedSpec, t_grid: Sequence[float]
 ) -> NDArray[np.float64]:
     """F_raw of ``probes.qnm_trace`` at ``MP_DIGITS`` digits over the rows
-    of ``probe_rows_mp`` (their float64 entries taken as exact): S = 1/2 Y Y^T
-    for the rows Y with the probe columns C replaced by C L, L = R(angle)
-    diag(sqrt(2 v)) from the dB levels. A pure preparation's det S - 1/4 is
-    the Cauchy-Binet sum of ``pure_excess_minors``, which the rounding of the
-    rows leaves accurate; a mixed one's is det S - 1/4. Pure Python: keep M
-    and T small."""
+    of ``probe_rows_mp`` (their float64 entries taken as exact), for pure
+    and mixed preparations alike: each preparation's purified rows z (those
+    of ``purified_excess_minors``, nu and L from the dB levels in mpmath)
+    give S = 1/2 Re(conj(z) z^T) and det S - 1/4 as the Cauchy-Binet sum
+    1/4 sum over k < l of |det[z_k z_l]|^2. That sum is what det S - 1/4
+    is for rows that keep the commutator; det S - 1/4 of the rows as
+    rounded would carry their commutator defect. Pure Python: keep M and
+    T small."""
     rows = probe_rows_mp(model, t_grid)
     m = rows.shape[-1] // 2
     out = np.empty(len(rows))
     with mp.workdps(MP_DIGITS):
-        roots = []
+        preps = []
         for spec in (rho1, rho2):
-            c, s = mp.cos(mp.mpf(spec.angle)), mp.sin(mp.mpf(spec.angle))
-            v = [mp.power(10, mp.mpf(db) / 10) for db in (spec.squeeze_db, spec.antisqueeze_db)]
-            roots.append(mp.matrix([[c, -s], [s, c]]) * mp.diag([mp.sqrt(x) for x in v]))
+            s, a = mp.mpf(spec.squeeze_db), mp.mpf(spec.antisqueeze_db)
+            c, sn = mp.cos(mp.mpf(spec.angle)), mp.sin(mp.mpf(spec.angle))
+            h, nu = mp.power(10, (s - a) / 40), mp.power(10, (s + a) / 20)
+            L = mp.matrix([[c, -sn], [sn, c]]) * mp.diag([h, 1 / h])
+            preps.append((mp.sqrt((nu + 1) / 2), mp.sqrt((nu - 1) / 2), L))
         for n, r in enumerate(rows):
             covs, excess = [], []
-            for spec, L in zip((rho1, rho2), roots):
+            for probe, ancilla, L in preps:
                 y = mp.matrix(r.tolist())
+                z = []
                 for a in range(2):
-                    y[a, 0], y[a, m] = (mp.matrix([[y[a, 0], y[a, m]]]) * L)[0, :]
-                covs.append(y * y.T / 2)
-                if spec.squeeze_db + spec.antisqueeze_db == 0:
-                    z = [[y[a, k] - 1j * y[a, m + k] for k in range(m)] for a in range(2)]
-                    excess.append(mp.fsum(
-                        abs(z[0][k] * z[1][l] - z[0][l] * z[1][k]) ** 2
-                        for k in range(m) for l in range(k + 1, m)
-                    ) / 4)
-                else:
-                    excess.append(mp.det(covs[-1]) - mp.mpf(1) / 4)
+                    wq, wp = (mp.matrix([[y[a, 0], y[a, m]]]) * L)[0, :]
+                    u = wq - 1j * wp
+                    env = [y[a, k] - 1j * y[a, m + k] for k in range(1, m)]
+                    z.append([probe * u, *env, ancilla * mp.conj(u)])
+                covs.append(mp.matrix(
+                    [[mp.fsum(mp.re(mp.conj(x) * v) for x, v in zip(za, zb)) / 2 for zb in z]
+                     for za in z]
+                ))
+                excess.append(mp.fsum(
+                    abs(z[0][k] * z[1][l] - z[0][l] * z[1][k]) ** 2
+                    for k in range(m + 1) for l in range(k + 1, m + 1)
+                ) / 4)
             d = 4 * excess[0] * excess[1]
             out[n] = float(1 / (mp.sqrt(mp.det(covs[0] + covs[1]) + d) - mp.sqrt(d)))
     return out

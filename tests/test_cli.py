@@ -683,6 +683,51 @@ def test_qnm_rule_across_keys_is_config_error(tmp_path, outdir, capsys, edit, me
     assert not (outdir / "manifest.json").exists()
 
 
+def _net1(**edit):
+    return json.dumps({**json.loads(bundled_config_path("network1.cfg").read_text()), **edit})
+
+
+NET1_PROBE = {"site": 8, "k": 0.01}
+NET1_SWEEP = {"start": 0.2, "stop": 0.7, "points": 120}
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["validate"], '{"network": {"kind": "explicit",', "config is not valid JSON"),
+        (
+            ["validate"],
+            _net1(network={"file": "network4.json", "n": 3}),
+            "a network block with 'file' holds only that path string",
+        ),
+        (["validate"], _net1(network={"file": "absent.json"}), "graph document not found"),
+        *(
+            (
+                [verb],
+                _net1(probe={**NET1_PROBE, "sweep": NET1_SWEEP}),
+                "this protocol needs 'probe.omega_s'",
+            )
+            for verb in ("qnm", "masks", "evolve")
+        ),
+        (
+            ["spectral", "--points", "5"],
+            _net1(probe={**NET1_PROBE, "omega_s": 0.58}),
+            "--points needs a sweep block in the config",
+        ),
+    ],
+    ids=[
+        "not-json", "file-block-extra-key", "missing-document", "qnm-no-omega", "masks-no-omega",
+        "evolve-no-omega", "points-no-sweep",
+    ],
+)
+def test_config_errors_before_any_output(tmp_path, outdir, capsys, argv, config, message):
+    p = tmp_path / "run.cfg"
+    p.write_text(config)
+    assert run([*argv, "--config", str(p), "--out", str(outdir)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+
+
 def test_graph_document_errors_are_config_errors(tmp_path, outdir, capsys):
     (tmp_path / "g.json").write_text('{"nodes": 2, "omega0": 0.25,')
     cfg = {"network": {"file": "g.json"}, "probe": {"site": 1, "k": 0.01, "omega_s": 0.5}}

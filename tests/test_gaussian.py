@@ -120,6 +120,17 @@ class TestPropagateReduce:
         assert np.isclose(mean_photon(marg), nbar)
 
 
+def test_state_below_the_uncertainty_bound_is_refused():
+    # det cov = 0.16 lies between 1/8 and 1/4: below the bound, yet above
+    # what a cubed (not squared) 1/2 - UNCERTAINTY_SLACK would allow
+    s = GaussianState(np.zeros(2), np.diag([0.4, 0.4]))
+    assert not s.is_physical()
+    with pytest.raises(StateError, match="uncertainty relation"):
+        mean_photon(s)
+    with pytest.raises(StateError, match="uncertainty relation"):
+        fidelity(s, vacuum_state())
+
+
 class TestMeanPhoton:
     def test_vacuum_zero(self):
         assert mean_photon(vacuum_state()) == 0.0

@@ -474,6 +474,12 @@ def test_graph_refuses_couplings_it_cannot_build(n_nodes, couplings, message):
         on.CouplingGraph(n_nodes, (0.25,) * int(n_nodes), couplings)
 
 
+def test_graph_refuses_a_zero_node_frequency():
+    # a graph document never gets here: its schema refuses omega0 = 0 first
+    with pytest.raises(GraphError, match="all node frequencies must be finite and > 0"):
+        on.CouplingGraph(2, (0.0, 0.25), {(0, 1): 0.1})
+
+
 @pytest.mark.parametrize(
     "edges, message",
     [
@@ -520,6 +526,29 @@ def test_a_bad_weight_is_reported_under_its_own_nodes(edges, message):
     ],
 )
 def test_a_non_integer_size_is_a_graph_error(build, message):
+    with pytest.raises(GraphError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: on.build_watts_strogatz(10, "4", 0.1, 0.05, 0.25, 1), "need integers 0 < K < n"),
+        (lambda: on.build_explicit("3", 0.25, [(1, 2, 0.1)]), "graph needs at least one node"),
+        (
+            lambda: on.build_watts_strogatz(10, 4, 0.1, 0.05, 0.25, seed=1.5),
+            "seed must be an integer >= 0",
+        ),
+        (
+            lambda: on.build_barabasi_albert(10, 2, 2, 0.02, 0.25, seed=-1),
+            "seed must be an integer >= 0",
+        ),
+    ],
+    ids=["ws-string-K", "explicit-string-n", "ws-float-seed", "ba-negative-seed"],
+)
+def test_a_builder_checks_its_types_before_it_computes(build, message):
+    # each call once escaped as TypeError or ValueError from arithmetic,
+    # a comparison or the seed sequence
     with pytest.raises(GraphError, match=message):
         build()
 

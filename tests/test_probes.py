@@ -315,6 +315,20 @@ class TestAnalyticJ:
         j2 = spectral_density_analytic(m2, grid, 150.0)
         assert np.allclose(j2, 4.0 * j1, rtol=1e-12)
 
+    @pytest.mark.parametrize("mode", [0, 7, 15])
+    def test_at_an_environment_frequency_takes_the_resonant_limit(self, net1_model, mode):
+        # omega_S equal to Omega_n: that term's sin((Omega_n - w) T)/(2(Omega_n - w))
+        # is its limit T/2
+        om, T = net1_model.env_freqs, 150.0
+        w = om[mode]
+        amp = net1_model.bath_couplings() ** 2 / om**2
+        terms = [
+            a * ((T / 2 if o == w else np.sin((o - w) * T) / (2 * (o - w)))
+                 + np.sin((o + w) * T) / (2 * (o + w)))
+            for o, a in zip(om, amp)
+        ]
+        assert np.isclose(spectral_density_analytic(net1_model, w, T), w * sum(terms), rtol=1e-13)
+
 
 class TestProbeJ:
     def test_uncoupled_probe_gives_zero(self):
@@ -557,15 +571,22 @@ class TestBatchedEquivalence:
         seed=st.integers(0, 2**32 - 1),
         t_stop=st.floats(1.0, 600.0),
         squeeze=st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2),
-        excess=st.lists(st.one_of(st.just(0.0), st.floats(0.5, 6.0)), min_size=2, max_size=2),
+        excess=st.lists(
+            st.one_of(
+                st.just(0.0), st.floats(-14.0, -6.0).map(lambda e: 10.0**e), st.floats(0.5, 6.0)
+            ),
+            min_size=2,
+            max_size=2,
+        ),
         axis=st.floats(0.0, np.pi),
     )
     def test_qnm_trace_matches_stacked_oracle_on_random_networks(
         self, seed, t_stop, squeeze, excess, axis
     ):
-        # excess 0 is a pure preparation: det S - 1/4 of its evolved state comes
-        # from the rows by Gram-Schmidt here and by Cauchy-Binet in the oracle,
-        # not from det S, which cancels to round-off near t = 0
+        # excess 0 is a pure preparation, 1e-14 to 1e-6 dB a nearly pure one:
+        # det S - 1/4 of each evolved state comes from its purified rows, by
+        # Gram-Schmidt here and by Cauchy-Binet in the oracle, not from det S,
+        # which cancels to round-off near t = 0
         m = on.assemble_model(random_stable_graph(np.random.default_rng(seed)))
         rho1 = SqueezedSpec(-squeeze[0], squeeze[0] + excess[0], "q")
         rho2 = SqueezedSpec(-squeeze[1], squeeze[1] + excess[1], axis)
@@ -620,6 +641,30 @@ class TestBatchedEquivalence:
         ts = np.linspace(0.0, 0.1, 3)
         f = qnm_trace(m, rho1, rho2, ts, window=3).f_raw
         assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1)) <= 2e-15
+
+    @pytest.mark.parametrize("excess_db", [0.0, 1e-14, 3e-13, 1e-12, 1e-9, 1e-3, 1.1])
+    @pytest.mark.parametrize("seed", [17441, 133595])
+    def test_every_preparation_keeps_its_digits_near_purity(self, seed, excess_db):
+        # rho1 from pure through nearly pure to the bundled 1.1 dB excess: F
+        # from the 2x2 covariance's det S - 1/4 was off by up to 6.3e-8 (at
+        # 3e-13 dB, t = 0); from the purified rows it measures 1.1e-15 at
+        # most over these cases (bound 4e-15)
+        m = on.assemble_model(random_stable_graph(np.random.default_rng(seed)))
+        rho1, rho2 = SqueezedSpec(-1.0, 1.0 + excess_db), PAPER_STATES[1]
+        ts = np.linspace(0.0, 0.1, 3)
+        f = qnm_trace(m, rho1, rho2, ts, window=3).f_raw
+        assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1)) <= 4e-15
+
+    def test_qnm_trace_never_takes_the_covariance_route(self, monkeypatch, net1_model):
+        def refuse(*args):
+            raise AssertionError("qnm_trace took the 2x2 covariance route")
+
+        ts = np.linspace(0.0, 10.0, 6)
+        ref = oracle_fidelity_trace(net1_model, *PAPER_STATES, ts)
+        monkeypatch.setattr(on.gaussian, "_excess", refuse)
+        monkeypatch.setattr(on.probes, "_probe_covariances", refuse)
+        f = qnm_trace(net1_model, *PAPER_STATES, ts, window=3).f_raw
+        assert np.max(np.abs(f / ref - 1)) <= 1e-12
 
     @pytest.mark.parametrize("squeezed_probe", [False, True])
     @pytest.mark.parametrize("env_prep", ["thermal", "squeezed", "vacuum"])
