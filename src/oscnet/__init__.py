@@ -20,7 +20,6 @@ from .dynamics import (
     StabilityError,
     assemble_model,
     evolve,
-    probe_mask,
     probe_rows,
 )
 from .symplectic import (
@@ -28,6 +27,7 @@ from .symplectic import (
     SymplecticError,
     bloch_messiah,
     is_symplectic,
+    probe_mask,
     symplectic_form,
 )
 from .gaussian import (

@@ -27,7 +27,7 @@ from numpy.typing import NDArray
 
 from . import __version__
 from .dynamics import ExpansionRangeError, QuadraticModel, StabilityError
-from .dynamics import assemble_model, evolve, probe_mask
+from .dynamics import assemble_model, evolve
 from .gaussian import SqueezedSpec, StateError
 from .netmodel import CouplingGraph, GraphError, from_recipe, load_graph, save_graph
 from .netmodel import _POSITIVE, _at_least, _Field, _fields, _one_of
@@ -45,6 +45,7 @@ from .probes import (
     suggest_tmax,
     sweep_spectral_density,
 )
+from .symplectic import probe_mask
 
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3

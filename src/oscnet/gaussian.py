@@ -111,18 +111,18 @@ def squeezed_state(spec: SqueezedSpec) -> GaussianState:
 
 
 def mean_photon_from_moments(
-    mean: NDArray[np.float64], cov: NDArray[np.float64]
+    mean: NDArray[np.float64], var: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """n = (<q^2> + <p^2> + mean_q^2 + mean_p^2 - 1) / 2 over stacks of
-    single-mode (..., 2) means and (..., 2, 2) covariances."""
-    return 0.5 * (cov[..., 0, 0] + cov[..., 1, 1] + mean[..., 0] ** 2 + mean[..., 1] ** 2 - 1.0)
+    single-mode (..., 2) means and (..., 2) variances [var_q, var_p]."""
+    return 0.5 * (var[..., 0] + var[..., 1] + mean[..., 0] ** 2 + mean[..., 1] ** 2 - 1.0)
 
 
 def mean_photon(state: GaussianState) -> float:
     """Mean photon number of a single-mode state; StateError if it violates
     the uncertainty relation."""
     state.require_physical()
-    return float(mean_photon_from_moments(state.mean, state.cov))
+    return float(mean_photon_from_moments(state.mean, np.diagonal(state.cov)))
 
 
 def fidelity_from_moments(

@@ -34,7 +34,6 @@ from .netmodel import CouplingGraph
 
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_SMOOTH_WINDOW = 51  # centered window must be odd
-_KERNEL_BLOCK = 128  # in-block offsets of the angle-addition damping kernel
 
 # the t_max rule: |gamma| on a _TMAX_DT grid up to _TMAX_HORIZON, its envelope
 # sampled every _TMAX_STRIDE steps (unit time), the threshold the larger of
@@ -64,14 +63,13 @@ def _damping_kernel_grid(model: QuadraticModel, dt: float, n_points: int) -> NDA
     """gamma(i dt) for i < n_points by angle addition.
 
     With t = t0 + tau, block starts t0 = j B dt and in-block offsets
-    tau = i dt (i < B = _KERNEL_BLOCK) from ``dynamics._angle_tables``,
+    tau = i dt (i < B) from ``dynamics._angle_tables``, which picks the
+    block B = ceil(sqrt(n_points)) as for every uniform time grid,
     gamma = (amp cos W t0) @ cos W tau - (amp sin W t0) @ sin W tau:
     two small GEMMs instead of n_points x N cosines.
     """
     om, amp = model.env_freqs, model._kernel_weights
-    cos_start, sin_start, cos_offset, sin_offset = _angle_tables(
-        om, 0.0, dt, n_points, _KERNEL_BLOCK
-    )
+    cos_start, sin_start, cos_offset, sin_offset = _angle_tables(om, 0.0, dt, n_points)
     gam = (amp * cos_start) @ cos_offset - (amp * sin_start) @ sin_offset
     return gam.ravel()[:n_points]
 
@@ -237,23 +235,24 @@ def _invert_excitation(
     return (omega_s / t_max) * np.log((n_bath - n0) / (n_bath - n_s))
 
 
-def _probe_covariances(
+def _probe_variances(
     model: QuadraticModel,
     rows: NDArray[np.float64],
     probe_cov: NDArray[np.float64],
     env_prep: str,
     temperature: float | None = None,
 ) -> NDArray[np.float64]:
-    """Probe covariances S_p (Sigma_probe + Sigma_env) S_p^T, a (..., 2, 2)
-    stack for the (..., 2, 2M) probe rows S_p and the initial probe
-    covariance ``probe_cov``.
+    """Probe quadrature variances [var_q, var_p], a (..., 2) stack: the
+    diagonal of S_p (Sigma_probe + Sigma_env) S_p^T for the (..., 2, 2M)
+    probe rows S_p and the initial probe covariance ``probe_cov``.
 
-    The environment term is three row dot products over the columns in which
+    The environment term is two row dot products over the columns in which
     the preparation is diagonal: every column with weight 1/2 for 'vacuum'
     (1/2 I in the node-renormalized frame, the probe's columns included), the
     environment normal modes scaled by sqrt(``_environment_variances``)
-    otherwise. The probe adds C E C^T in closed form, C = [[a, b], [c, d]]
-    the probe columns and E its covariance less what the vacuum term counts.
+    otherwise. The probe adds the diagonal of C E C^T in closed form,
+    C = [[a, b], [c, d]] the probe columns and E its covariance less what the
+    vacuum term counts.
     """
     m = model.n_modes
     if env_prep == "vacuum":
@@ -268,18 +267,16 @@ def _probe_covariances(
         x = np.concatenate([rows[..., 1:m] @ m_q, rows[..., m + 1 :] @ m_p], axis=-1)
         weight, counted = 1.0, 0.0
     xq, xp = x[..., 0, :], x[..., 1, :]
-    env_qq, env_qp, env_pp = (
-        weight * np.einsum("...i,...i", u, v) for u, v in ((xq, xq), (xq, xp), (xp, xp))
-    )
     a, b, c, d = rows[..., 0, 0], rows[..., 0, m], rows[..., 1, 0], rows[..., 1, m]
     (e_qq, e_qp), (_, e_pp) = probe_cov - counted * np.eye(2)
-    qa, qb = a * e_qq + b * e_qp, a * e_qp + b * e_pp  # rows of C E
-    pa, pb = c * e_qq + d * e_qp, c * e_qp + d * e_pp
-    cov = np.empty((*rows.shape[:-2], 2, 2))
-    cov[..., 0, 0] = env_qq + (qa * a + qb * b)
-    cov[..., 0, 1] = cov[..., 1, 0] = env_qp + (qa * c + qb * d)
-    cov[..., 1, 1] = env_pp + (pa * c + pb * d)
-    return cov
+    var = np.empty((*rows.shape[:-2], 2))
+    var[..., 0] = weight * np.einsum("...i,...i", xq, xq) + (
+        (a * e_qq + b * e_qp) * a + (a * e_qp + b * e_pp) * b
+    )
+    var[..., 1] = weight * np.einsum("...i,...i", xp, xp) + (
+        (c * e_qq + d * e_qp) * c + (c * e_qp + d * e_pp) * d
+    )
+    return var
 
 
 def model_at(graph: CouplingGraph, omega_s: float) -> QuadraticModel:
@@ -331,12 +328,11 @@ def sweep_spectral_density(
     rows = probe_rows(model, t_max, omega)
     # the environment's mean is zero: only the probe columns carry one
     mean = rows[..., [0, model.n_modes]] @ probe.mean
-    cov = _probe_covariances(model, rows, probe.cov, env_prep, temperature)
+    var = _probe_variances(model, rows, probe.cov, env_prep, temperature)
     if sampling is None:
-        n_s = g.mean_photon_from_moments(mean, cov)
+        n_s = g.mean_photon_from_moments(mean, var)
         return _invert_excitation(omega, t_max, n_bath, n0, n_s), None
 
-    var = np.diagonal(cov, axis1=1, axis2=2)
     if not np.all(var > 0):
         raise g.StateError("probe quadrature variance is not positive")
     reps = sampling.n_reps

@@ -172,6 +172,19 @@ def _r1_and_d(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.f
     return r1, np.concatenate([evals[:n_squeezed], np.ones(n - n_squeezed)]), False
 
 
+def probe_mask(S: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Measurement-basis coefficients for the probe quadratures.
+
+    Returns the (2, 2M) row pair of the Bloch-Messiah R1 factor that selects
+    the probe's q and p: the simulator analogue of the local-oscillator mask
+    defining the measured mode. Orthogonal symplectic inputs are their own
+    R1. The R2 factor is not formed.
+    """
+    n = S.shape[0] // 2
+    r1 = _r1_and_d(S)[0]
+    return np.vstack([r1[0, :], r1[n, :]])
+
+
 def _gram(S: NDArray[np.float64]) -> NDArray[np.float64]:
     """S S^T from M x M block products. OpenBLAS splits the one 2M x 2M
     product across threads at M = 51, which moves its last bits with the

@@ -563,6 +563,48 @@ def test_valid_tmax_flag_recorded_as_before(outdir, flag, value):
     assert manifest["config"]["t_max"] == value
 
 
+@pytest.mark.parametrize("flag, value", [("0.58", 0.58), ("0.58,0.7", [0.58, 0.7])])
+def test_omega_s_flag_recorded_as_a_number_or_a_list(outdir, flag, value):
+    # one value is recorded as a number, not as a one-entry list
+    assert run(["validate", "--config", "network1.cfg", "--omega-s", flag, "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    for recorded in (manifest["overrides"]["omega_s"], manifest["config"]["probe"]["omega_s"]):
+        assert recorded == value and type(recorded) is type(value)
+
+
+def test_qnm_without_states_takes_the_paper_states(tmp_path):
+    # the default rho1 and rho2 are the paper's, written out here rather than
+    # read from SCHEMA so that a changed default shows
+    paper = {
+        "rho1": {"squeeze_db": -1.8, "antisqueeze_db": 2.9, "axis": "q"},
+        "rho2": {"squeeze_db": -1.3, "antisqueeze_db": 2.4, "axis": "p"},
+    }
+    cfg = json.loads(bundled_config_path("network1.cfg").read_text())
+    del cfg["states"]
+    written = {}
+    for name, states in (("default", None), ("paper", paper)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(json.dumps(cfg if states is None else {**cfg, "states": states}))
+        out = tmp_path / name
+        assert run(["qnm", "--config", str(path), "--out", str(out)]) == 0
+        written[name] = {
+            f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+        }
+    assert sorted(written["default"]) == ["qnm_w0.58.csv", "witness_w0.58.txt"]
+    assert written["default"] == written["paper"]
+
+
+@pytest.mark.parametrize("window, code", [(1, 0), (2, EXIT_CONFIG)])
+def test_smooth_window_one_is_the_raw_trace(tmp_path, outdir, window, code):
+    path = _write_config(tmp_path, json.loads(_net1(smooth_window=window)))
+    assert run(["qnm", "--config", path, "--out", str(outdir)]) == code
+    if code == 0:
+        # a one-point window is the raw trace up to the running sums' round-off
+        table = np.loadtxt(outdir / "qnm_w0.58.csv", delimiter=",", skiprows=1)
+        assert table.shape == (251, 3)
+        assert np.abs(table[:, 2] - table[:, 1]).max() <= 4 * np.spacing(1.0)
+
+
 def test_bundled_configs_exist_and_parse():
     for i in range(1, 6):
         path = bundled_config_path(f"network{i}.cfg")

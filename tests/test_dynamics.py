@@ -16,10 +16,14 @@ from oscnet.dynamics import (
     _check_commutator,
     assemble_model,
     evolve,
-    probe_mask,
     probe_rows,
 )
-from oscnet.symplectic import SymplecticError, symplectic_form, symplectic_residual
+from oscnet.symplectic import (
+    SymplecticError,
+    probe_mask,
+    symplectic_form,
+    symplectic_residual,
+)
 
 from conftest import PAPER_STATES, random_stable_graph
 from oracles import (
@@ -387,13 +391,13 @@ class TestProbeRows:
             rows = probe_rows(assemble_model(graph), np.linspace(0.0, 500.0, 251))
             assert commutator_residual(rows).max() <= 1e-13
 
-    # grid sizes around the angle-addition path: T M = _ANGLE_MIN_SIZE lies
-    # between 94 and 95 times at 17 modes (nets 1-3) and between 31 and 32 at
-    # 51 (nets 4, 5); 80-82 and 255-257 are the block edges b^2 - 1, b^2,
+    # every uniform grid of two or more times takes the angle-addition path:
+    # 2 is the smallest, 31-95 span T M = 1600 at 51 modes (nets 4, 5) and at
+    # 17 (nets 1-3), 80-82 and 255-257 are the block edges b^2 - 1, b^2,
     # b^2 + 1, 251 the bundled qnm grid
     @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
-        "n, start", [(31, 0.0), (32, 0.0), (63, 0.0), (64, 0.0), (65, 0.0), (80, 0.0),
+        "n, start", [(2, 0.0), (31, 0.0), (32, 0.0), (63, 0.0), (64, 0.0), (65, 0.0), (80, 0.0),
                      (81, 0.0), (82, 0.0), (94, 0.0), (95, 0.0), (251, 0.0), (251, 37.5),
                      (255, 0.0), (256, 0.0), (257, 0.0)]
     )
@@ -406,7 +410,7 @@ class TestProbeRows:
             dynamics, "_angle_rows", lambda *a: calls.append(a) or angle_rows(*a)
         )
         rows = probe_rows(m, ts)
-        assert len(calls) == (n * m.n_modes >= dynamics._ANGLE_MIN_SIZE)
+        assert len(calls) == 1
         direct = np.array([probe_rows(m, t) for t in ts])  # one time: the direct path
         assert np.allclose(rows, direct, rtol=0.0, atol=row_atol(m, ts))
         assert commutator_residual(rows).max() <= 1e-13
@@ -442,13 +446,11 @@ class TestProbeRows:
         m = assemble_model(random_stable_graph(np.random.default_rng(seed), max_nodes=30))
         ts = np.linspace(start, start + span, n)
         direct = probe_rows(m, ts[:, None])[:, 0]
-        with pytest.MonkeyPatch.context() as patch:  # the angle path at any network size
-            patch.setattr(dynamics, "_ANGLE_MIN_SIZE", 0)
-            rows = probe_rows(m, ts)
+        rows = probe_rows(m, ts)
         assert np.allclose(rows, direct, rtol=0.0, atol=row_atol(m, ts))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_both_time_grid_paths_match_40_digit_rows(self, seed, monkeypatch):
+    def test_both_time_grid_paths_match_40_digit_rows(self, seed):
         # float64 error of either path against mpmath at 40 digits; the
         # largest measured on seeds 0-19 is 1.2e-13 (angle) and 1.1e-13
         # (direct): both inherit the eigenfrequencies' round-off times t
@@ -456,7 +458,6 @@ class TestProbeRows:
         ts = np.linspace(3.5, 500.0, 64)
         ref = probe_rows_mp(m, ts)
         assert np.abs(probe_rows(m, ts[:, None])[:, 0] - ref).max() <= 2.5e-13
-        monkeypatch.setattr(dynamics, "_ANGLE_MIN_SIZE", 0)  # the angle path at <= 8 modes
         assert np.abs(probe_rows(m, ts) - ref).max() <= 2.5e-13
 
     def test_commutator_check_rejects_corrupted_rows(self, net1_model):

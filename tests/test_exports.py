@@ -77,7 +77,6 @@ OPTIONS = {
 # source); a new crossing is a design change made here in plain view
 PRIVATE_IMPORTS = {
     ("cli", "netmodel"): {"_Field", "_POSITIVE", "_at_least", "_fields", "_one_of"},
-    ("dynamics", "symplectic"): {"_r1_and_d"},
     ("probes", "dynamics"): {"_angle_tables"},
     ("probes", "gaussian"): {"_fidelity"},
 }

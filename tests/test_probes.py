@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,11 +29,7 @@ from oscnet.probes import (
     sweep_spectral_density,
     thermal_occupancy,
 )
-from oscnet.probes import (
-    _KERNEL_BLOCK,
-    _damping_kernel_grid,
-    _sample_second_moments,
-)
+from oscnet.probes import _damping_kernel_grid, _sample_second_moments
 
 from oscnet.cli import _fmt, _fmt_matrix, _fmt_rows, _witness_text
 
@@ -165,13 +163,17 @@ class TestSuggestTmaxEquivalence:
             m = on.assemble_model(random_stable_graph(rng))
             assert outcome(suggest_tmax, m) == outcome(oracle_suggest_tmax, m)
 
-    # (0.1, 12.7) gives 128 points, a whole number of kernel blocks; the others do not
+    # (0.1, 12.0) gives 121 = 11^2 points, a whole number of ceil(sqrt(n))
+    # blocks; the others do not (12.7 gives 128, a last block of 7)
     @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("dt,horizon", [(0.05, 600.0), (0.1, 12.7), (0.04, 400.0)])
+    @pytest.mark.parametrize(
+        "dt,horizon", [(0.05, 600.0), (0.1, 12.0), (0.1, 12.7), (0.04, 400.0)]
+    )
     def test_grid_kernel_matches_direct_kernel(self, networks, idx, dt, horizon):
         m = on.assemble_model(networks[idx])
         ts = np.arange(0.0, horizon + dt, dt)
-        assert (len(ts) % _KERNEL_BLOCK == 0) == (dt == 0.1)
+        n = len(ts)
+        assert (math.isqrt(n) ** 2 == n) == (horizon == 12.0)
         got = _damping_kernel_grid(m, dt, len(ts))
         assert got.shape == ts.shape
         assert np.max(np.abs(got - damping_kernel(m, ts))) <= 1e-13 * damping_kernel(m, 0.0)
@@ -662,7 +664,7 @@ class TestBatchedEquivalence:
         ts = np.linspace(0.0, 10.0, 6)
         ref = oracle_fidelity_trace(net1_model, *PAPER_STATES, ts)
         monkeypatch.setattr(on.gaussian, "_excess", refuse)
-        monkeypatch.setattr(on.probes, "_probe_covariances", refuse)
+        monkeypatch.setattr(on.probes, "_probe_variances", refuse)
         f = qnm_trace(net1_model, *PAPER_STATES, ts, window=3).f_raw
         assert np.max(np.abs(f / ref - 1)) <= 1e-12
 
