@@ -40,6 +40,7 @@ from .probes import (
     WitnessReport,
     blp_witness,
     model_at,
+    moving_average,
     qnm_trace,
     spectral_density_analytic,
     suggest_tmax,
@@ -297,12 +298,12 @@ def _fmt_matrix(matrix: NDArray, sep: str) -> str:
 
 
 def _witness_text(report: WitnessReport, omega_s: float) -> str:
-    """The witness file: the probe frequency, N, whether the trace was
-    smoothed and the contributing intervals."""
+    """The witness file: the probe frequency, N, ``smoothed = true`` (the CLI
+    witnesses only F_smooth) and the contributing intervals."""
     lines = [
         f"omega_s = {_fmt(omega_s)}",
         f"N = {_fmt(report.value)}",
-        f"smoothed = {str(report.smoothed).lower()}",
+        "smoothed = true",
         "intervals (t_start, t_end, contribution):",
     ]
     for a, b, dv in report.intervals:
@@ -396,9 +397,10 @@ def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> int:
     t_grid = _increasing(np.linspace(tg["start"], tg["stop"], tg["points"]), "time_grid")
     rho1, rho2 = _state(cfg, "rho1"), _state(cfg, "rho2")
     for tag, model in _tagged_models(cfg, graph).items():
-        trace = qnm_trace(model, rho1, rho2, t_grid, window=cfg["smooth_window"])
-        report = blp_witness(trace, use_smoothed=True)
-        table = np.column_stack([trace.t, trace.f_raw, trace.f_smooth])
+        trace = qnm_trace(model, rho1, rho2, t_grid)
+        f_smooth = moving_average(trace.f_raw, cfg["smooth_window"])
+        report = blp_witness(trace.t, f_smooth)
+        table = np.column_stack([trace.t, trace.f_raw, f_smooth])
         _write(out / f"qnm_w{tag}.csv", "t,F_raw,F_smooth\n" + _fmt_rows(table, ","))
         _write(out / f"witness_w{tag}.txt", _witness_text(report, model.omega_s))
         sys.stdout.write(f"omega_s={tag}: N={_fmt(report.value)}\n")

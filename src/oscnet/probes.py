@@ -349,7 +349,9 @@ def sweep_spectral_density(
 
 
 def moving_average(values: NDArray[np.float64], window: int) -> NDArray[np.float64]:
-    """Centered moving average with windows shrinking at the edges."""
+    """Centered moving average with windows shrinking at the edges. A point
+    whose window holds only itself (every point at window 1, both ends at
+    any window) keeps its input value exactly."""
     if window < 1 or window % 2 == 0:
         raise ValueError("smoothing window must be odd and positive")
     v = np.asarray(values, dtype=float)
@@ -358,16 +360,16 @@ def moving_average(values: NDArray[np.float64], window: int) -> NDArray[np.float
     # running sums of deviations from the mean keep the differences accurate
     ref = v.mean() if len(v) else 0.0
     csum = np.concatenate([[0.0], np.cumsum(v - ref)])
-    return ref + (csum[i + half + 1] - csum[i - half]) / (2 * half + 1)
+    # the running sums round a one-point mean by an ulp; that mean is v itself
+    return np.where(half > 0, ref + (csum[i + half + 1] - csum[i - half]) / (2 * half + 1), v)
 
 
 @dataclass(frozen=True)
 class FidelityTrace:
-    """Probe-state fidelity versus interaction time."""
+    """Raw probe-state fidelity versus interaction time, each in (0, 1]."""
 
     t: NDArray[np.float64]
     f_raw: NDArray[np.float64]
-    f_smooth: NDArray[np.float64]
 
     def __post_init__(self):
         if not np.all((self.f_raw > 0) & (self.f_raw <= 1.0 + 1e-9)):
@@ -380,7 +382,6 @@ class WitnessReport:
 
     value: float
     intervals: tuple[tuple[float, float, float], ...]
-    smoothed: bool
 
 
 def qnm_trace(
@@ -388,9 +389,9 @@ def qnm_trace(
     rho1: SqueezedSpec,
     rho2: SqueezedSpec,
     t_grid: Sequence[float],
-    window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> FidelityTrace:
-    """Fidelity between two probe preparations evolving in a vacuum network.
+    """Raw fidelity between two probe preparations evolving in a vacuum
+    network; smoothing is the caller's (``moving_average``).
 
     Both initial probe states (environment in vacuum) evolve under the
     same renormalized propagator; only the probe rows of the propagator
@@ -405,7 +406,7 @@ def qnm_trace(
     covs, excess = _purified_moments(probe_rows(model, t_grid), (rho1, rho2))
     zero = np.zeros(2)
     fs = _fidelity(zero, covs[0], zero, covs[1], *excess)
-    return FidelityTrace(t=t_grid, f_raw=fs, f_smooth=moving_average(fs, window))
+    return FidelityTrace(t=t_grid, f_raw=fs)
 
 
 def _purified_moments(
@@ -452,18 +453,20 @@ def _purified_moments(
     return cov, excess
 
 
-def blp_witness(trace: FidelityTrace, use_smoothed: bool = True) -> WitnessReport:
-    """Total fidelity decrease of the trace (discrete BLP back-flow measure).
+def blp_witness(t: NDArray[np.float64], f: NDArray[np.float64]) -> WitnessReport:
+    """Total decrease of the fidelity series f over the times t, as given
+    (discrete BLP back-flow measure); a smoothed f is the caller's.
 
-    N = sum_i max(0, F(t_i) - F(t_i+1)); contributing intervals are maximal
-    runs of consecutive decreases. The maximization over state pairs is the
-    caller's: fix the pair to orthogonally squeezed states for the standard
-    witness.
+    N = sum_i max(0, f(t_i) - f(t_i+1)); contributing intervals are maximal
+    runs of consecutive decreases. t and f must have one shape. The
+    maximization over state pairs is the caller's: fix the pair to
+    orthogonally squeezed states for the standard witness.
     """
-    series = trace.f_smooth if use_smoothed else trace.f_raw
-    if len(series) < 2:
+    if np.shape(t) != np.shape(f):
+        raise ValueError(f"times {np.shape(t)} and fidelities {np.shape(f)} differ in shape")
+    if len(f) < 2:
         raise ValueError("trace must have at least two points")
-    diffs = np.diff(series)
+    diffs = np.diff(f)
     total = float((-diffs[diffs < 0]).sum())  # +0.0 on a monotone trace
     intervals = []
     start = None
@@ -471,12 +474,12 @@ def blp_witness(trace: FidelityTrace, use_smoothed: bool = True) -> WitnessRepor
     for i, d in enumerate(diffs):
         if d < 0:
             if start is None:
-                start = trace.t[i]
+                start = t[i]
                 acc = 0.0
             acc += -d
         elif start is not None:
-            intervals.append((float(start), float(trace.t[i]), float(acc)))
+            intervals.append((float(start), float(t[i]), float(acc)))
             start = None
     if start is not None:
-        intervals.append((float(start), float(trace.t[-1]), float(acc)))
-    return WitnessReport(value=total, intervals=tuple(intervals), smoothed=use_smoothed)
+        intervals.append((float(start), float(t[-1]), float(acc)))
+    return WitnessReport(value=total, intervals=tuple(intervals))

@@ -33,12 +33,7 @@ from oscnet import gaussian as g
 from oscnet.dynamics import QuadraticModel, StabilityError
 from oscnet.gaussian import _PURITY_TOL, GaussianState, SqueezedSpec, StateError
 from oscnet.netmodel import CouplingGraph
-from oscnet.probes import (
-    DEFAULT_SMOOTH_WINDOW,
-    FidelityTrace,
-    moving_average,
-    thermal_occupancy,
-)
+from oscnet.probes import FidelityTrace, thermal_occupancy
 from oscnet.symplectic import (
     PAIR_TOL,
     SYMPLECTIC_TOL,
@@ -589,7 +584,6 @@ def qnm_trace_stacked(
     rho1: SqueezedSpec,
     rho2: SqueezedSpec,
     t_grid: Sequence[float],
-    window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> FidelityTrace:
     """``probes.qnm_trace`` by matrix stacks, reference for its closed-form
     probe blocks.
@@ -615,11 +609,7 @@ def qnm_trace_stacked(
     excess = [purified_excess_minors(rows, spec) for spec in (rho1, rho2)]
     zero = np.zeros(2)
     fs = fidelity_from_moments_lapack(zero, covs[0], zero, covs[1], excess)
-    return FidelityTrace(
-        t=t_grid,
-        f_raw=fs,
-        f_smooth=moving_average(fs, window),
-    )
+    return FidelityTrace(t=t_grid, f_raw=fs)
 
 
 def purified_excess_minors(rows: NDArray[np.float64], spec: SqueezedSpec) -> NDArray[np.float64]:

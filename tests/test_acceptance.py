@@ -18,8 +18,10 @@ from oscnet.gaussian import (
     vacuum_state,
 )
 from oscnet.probes import (
+    DEFAULT_SMOOTH_WINDOW,
     blp_witness,
     model_at,
+    moving_average,
     qnm_trace,
     spectral_density_analytic,
     suggest_tmax,
@@ -234,15 +236,18 @@ def test_criterion_7_qnm_linkage():
     rho1, rho2 = PAPER_STATES
     ts = np.linspace(0.0, 500.0, 251)
 
+    def witness(f):
+        return blp_witness(ts, moving_average(f, DEFAULT_SMOOTH_WINDOW)).value
+
     tr58 = qnm_trace(model_at(nets[1], 0.58), rho1, rho2, ts)
     tr70 = qnm_trace(model_at(nets[1], 0.70), rho1, rho2, ts)
-    n58 = blp_witness(tr58).value
-    n70 = blp_witness(tr70).value
+    n58 = witness(tr58.f_raw)
+    n70 = witness(tr70.f_raw)
     flat70 = float(tr70.f_raw.max() - tr70.f_raw.min())
 
     ws = {}
     for w in (0.4, 0.75, 0.9):
-        ws[w] = blp_witness(qnm_trace(model_at(nets[4], w), rho1, rho2, ts)).value
+        ws[w] = witness(qnm_trace(model_at(nets[4], w), rho1, rho2, ts).f_raw)
     elapsed = time.perf_counter() - start
 
     ok = (

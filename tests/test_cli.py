@@ -599,10 +599,10 @@ def test_smooth_window_one_is_the_raw_trace(tmp_path, outdir, window, code):
     path = _write_config(tmp_path, json.loads(_net1(smooth_window=window)))
     assert run(["qnm", "--config", path, "--out", str(outdir)]) == code
     if code == 0:
-        # a one-point window is the raw trace up to the running sums' round-off
+        # a one-point window is the raw trace
         table = np.loadtxt(outdir / "qnm_w0.58.csv", delimiter=",", skiprows=1)
         assert table.shape == (251, 3)
-        assert np.abs(table[:, 2] - table[:, 1]).max() <= 4 * np.spacing(1.0)
+        assert np.array_equal(table[:, 2], table[:, 1])
 
 
 def test_bundled_configs_exist_and_parse():

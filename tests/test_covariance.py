@@ -1,7 +1,8 @@
 """Outputs follow a relabelling of the environment nodes and a change of time
 unit. A symmetry needs no reference: these checks cover the direct, angle and
 Chebyshev rows, Bloch-Messiah, the J inversion, the fidelity trace and the
-t_max rule on any graph.
+t_max rule on any graph; the last tests run them through ``cli.main`` on
+the files it writes.
 
 Each bound is set from the largest error measured over the bundled nets 1, 4
 and 5 and random_stable_graph seeds 0-7999 (numpy 2.4.6), with the
@@ -12,12 +13,16 @@ and J_analytic in units of the largest its sum can reach, omega t sum_n
 c_n^2 / Omega_n^2, per point.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oscnet as on
+from oscnet.cli import bundled_config_path, main
 from oscnet.probes import (
     PlateauError,
     ProbeSaturatedError,
@@ -42,6 +47,13 @@ MASK_GAP = 64.0
 JA_RELABEL = 2e-14  # J_analytic reach units; measured 4.2e-15, 4.7x
 JP_RELABEL = 100.0  # inversion round-off units; measured 20.7, 4.8x
 F_RELABEL = 2.5e-14  # measured 5.6e-15, 4.5x
+# through the CLI, over CLI_PERM and 500 random permutations of network 4:
+# the bounds above hold (largest errors 0.14 to 0.23 of each), and
+ENV_RELABEL = 5e-15  # environment eigenfrequencies, of the largest; measured 1.3e-15, 4.0x
+N_RELABEL = 1.5e-14  # the witness N; measured 3.2e-15, 4.7x
+# a decoupled probe (k = 0) on nets 1-5 at t = 150: |J_probe| in inversion
+# round-off units
+JP_DECOUPLED = 300.0  # measured 64.7 (network 4; 35.8 on network 1), 4.6x
 # unit scaling
 S_SCALE = 4e-13  # of max|S|; measured 7.3e-14, 5.5x
 JA_SCALE = 2e-14  # J_analytic reach units; measured 4.9e-15, 4.1x
@@ -91,10 +103,15 @@ def outputs(graph: on.CouplingGraph, t: float, grid: np.ndarray, temperature: fl
         "mask": on.probe_mask(S),
         "j_probe": j_probe,
         "j_analytic": spectral_density_analytic(m, grid, t),
-        "j_analytic_scale": grid * t * np.sum((m.bath_couplings() / m.env_freqs) ** 2),
-        "f": qnm_trace(m, *PAPER_STATES, np.linspace(0.0, 2 * t, 41), window=3).f_raw,
+        "j_analytic_scale": j_analytic_scale(m, grid, t),
+        "f": qnm_trace(m, *PAPER_STATES, np.linspace(0.0, 2 * t, 41)).f_raw,
         "t_max": t_max,
     }
+
+
+def j_analytic_scale(m: on.QuadraticModel, grid: np.ndarray, t: float) -> np.ndarray:
+    """The largest J_analytic's sum can reach per point, omega t sum_n c_n^2 / Omega_n^2."""
+    return grid * t * np.sum((m.bath_couplings() / m.env_freqs) ** 2)
 
 
 def mask_tolerance(S: np.ndarray) -> np.ndarray:
@@ -127,6 +144,12 @@ def j_probe_error(j: np.ndarray | None, ref: np.ndarray | None, grid, t) -> floa
 def relabel_errors(graph, t, grid, perm) -> dict:
     """Errors of the relabelled graph's outputs against the original's."""
     a, b = outputs(graph, t, grid), outputs(relabelled(graph, perm), t, grid)
+    return compare_relabelled(a, b, perm, grid, t)
+
+
+def compare_relabelled(a: dict, b: dict, perm, grid, t) -> dict:
+    """Errors of outputs b of the graph relabelled by ``perm`` against the
+    original's outputs a, both as ``outputs`` gives them."""
     order = np.concatenate([[0], np.argsort(perm) + 1])  # new mode -> old mode
     idx = np.concatenate([order, order + len(order)])
     return {
@@ -174,7 +197,10 @@ def bundled_case(networks, idx: int):
 
 
 def check_relabel(graph, t, grid, rng) -> None:
-    err = relabel_errors(graph, t, grid, rng.permutation(graph.n_nodes))
+    assert_relabel_bounds(relabel_errors(graph, t, grid, rng.permutation(graph.n_nodes)))
+
+
+def assert_relabel_bounds(err: dict) -> None:
     assert err["t_max"]
     assert err["S"] <= S_RELABEL
     assert err["mask"] <= 1.0
@@ -214,3 +240,82 @@ def test_random_outputs_follow_a_relabelling(seed):
 def test_random_outputs_follow_a_change_of_time_unit(seed, lam):
     graph, t, grid, _ = random_case(seed)
     check_scale(graph, t, grid, lam)
+
+
+# the CLI half: network 4's document with its 50 nodes permuted, run through
+# ``cli.main`` next to the bundled config and compared file by file
+CLI_VERBS = (["validate"], ["spectral", "--method", "both"], ["qnm"], ["evolve"], ["masks"])
+CLI_PERM = (7 * np.arange(50) + 3) % 50  # node i -> 7 i + 3 mod 50: the probe moves 1 -> 4
+
+
+def cli_outputs(config: str, out: Path) -> dict:
+    """Run ``CLI_VERBS`` on one config and read back what ``outputs`` holds,
+    plus the environment eigenfrequencies ("env") and the witness N ("n")."""
+    for verb in CLI_VERBS:
+        assert main([verb[0], "--config", config, *verb[1:], "--out", str(out)]) == 0
+    lines = (out / "validate.txt").read_text().splitlines()
+    spectral = np.loadtxt(out / "spectral.csv", delimiter=",", skiprows=1)
+    (qnm,), (witness,), (evolution,) = (
+        list(out.glob(pattern)) for pattern in ("qnm_w*.csv", "witness_w*.txt", "evolution_w*.txt")
+    )
+    masks = [np.loadtxt(next(out.glob(f"mask_{x}_w*.csv")), delimiter=",", skiprows=1) for x in "qp"]
+    return {
+        "env": np.array(lines[lines.index("environment eigenfrequencies:") + 1].split(","), float),
+        "t_max": next(line for line in lines if line.startswith("suggested t_max")),
+        "grid": spectral[:, 0],
+        "j_analytic": spectral[:, 1],
+        "j_probe": spectral[:, 2],
+        "f": np.loadtxt(qnm, delimiter=",", skiprows=1)[:, 1],
+        "n": float(witness.read_text().splitlines()[1].split("=")[1]),
+        "S": np.loadtxt(evolution),
+        # the mask files hold R1's probe rows, one column pair per mode
+        "mask": np.array([np.concatenate([m[:, 1], m[:, 2]]) for m in masks]),
+    }
+
+
+def cli_relabel_errors(graph: on.CouplingGraph, tmp_path: Path, perm: np.ndarray) -> dict:
+    """``compare_relabelled`` on the CLI outputs of network 4 and of its
+    document relabelled by ``perm``, plus the largest environment
+    eigenfrequency error ("env", of the largest) and the witness error ("n")."""
+    doc = tmp_path / "permuted.json"
+    doc.write_text(json.dumps(on.save_graph(relabelled(graph, perm))))
+    cfg = json.loads(bundled_config_path("network4.cfg").read_text())
+    cfg["network"] = {"file": str(doc)}
+    cfg["probe"]["site"] = int(perm[graph.probe.site]) + 1
+    config = tmp_path / "permuted.cfg"
+    config.write_text(json.dumps(cfg))
+    a = cli_outputs("network4.cfg", tmp_path / "bundled")
+    b = cli_outputs(str(config), tmp_path / "permuted")
+    t = cfg["t_max"]
+    a["j_analytic_scale"] = j_analytic_scale(on.assemble_model(graph), a["grid"], t)
+    err = compare_relabelled(a, b, perm, a["grid"], t)
+    err["env"] = np.abs(b["env"] - a["env"]).max() / a["env"].max()
+    err["n"] = abs(b["n"] - a["n"])
+    return err
+
+
+def test_cli_outputs_follow_a_relabelling(networks, tmp_path):
+    err = cli_relabel_errors(networks[4], tmp_path, CLI_PERM)
+    assert_relabel_bounds(err)
+    assert err["env"] <= ENV_RELABEL
+    assert err["n"] <= N_RELABEL
+
+
+@pytest.mark.parametrize("idx", range(1, 6))
+def test_decoupled_probe_reads_no_spectral_density(tmp_path, idx):
+    # k = 0: every c_n is zero, and the probe's vacuum occupancy moves by
+    # round-off alone
+    cfg = json.loads(bundled_config_path(f"network{idx}.cfg").read_text())
+    if "file" in cfg["network"]:
+        cfg["network"]["file"] = str(bundled_config_path(cfg["network"]["file"]))
+    cfg["probe"]["k"] = 0.0
+    config = tmp_path / "decoupled.cfg"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = ["spectral", "--config", str(config), "--method", "both", "--t-max", "150"]
+    assert main([*args, "--out", str(out)]) == 0
+    grid, j_analytic, j_probe = np.loadtxt(out / "spectral.csv", delimiter=",", skiprows=1).T
+    assert np.all(j_analytic == 0.0)
+    roundoff = j_probe_roundoff(np.zeros_like(grid), grid, 150.0)
+    assert np.abs(j_probe / roundoff).max() <= JP_DECOUPLED
+    assert "no such point" in (out / "crosspath.txt").read_text()

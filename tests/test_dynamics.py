@@ -179,7 +179,7 @@ class TestAssemble:
                 on.sweep_spectral_density(model, ws, 150.0)
             assert shapes == [(16, 16)], method  # the environment block, once
         shapes.clear()
-        on.qnm_trace(assemble_model(net1), *PAPER_STATES, np.linspace(0.0, 50.0, 11), window=3)
+        on.qnm_trace(assemble_model(net1), *PAPER_STATES, np.linspace(0.0, 50.0, 11))
         assert shapes == [(17, 17)]  # V, once
 
 

@@ -63,9 +63,7 @@ OPTIONS = {
     ("CouplingGraph", "probe"),
     ("CouplingGraph", "recipe"),
     ("SqueezedSpec", "axis"),
-    ("blp_witness", "use_smoothed"),
     ("probe_rows", "omega_s"),
-    ("qnm_trace", "window"),
     ("sweep_spectral_density", "env_prep"),
     ("sweep_spectral_density", "probe_state"),
     ("sweep_spectral_density", "sampling"),
@@ -123,7 +121,7 @@ def test_exported_names_are_pinned():
 
 def test_settable_defaults_are_pinned():
     assert settable_defaults() == OPTIONS
-    assert len(OPTIONS) == 10
+    assert len(OPTIONS) == 8
 
 
 def test_private_imports_are_pinned():

@@ -17,6 +17,7 @@ from oscnet.gaussian import (
     vacuum_state,
 )
 from oscnet.probes import (
+    DEFAULT_SMOOTH_WINDOW,
     PlateauError,
     ProbeSaturatedError,
     SamplingOptions,
@@ -593,12 +594,12 @@ class TestBatchedEquivalence:
         rho1 = SqueezedSpec(-squeeze[0], squeeze[0] + excess[0], "q")
         rho2 = SqueezedSpec(-squeeze[1], squeeze[1] + excess[1], axis)
         ts = np.linspace(0.0, t_stop, 101)
-        tr = qnm_trace(m, rho1, rho2, ts, window=11)
-        ref = qnm_trace_stacked(m, rho1, rho2, ts, window=11)
+        tr = qnm_trace(m, rho1, rho2, ts)
+        ref = qnm_trace_stacked(m, rho1, rho2, ts)
         assert np.max(np.abs(tr.f_raw - ref.f_raw) / ref.f_raw) <= 1e-12
         assert np.all((0 < tr.f_raw) & (tr.f_raw <= 1 + 1e-9))
-        for smoothed in (False, True):
-            assert blp_witness(tr, use_smoothed=smoothed).value >= 0
+        for f in (tr.f_raw, moving_average(tr.f_raw, 11)):
+            assert blp_witness(tr.t, f).value >= 0
 
     @pytest.mark.parametrize("idx", range(1, 6))
     def test_qnm_trace_matches_per_time_oracle(self, networks, idx):
@@ -626,7 +627,7 @@ class TestBatchedEquivalence:
         # now within 6.7e-16 of the 40-digit value
         m = on.assemble_model(random_stable_graph(np.random.default_rng(133595)))
         rho1 = SqueezedSpec(-1.0, 1.0)
-        f0 = qnm_trace(m, rho1, rho2, np.linspace(0.0, 10.0, 11), window=3).f_raw[0]
+        f0 = qnm_trace(m, rho1, rho2, np.linspace(0.0, 10.0, 11)).f_raw[0]
         assert abs(f0 / squeezed_fidelity_mp(rho1, rho2) - 1) <= 4e-15
         if rho2.squeeze_db + rho2.antisqueeze_db == 0:
             r1, r2 = (-spec.squeeze_db * np.log(10) / 20 for spec in (rho1, rho2))
@@ -641,7 +642,7 @@ class TestBatchedEquivalence:
         m = on.assemble_model(random_stable_graph(np.random.default_rng(17441)))
         rho1, rho2 = SqueezedSpec(-1.0, 1.0), PAPER_STATES[1]
         ts = np.linspace(0.0, 0.1, 3)
-        f = qnm_trace(m, rho1, rho2, ts, window=3).f_raw
+        f = qnm_trace(m, rho1, rho2, ts).f_raw
         assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1)) <= 2e-15
 
     @pytest.mark.parametrize("excess_db", [0.0, 1e-14, 3e-13, 1e-12, 1e-9, 1e-3, 1.1])
@@ -654,7 +655,7 @@ class TestBatchedEquivalence:
         m = on.assemble_model(random_stable_graph(np.random.default_rng(seed)))
         rho1, rho2 = SqueezedSpec(-1.0, 1.0 + excess_db), PAPER_STATES[1]
         ts = np.linspace(0.0, 0.1, 3)
-        f = qnm_trace(m, rho1, rho2, ts, window=3).f_raw
+        f = qnm_trace(m, rho1, rho2, ts).f_raw
         assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1)) <= 4e-15
 
     def test_qnm_trace_never_takes_the_covariance_route(self, monkeypatch, net1_model):
@@ -665,7 +666,7 @@ class TestBatchedEquivalence:
         ref = oracle_fidelity_trace(net1_model, *PAPER_STATES, ts)
         monkeypatch.setattr(on.gaussian, "_excess", refuse)
         monkeypatch.setattr(on.probes, "_probe_variances", refuse)
-        f = qnm_trace(net1_model, *PAPER_STATES, ts, window=3).f_raw
+        f = qnm_trace(net1_model, *PAPER_STATES, ts).f_raw
         assert np.max(np.abs(f / ref - 1)) <= 1e-12
 
     @pytest.mark.parametrize("squeezed_probe", [False, True])
@@ -743,6 +744,13 @@ class TestSmoothing:
                 ref[i] = v[i - a : i + a + 1].mean()
             assert np.max(np.abs(moving_average(v, window) - ref)) <= 1e-12
 
+    def test_a_one_point_window_returns_its_input(self, net1):
+        # the running sums rounded 135 of these 251 one-point means by an ulp
+        f = qnm_trace(model_at(net1, 0.58), *PAPER_STATES, np.linspace(0, 500, 251)).f_raw
+        assert np.array_equal(moving_average(f, 1), f)
+        for window in range(1, 2 * len(f) + 2, 2):
+            assert np.array_equal(moving_average(f, window)[[0, -1]], f[[0, -1]]), window
+
 
 class TestQnm:
     def test_time_zero_matches_direct_fidelity(self, net1_model):
@@ -759,7 +767,7 @@ class TestQnm:
         rho1, rho2 = PAPER_STATES
         tr = qnm_trace(m, rho1, rho2, np.linspace(0, 500, 101))
         assert tr.f_raw.max() - tr.f_raw.min() < 1e-10
-        assert blp_witness(tr).value < 1e-10
+        assert blp_witness(tr.t, moving_average(tr.f_raw, DEFAULT_SMOOTH_WINDOW)).value < 1e-10
 
     def test_network1_edge_vs_gap_frequencies(self, net1):
         rho1, rho2 = PAPER_STATES
@@ -770,7 +778,11 @@ class TestQnm:
         d58 = np.diff(tr58.f_raw)
         assert (d58 < -1e-6).any()  # genuine non-monotonicity
         assert tr70.f_raw.max() - tr70.f_raw.min() < 0.02
-        assert blp_witness(tr58).value > blp_witness(tr70).value
+        n58, n70 = (
+            blp_witness(tr.t, moving_average(tr.f_raw, DEFAULT_SMOOTH_WINDOW)).value
+            for tr in (tr58, tr70)
+        )
+        assert n58 > n70
 
     def test_grid_validation(self, net1_model):
         rho1, rho2 = PAPER_STATES
@@ -780,12 +792,9 @@ class TestQnm:
 
 class TestWitness:
     def test_monotone_increase_gives_zero(self):
-        from oscnet.probes import FidelityTrace
-
         t = np.arange(4.0)
         f = np.array([0.5, 0.6, 0.7, 0.8])
-        tr = FidelityTrace(t, f, f)
-        rep = blp_witness(tr, use_smoothed=False)
+        rep = blp_witness(t, f)
         assert rep.value == 0.0 and np.copysign(1.0, rep.value) == 1.0
         assert _witness_text(rep, 0.5).splitlines()[1] == "N = 0"
 
@@ -795,23 +804,32 @@ class TestWitness:
 
         f = np.array([0.9, bad, 0.8])
         with pytest.raises(ValueError, match="lie in"):
-            FidelityTrace(np.arange(3.0), f, f)
+            FidelityTrace(np.arange(3.0), f)
+
+    @pytest.mark.parametrize("n_times", [3, 5])
+    def test_times_of_another_length_rejected(self, n_times):
+        f = np.array([1.0, 0.8, 0.9, 0.7])
+        with pytest.raises(ValueError, match="differ in shape"):
+            blp_witness(np.arange(float(n_times)), f)
 
     def test_hand_computed_sum(self):
-        from oscnet.probes import FidelityTrace
-
         t = np.arange(4.0)
         f = np.array([1.0, 0.8, 0.9, 0.7])
-        tr = FidelityTrace(t, f, f)
-        rep = blp_witness(tr, use_smoothed=False)
+        rep = blp_witness(t, f)
         assert np.isclose(rep.value, 0.4, atol=1e-15)
-        assert len(rep.intervals) == 2
+        assert [(a, b) for a, b, _ in rep.intervals] == [(0.0, 1.0), (2.0, 3.0)]
         assert np.isclose(sum(c for *_, c in rep.intervals), rep.value)
+
+    def test_a_flat_step_ends_a_run_and_adds_nothing(self):
+        t = np.arange(4.0)
+        rep = blp_witness(t, np.array([1.0, 0.8, 0.8, 0.7]))
+        assert np.isclose(rep.value, 0.3, atol=1e-15)
+        assert [(a, b) for a, b, _ in rep.intervals] == [(0.0, 1.0), (2.0, 3.0)]
 
     def test_equals_total_negative_variation(self, net1_model):
         rho1, rho2 = PAPER_STATES
         tr = qnm_trace(net1_model, rho1, rho2, np.linspace(0, 200, 101))
-        rep = blp_witness(tr, use_smoothed=False)
+        rep = blp_witness(tr.t, tr.f_raw)
         d = np.diff(tr.f_raw)
         assert np.isclose(rep.value, -d[d < 0].sum(), atol=1e-15)
 
@@ -824,7 +842,8 @@ class TestWitness:
         def witness_at(phi0):
             rho1 = SqueezedSpec(-20 * r / np.log(10), 20 * r / np.log(10), 0.0)
             rho2 = SqueezedSpec(-20 * r / np.log(10), 20 * r / np.log(10), phi0 / 2)
-            return blp_witness(qnm_trace(m, rho1, rho2, ts)).value
+            f = qnm_trace(m, rho1, rho2, ts).f_raw
+            return blp_witness(ts, moving_average(f, DEFAULT_SMOOTH_WINDOW)).value
 
         w_pi = witness_at(np.pi)
         for phi0 in (np.pi / 4, np.pi / 2, 3 * np.pi / 4):
