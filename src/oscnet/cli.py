@@ -65,7 +65,7 @@ _AXIS = _Field("string or number", "q", lambda v: v in ("q", "p") or not isinsta
                '"q", "p" or an angle')
 
 # The run-config format as a ``netmodel._fields`` table: every key by dotted
-# name, a block before its keys. Top-level defaults are merged shallowly: a
+# name, a block before its keys. Top-level defaults are filled shallowly: a
 # block that is given replaces its default whole, so the keys of a given block
 # are required (an omitted axis is SqueezedSpec's "q"). The network block lists
 # no keys here: netmodel checks it as a recipe or a document path.
@@ -111,23 +111,18 @@ SCHEMA: dict[str, _Field] = {
 }
 
 
-def _check_config(cfg: dict) -> None:
-    """Check a merged run config against SCHEMA (GraphError), then the rules
-    that join keys."""
-    _fields(cfg, SCHEMA, "run config")
+def _check_config(user: dict) -> dict:
+    """The run config: ``user`` checked against SCHEMA (GraphError) and the
+    rules that join keys (ConfigError), with SCHEMA's defaults filled in."""
+    cfg = _fields(user, SCHEMA, "run config")
     if cfg["protocol"] == "spectral" and cfg["t_max"] == 0:
         raise ConfigError("t_max must be > 0 for spectral, which divides by it")
     if cfg["protocol"] == "spectral" and cfg["samples"] > 0 and cfg["method"] == "analytic":
         raise ConfigError(
             'samples > 0 needs method "probe" or "both": method "analytic" reads no samples'
         )
+    return cfg
 
-
-# SCHEMA's top-level defaults as JSON text: each run parses itself a fresh copy
-_DEFAULTS_JSON = json.dumps({
-    k: key.default for k, key in SCHEMA.items()
-    if "." not in k and key.default is not None and key.default is not ...
-})
 
 _CONFIGS_DIR = Path(str(importlib.resources.files("oscnet").joinpath("configs")))
 
@@ -138,12 +133,11 @@ def bundled_config_path(name: str) -> Path:
 
 
 def _load_config(path: str | None) -> tuple[dict, Path | None]:
-    """The run config merged over SCHEMA's defaults, and the directory of the
-    config file (None without one), against which a relative graph document
-    path is resolved."""
-    cfg = json.loads(_DEFAULTS_JSON)
+    """The config file's object ({} without a file), and the directory of the
+    file (None without one), against which a relative graph document path is
+    resolved."""
     if path is None:
-        return cfg, None
+        return {}, None
     p = Path(path)
     if not p.is_file():
         p = bundled_config_path(path)
@@ -155,8 +149,7 @@ def _load_config(path: str | None) -> tuple[dict, Path | None]:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    cfg.update(user)
-    return cfg, p.parent
+    return user, p.parent
 
 
 def _build_graph(cfg: dict, config_dir: Path | None) -> CouplingGraph:
@@ -355,7 +348,7 @@ def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
                 model,
                 grid,
                 t_max,
-                temperature=float(cfg["temperature"]),
+                temperature=cfg["temperature"],
                 env_prep=cfg["env_prep"],
                 sampling=sampling,
             )
@@ -512,10 +505,10 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg, config_dir = _load_config(args.config)
-        cfg["protocol"] = args.protocol
-        overrides = _apply_overrides(cfg, args)
-        _check_config(cfg)
+        user, config_dir = _load_config(args.config)
+        user["protocol"] = args.protocol
+        overrides = _apply_overrides(user, args)
+        cfg = _check_config(user)
         out = _out_dir(cfg)
         graph = _build_graph(cfg, config_dir)
         code = RUNNERS[args.protocol](cfg, graph, out)

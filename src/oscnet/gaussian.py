@@ -154,32 +154,31 @@ def fidelity_from_moments(
     ``probes.qnm_trace`` passes ``_fidelity`` each preparation's det S - 1/4
     from the propagator rows and never enters it.
     """
-    return _fidelity(mean1, cov1, mean2, cov2, _excess(cov1), _excess(cov2))
+    f = _fidelity(cov1, cov2, _excess(cov1), _excess(cov2))  # checks S1 + S2
+    total = cov1 + cov2
+    dq, dp = np.moveaxis(mean1 - mean2, -1, 0)
+    quad = (
+        dq * dq * total[..., 1, 1] - dq * dp * (total[..., 0, 1] + total[..., 1, 0])
+        + dp * dp * total[..., 0, 0]
+    ) / _det2(total)
+    return f * np.exp(-0.5 * quad)
 
 
 def _fidelity(
-    mean1: NDArray[np.float64],
     cov1: NDArray[np.float64],
-    mean2: NDArray[np.float64],
     cov2: NDArray[np.float64],
     excess1: NDArray[np.float64],
     excess2: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """``fidelity_from_moments`` with det S - 1/4 of each state given as its
-    ``excess``: ``_excess`` of the covariance, or a value the caller has to
-    better accuracy than the covariance carries (``probes.qnm_trace``)."""
-    total = cov1 + cov2
-    lam = _det2(total)
-    if not np.all((0 < lam) & (lam < np.inf) & (total[..., 0, 0] > 0)):
+    """``fidelity_from_moments`` of two states with equal means, det S - 1/4
+    of each given as its ``excess``: ``_excess`` of the covariance, or a
+    value the caller has to better accuracy than the covariance carries
+    (``probes.qnm_trace``)."""
+    lam = _det2(cov1 + cov2)
+    if not np.all((0 < lam) & (lam < np.inf) & (cov1[..., 0, 0] + cov2[..., 0, 0] > 0)):
         raise StateError("sum of covariances not finite and positive definite")
     delta = 4.0 * excess1 * excess2
-    du = mean1 - mean2
-    dq, dp = du[..., 0], du[..., 1]
-    quad = (
-        dq * dq * total[..., 1, 1] - dq * dp * (total[..., 0, 1] + total[..., 1, 0])
-        + dp * dp * total[..., 0, 0]
-    ) / lam
-    return np.exp(-0.5 * quad) / (np.sqrt(lam + delta) - np.sqrt(delta))
+    return 1.0 / (np.sqrt(lam + delta) - np.sqrt(delta))
 
 
 def _det2(a: NDArray[np.float64]) -> NDArray[np.float64]:

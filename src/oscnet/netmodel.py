@@ -102,7 +102,7 @@ def _value_error(name: str, value: object, field: _Field) -> str | None:
 
 def _fields(doc: object, fields: Mapping[str, _Field], where: str) -> dict:
     """The top-level fields of a JSON object, checked against ``fields``,
-    with the defaults filled in and numbers as floats. A dotted name is a key
+    with each default copied in and numbers as floats. A dotted name is a key
     of a nested block, listed after its block; a block without listed keys is
     not checked inside. GraphError names every unknown key in the tree by
     dotted name, else the first missing or malformed key in table order."""
@@ -117,7 +117,7 @@ def _fields(doc: object, fields: Mapping[str, _Field], where: str) -> dict:
             if block is not None and spec.default is ...:
                 problem = problem or f"{where} is missing field '{path}'"
             elif not parent:
-                out[name] = spec.default
+                out[name] = _copy_json(spec.default)
             continue
         value = block[name]
         error = _value_error(path, value, spec)

@@ -404,8 +404,7 @@ def qnm_trace(
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
     covs, excess = _purified_moments(probe_rows(model, t_grid), (rho1, rho2))
-    zero = np.zeros(2)
-    fs = _fidelity(zero, covs[0], zero, covs[1], *excess)
+    fs = _fidelity(covs[0], covs[1], *excess)
     return FidelityTrace(t=t_grid, f_raw=fs)
 
 

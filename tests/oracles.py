@@ -129,37 +129,39 @@ def _probe_rows(
 MP_DIGITS = 40
 
 
-def probe_rows_mp(model: QuadraticModel, t_grid: Sequence[float]) -> NDArray[np.float64]:
-    """Probe rows (T, 2, 2M) of the renormalized propagator over a time grid
-    at ``MP_DIGITS`` digits, rounded to float64: ``mp.eigsy`` of V (its
-    float64 entries taken as exact), then row S of cos(Wt), W^-1 sin(Wt)
-    and W sin(Wt) and the sqrt(omega) scaling, all in mpmath. Pure Python:
-    keep M small (about 8 modes) and T to some dozens of times."""
+def rows_mp(
+    model: QuadraticModel, t_grid: Sequence[float], modes: Sequence[int] = (0,)
+) -> NDArray[np.float64]:
+    """Rows of the renormalized propagator over a time grid at ``MP_DIGITS``
+    digits, rounded to float64: for K ``modes``, (T, 2K, 2M) holding the q
+    rows of those modes, then their p rows. ``(0,)`` gives the probe rows
+    (q_S, p_S), ``range(M)`` the whole propagator. ``mp.eigsy`` of V (its
+    float64 entries taken as exact), then rows of cos(Wt), W^-1 sin(Wt) and
+    W sin(Wt) and the sqrt(omega) scaling, all in mpmath. Pure Python: keep
+    M small (about 8 modes) and T times K to some dozens."""
     with mp.workdps(MP_DIGITS):
-        evals, modes = mp.eigsy(mp.matrix(model.V.tolist()))
-        m = model.n_modes
+        evals, vecs = mp.eigsy(mp.matrix(model.V.tolist()))
+        m, k = model.n_modes, len(modes)
         om = [mp.sqrt(e) for e in evals]
         rt = [mp.sqrt(mp.mpf(float(w))) for w in model.frequencies]
-        out = np.empty((len(t_grid), 2, 2 * m))
-        for k, t in enumerate(t_grid):
+        out = np.empty((len(t_grid), 2 * k, 2 * m))
+        for n_t, t in enumerate(t_grid):
             t = mp.mpf(float(t))
-            w = [
-                [modes[0, n] * f for n, f in enumerate(fs)]
-                for fs in (
-                    [mp.cos(x * t) for x in om],
-                    [mp.sin(x * t) / x for x in om],
-                    [mp.sin(x * t) * x for x in om],
-                )
-            ]
-            c, sin_over, sin_times = (
-                [mp.fsum(wn * modes[j, n] for n, wn in enumerate(row)) for j in range(m)]
-                for row in w
+            fs = (
+                [mp.cos(x * t) for x in om],
+                [mp.sin(x * t) / x for x in om],
+                [mp.sin(x * t) * x for x in om],
             )
-            for j in range(m):
-                out[k, 0, j] = float(c[j] * rt[0] / rt[j])
-                out[k, 0, m + j] = float(sin_over[j] * rt[0] * rt[j])
-                out[k, 1, j] = float(-sin_times[j] / (rt[0] * rt[j]))
-                out[k, 1, m + j] = float(c[j] * rt[j] / rt[0])
+            for r, i in enumerate(modes):
+                c, sin_over, sin_times = (
+                    [mp.fsum(vecs[i, n] * f * vecs[j, n] for n, f in enumerate(row)) for j in range(m)]
+                    for row in fs
+                )
+                for j in range(m):
+                    out[n_t, r, j] = float(c[j] * rt[i] / rt[j])
+                    out[n_t, r, m + j] = float(sin_over[j] * rt[i] * rt[j])
+                    out[n_t, k + r, j] = float(-sin_times[j] / (rt[i] * rt[j]))
+                    out[n_t, k + r, m + j] = float(c[j] * rt[j] / rt[i])
     return out
 
 
@@ -641,7 +643,7 @@ def qnm_fidelity_mp(
     model: QuadraticModel, rho1: SqueezedSpec, rho2: SqueezedSpec, t_grid: Sequence[float]
 ) -> NDArray[np.float64]:
     """F_raw of ``probes.qnm_trace`` at ``MP_DIGITS`` digits over the rows
-    of ``probe_rows_mp`` (their float64 entries taken as exact), for pure
+    of ``rows_mp`` (their float64 entries taken as exact), for pure
     and mixed preparations alike: each preparation's purified rows z (those
     of ``purified_excess_minors``, nu and L from the dB levels in mpmath)
     give S = 1/2 Re(conj(z) z^T) and det S - 1/4 as the Cauchy-Binet sum
@@ -649,7 +651,7 @@ def qnm_fidelity_mp(
     is for rows that keep the commutator; det S - 1/4 of the rows as
     rounded would carry their commutator defect. Pure Python: keep M and
     T small."""
-    rows = probe_rows_mp(model, t_grid)
+    rows = rows_mp(model, t_grid)
     m = rows.shape[-1] // 2
     out = np.empty(len(rows))
     with mp.workdps(MP_DIGITS):

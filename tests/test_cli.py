@@ -594,6 +594,38 @@ def test_qnm_without_states_takes_the_paper_states(tmp_path):
     assert written["default"] == written["paper"]
 
 
+def test_manifest_records_the_checked_config(tmp_path, monkeypatch):
+    # the config the verb ran on: every top-level key, null where a key
+    # without a default is unset, a number key as a float
+    monkeypatch.setenv("OSCNET_OUT", str(tmp_path / "out"))
+    cfg = json.loads(_net1(temperature=2))
+    del cfg["t_max"]
+    assert run(["validate", "--config", _write_config(tmp_path, cfg)]) == 0
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert sorted(recorded) == sorted(k for k in SCHEMA if "." not in k)
+    assert recorded["out_dir"] is None and recorded["t_max"] == "auto"
+    assert recorded["temperature"] == 2.0 and type(recorded["temperature"]) is float
+
+
+def test_each_run_fills_in_fresh_defaults(tmp_path, monkeypatch):
+    # a run that changes its filled-in config leaves the next run's defaults
+    # as they were
+    seen = []
+
+    def changing_runner(cfg, graph, out):
+        seen.append(json.dumps(cfg["states"], sort_keys=True))
+        cfg["states"]["rho1"]["squeeze_db"] = -9.0
+        return 0
+
+    monkeypatch.setitem(oscnet.cli.RUNNERS, "qnm", changing_runner)
+    cfg = json.loads(_net1())
+    del cfg["states"]
+    path = _write_config(tmp_path, cfg)
+    for _ in range(2):
+        assert run(["qnm", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert seen[0] == seen[1] and '"squeeze_db": -1.8' in seen[0]
+
+
 @pytest.mark.parametrize("window, code", [(1, 0), (2, EXIT_CONFIG)])
 def test_smooth_window_one_is_the_raw_trace(tmp_path, outdir, window, code):
     path = _write_config(tmp_path, json.loads(_net1(smooth_window=window)))

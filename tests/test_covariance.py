@@ -1,8 +1,8 @@
 """Outputs follow a relabelling of the environment nodes and a change of time
 unit. A symmetry needs no reference: these checks cover the direct, angle and
-Chebyshev rows, Bloch-Messiah, the J inversion, the fidelity trace and the
-t_max rule on any graph; the last tests run them through ``cli.main`` on
-the files it writes.
+Chebyshev rows, Bloch-Messiah, the J inversion, the sampled probe path, the
+fidelity trace and the t_max rule on any graph; the last tests run them
+through ``cli.main`` on the files it writes.
 
 Each bound is set from the largest error measured over the bundled nets 1, 4
 and 5 and random_stable_graph seeds 0-7999 (numpy 2.4.6), with the
@@ -26,6 +26,7 @@ from oscnet.cli import bundled_config_path, main
 from oscnet.probes import (
     PlateauError,
     ProbeSaturatedError,
+    SamplingOptions,
     qnm_trace,
     spectral_density_analytic,
     suggest_tmax,
@@ -59,6 +60,16 @@ S_SCALE = 4e-13  # of max|S|; measured 7.3e-14, 5.5x
 JA_SCALE = 2e-14  # J_analytic reach units; measured 4.9e-15, 4.1x
 JP_SCALE = 200.0  # inversion round-off units; measured 43.2, 4.6x
 F_SCALE = 3e-14  # measured 6.4e-15, 4.7x
+# the sampled probe path under SAMPLING on both sides: the vacuum probe gives
+# every draw noncentrality 0, so both sides draw the same stream, and J and
+# its stderr move only with the variances' round-off; both in J_probe's
+# inversion round-off units at the sampled J (54 of seeds 0-7999 saturate,
+# on both sides)
+SAMPLING = SamplingOptions(n_samples=2000, n_reps=20, seed=9)
+JS_RELABEL = 100.0  # measured 19.8, 5.0x
+SE_RELABEL = 4.0  # measured 0.79, 5.1x
+JS_SCALE = 200.0  # measured 43.2 (network 5 at lam 1.7), 4.6x
+SE_SCALE = 60.0  # measured 12.4, 4.8x
 
 # the bundled nets at their configs' t_max and sweep range
 BUNDLED = {1: (150.0, 0.2, 0.7), 4: (90.0, 0.1, 1.1), 5: (250.0, 0.1, 1.2)}
@@ -87,7 +98,8 @@ def rescaled(graph: on.CouplingGraph, lam: float) -> on.CouplingGraph:
 def outputs(graph: on.CouplingGraph, t: float, grid: np.ndarray, temperature: float = 1.0):
     """Everything the checks compare, at time t, probe frequencies ``grid``
     and 41 fidelity times over [0, 2t]. A probe that saturates (about 1 in
-    700 random cases) gives no J_probe, and its image must saturate too."""
+    700 random cases, 1 in 150 on the sampled path) gives no J_probe (no
+    sampled J and stderr), and its image must saturate too."""
     m = on.assemble_model(graph)
     S = on.evolve(m, t)
     try:
@@ -102,6 +114,7 @@ def outputs(graph: on.CouplingGraph, t: float, grid: np.ndarray, temperature: fl
         "S": S,
         "mask": on.probe_mask(S),
         "j_probe": j_probe,
+        "sampled": sampled(m, grid, t, temperature),
         "j_analytic": spectral_density_analytic(m, grid, t),
         "j_analytic_scale": j_analytic_scale(m, grid, t),
         "f": qnm_trace(m, *PAPER_STATES, np.linspace(0.0, 2 * t, 41)).f_raw,
@@ -141,10 +154,32 @@ def j_probe_error(j: np.ndarray | None, ref: np.ndarray | None, grid, t) -> floa
     return (np.abs(j - ref) / j_probe_roundoff(ref, grid, t)).max()
 
 
+def sampled(m: on.QuadraticModel, grid: np.ndarray, t: float, temperature: float):
+    """The sampled probe path's (J, stderr) under ``SAMPLING``, or None when
+    a repetition saturates the probe."""
+    try:
+        return sweep_spectral_density(m, grid, t, temperature=temperature, sampling=SAMPLING)
+    except ProbeSaturatedError:
+        return None
+
+
+def sampled_errors(a: dict, b: dict, grid, t, scale: float = 1.0) -> dict:
+    """Largest |b / scale - a| of the sampled J ("j_sampled") and stderr
+    ("stderr") of outputs a and b, in units of ``j_probe_roundoff`` at a's
+    sampled J; 0 when both saturated, inf when only one did."""
+    keys = ("j_sampled", "stderr")
+    a, b = a["sampled"], b["sampled"]
+    if a is None or b is None:
+        return dict.fromkeys(keys, 0.0 if a is b else np.inf)
+    unit = j_probe_roundoff(a[0], grid, t)
+    return {key: (np.abs(y / scale - x) / unit).max() for key, x, y in zip(keys, a, b)}
+
+
 def relabel_errors(graph, t, grid, perm) -> dict:
-    """Errors of the relabelled graph's outputs against the original's."""
+    """Errors of the relabelled graph's outputs against the original's, the
+    sampled path's included."""
     a, b = outputs(graph, t, grid), outputs(relabelled(graph, perm), t, grid)
-    return compare_relabelled(a, b, perm, grid, t)
+    return {**compare_relabelled(a, b, perm, grid, t), **sampled_errors(a, b, grid, t)}
 
 
 def compare_relabelled(a: dict, b: dict, perm, grid, t) -> dict:
@@ -178,6 +213,7 @@ def scale_errors(graph, t, grid, lam) -> dict:
             None if b["j_probe"] is None else b["j_probe"] / lam**2, a["j_probe"], grid, t
         ),
         "f": np.abs(b["f"] - a["f"]).max(),
+        **sampled_errors(a, b, grid, t, scale=lam**2),
     }
 
 
@@ -197,7 +233,10 @@ def bundled_case(networks, idx: int):
 
 
 def check_relabel(graph, t, grid, rng) -> None:
-    assert_relabel_bounds(relabel_errors(graph, t, grid, rng.permutation(graph.n_nodes)))
+    err = relabel_errors(graph, t, grid, rng.permutation(graph.n_nodes))
+    assert_relabel_bounds(err)
+    assert err["j_sampled"] <= JS_RELABEL
+    assert err["stderr"] <= SE_RELABEL
 
 
 def assert_relabel_bounds(err: dict) -> None:
@@ -215,6 +254,8 @@ def check_scale(graph, t, grid, lam) -> None:
     assert err["j_analytic"] <= JA_SCALE
     assert err["j_probe"] <= JP_SCALE
     assert err["f"] <= F_SCALE
+    assert err["j_sampled"] <= JS_SCALE
+    assert err["stderr"] <= SE_SCALE
 
 
 @pytest.mark.parametrize("idx", [1, 4, 5])

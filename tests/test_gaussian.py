@@ -146,6 +146,11 @@ class TestMeanPhoton:
         s = GaussianState(np.array([1.0, -2.0]), 0.5 * np.eye(2))
         assert np.isclose(mean_photon(s), (1 + 4) / 2)
 
+    def test_displacement_counts_squared(self):
+        # quadrature means off 0 and +-1, where a power other than 2 would show
+        s = GaussianState(np.array([0.5, -1.5]), np.diag([0.75, 0.5]))
+        assert mean_photon(s) == (0.75 + 0.5 + 0.25 + 2.25 - 1) / 2
+
     def test_nonnegative_and_zero_iff_vacuum(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

@@ -10,6 +10,7 @@ from oscnet.symplectic import (
     SymplecticError,
     bloch_messiah,
     is_symplectic,
+    probe_mask,
     symplectic_form,
     symplectic_residual,
 )
@@ -158,6 +159,40 @@ class TestBlochMessiah:
             r1 = bloch_messiah(S).r1
             n = len(r1) // 2
             assert np.array_equal(r1[:, n:], -symplectic_form(n) @ r1[:, :n])
+
+    def test_passive_s_is_its_own_r1(self):
+        # an uncoupled network with a decoupled probe only rotates each mode
+        # in the renormalized frame: S is orthogonal, R1 = S and R2 = I
+        graph = on.build_explicit(3, [0.3, 0.4, 0.5], []).with_probe(1, 0.0, 0.35)
+        S = on.evolve(on.assemble_model(graph), 7.0)
+        f = bloch_messiah(S)
+        assert np.array_equal(f.r1, S) and np.array_equal(f.d, np.ones(4))
+        assert np.array_equal(f.r2, np.eye(8))
+        assert np.array_equal(probe_mask(S), S[[0, 4]])
+
+    def test_each_r1_column_has_a_positive_leading_entry(self, networks):
+        # a decoupled probe on network 1 leaves 2 unit singular modes of 17,
+        # filled from the unit-space projector; squeezers with unit d as well.
+        # A projector column's residual leads with its own diagonal entry
+        # unless a skipped column (norm < 1e-8) left larger entries above it:
+        # a squeezed mode tilted by 1e-9 from q_1 into q_0 needs the sign flip
+        model = on.assemble_model(networks[1].with_probe(8, 0.0, 0.58))
+        cases = [on.evolve(model, t) for t in (3.0, 150.0)]
+        tilt = np.eye(3)  # a rotation by 1e-9 (cos = 1 in float64)
+        tilt[0, 1], tilt[1, 0] = -1e-9, 1e-9
+        rotate = np.kron(np.eye(2), tilt)  # orthogonal symplectic
+        cases.append(rotate @ np.diag(np.exp([0.5, 0.0, 0.0, -0.5, 0.0, 0.0])))
+        rng = np.random.default_rng(5)
+        for r in ([0.3, 0.0, 0.0], [0.7, 0.2, 0.0, 0.0]):
+            delta = np.diag(np.exp(np.concatenate([r, np.negative(r)])))
+            rotate = [random_orthogonal_symplectic(len(r), rng) for _ in range(2)]
+            cases.append(rotate[0] @ delta @ rotate[1])
+        for S in cases:
+            f = bloch_messiah(S)
+            n = len(f.d)
+            assert np.count_nonzero(f.d == 1.0) >= 2
+            for col in f.r1[:, :n].T:
+                assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0
 
     def test_deterministic_output(self):
         S = random_symplectic(4, np.random.default_rng(11))
