@@ -68,7 +68,8 @@ _AXIS = _Field("string or number", "q", lambda v: v in ("q", "p") or not isinsta
 # name, a block before its keys. Top-level defaults are filled shallowly: a
 # block that is given replaces its default whole, so the keys of a given block
 # are required (an omitted axis is SqueezedSpec's "q"). The network block lists
-# no keys here: netmodel checks it as a recipe or a document path.
+# no keys here: netmodel checks it as a recipe (a block with "kind") or a graph
+# document, inline or named by {"file": path}.
 SCHEMA: dict[str, _Field] = {
     "protocol": _Field("string", None),  # set from the verb
     "network": _Field("object"),
@@ -153,8 +154,12 @@ def _load_config(path: str | None) -> tuple[dict, Path | None]:
 
 
 def _build_graph(cfg: dict, config_dir: Path | None) -> CouplingGraph:
+    """The run's graph, from a recipe (a block with ``kind``) or a graph
+    document (inline, or ``{"file": path}``), with the probe block attached."""
     net = cfg["network"]
-    if "file" in net:
+    if "kind" in net:
+        graph = from_recipe(net)
+    elif "file" in net:
         if set(net) != {"file"} or not isinstance(net["file"], str):
             raise ConfigError("a network block with 'file' holds only that path string")
         path = Path(net["file"])
@@ -164,15 +169,16 @@ def _build_graph(cfg: dict, config_dir: Path | None) -> CouplingGraph:
             raise ConfigError(f"graph document not found: {path}")
         graph = load_graph(path.read_text())
     else:
-        graph = from_recipe(net)
+        graph = load_graph(net)
     probe = cfg.get("probe")
     if probe is not None:
-        omega_s = probe.get("omega_s")
-        if isinstance(omega_s, list):
-            omega_s = omega_s[0]
-        if omega_s is None:
-            sweep = probe.get("sweep")
-            omega_s = sweep["start"] if sweep else graph.omega[0]
+        if "omega_s" in probe:
+            omega_s = probe["omega_s"]
+            omega_s = omega_s[0] if isinstance(omega_s, list) else omega_s
+        elif "sweep" in probe:
+            omega_s = probe["sweep"]["start"]
+        else:
+            raise ConfigError("a probe block needs 'omega_s' or 'sweep' for its frequency")
         graph = graph.with_probe(probe["site"], probe["k"], omega_s)
     if graph.probe is None:
         raise ConfigError("no probe attached: add a 'probe' block")

@@ -42,14 +42,11 @@ class QuadraticModel:
     Attributes
     ----------
     V:
-        (N+1) x (N+1) symmetric potential matrix, mode order (S, 1..N).
+        (N+1) x (N+1) symmetric potential matrix, mode order (S, 1..N); the
+        probe's row holds its coupling, V_Sl = k at its node l, 0 elsewhere.
     frequencies:
         Bare mode frequencies (omega_S, omega_1..omega_N) used by the
         renormalized frame.
-    site:
-        0-based environment node the probe couples to.
-    coupling:
-        Probe coupling strength k.
     modes / freqs_normal:
         Orthogonal eigenvectors and eigenfrequencies of V, from one ``eigh``
         on first read of either (propagators and time-grid probe rows).
@@ -60,8 +57,6 @@ class QuadraticModel:
 
     V: NDArray[np.float64]
     frequencies: NDArray[np.float64]
-    site: int
-    coupling: float
 
     @property
     def n_modes(self) -> int:
@@ -96,8 +91,9 @@ class QuadraticModel:
         return self._env[1]
 
     def bath_couplings(self) -> NDArray[np.float64]:
-        """Normal-mode couplings c_n = k * O_{l,n} of the environment block."""
-        return self.coupling * self.env_modes[self.site, :]
+        """Normal-mode couplings c_n = k O_{l,n} of the environment block, as
+        V's probe row times O: every entry of that row but V_Sl = k is 0."""
+        return self.V[0, 1:] @ self.env_modes
 
     @cached_property
     def _kernel_weights(self) -> NDArray[np.float64]:
@@ -151,7 +147,7 @@ def assemble_model(graph: CouplingGraph) -> QuadraticModel:
     except np.linalg.LinAlgError:
         raise _unstable("potential matrix", np.linalg.eigvalsh(V)[0]) from None
     freqs = np.concatenate([[probe.omega_s], w])
-    return QuadraticModel(V=V, frequencies=freqs, site=probe.site, coupling=probe.k)
+    return QuadraticModel(V=V, frequencies=freqs)
 
 
 def evolve(model: QuadraticModel, t: float) -> NDArray[np.float64]:

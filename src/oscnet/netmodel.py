@@ -352,12 +352,12 @@ def _ws_rewire(n: int, K: int, p: float, rng: np.random.Generator) -> set[tuple[
             j = (i + d) % n
             adj[i].add(j)
             adj[j].add(i)
-    # rewire ring distance by ring distance, node by node (Watts & Strogatz order)
+    # rewire ring distance by ring distance, node by node (Watts & Strogatz order);
+    # edge (i, i + d) is still in place at its step: lattice edge (i + d, i + d + d')
+    # of another step is the same edge only for d + d' = n, and d + d' <= K < n
     for d in range(1, K // 2 + 1):
         for i in range(n):
             j = (i + d) % n
-            if j not in adj[i]:
-                continue  # this lattice edge was already rewired away
             if rng.random() >= p:
                 continue
             candidates = [m for m in range(n) if m != i and m not in adj[i]]
@@ -413,7 +413,8 @@ def build_explicit(
     """Graph from an explicit 1-based edge list [(i, j, g_ij), ...]; attach a
     probe with ``CouplingGraph.with_probe``. Each edge is a 3-item list or
     tuple of integer nodes i != j (Python or NumPy, not bool) and a numeric
-    g; the first bad entry raises GraphError, as in a document or recipe."""
+    g; the first bad entry raises GraphError, as in a graph document, the one
+    JSON form of an explicit graph (``load_graph``)."""
     omega_t, couplings = _explicit_parts(n, omega, edges)
     return CouplingGraph(n, omega_t, couplings)
 
@@ -421,8 +422,8 @@ def build_explicit(
 def _explicit_parts(n: int, omega: float | Sequence[float], edges: Sequence) -> tuple:
     """The node frequencies and couplings (0-based int keys, float weights) of
     an explicit graph; the one edge-entry check (integer 1-based i != j,
-    numeric g, the first bad entry reported) of ``build_explicit``, explicit
-    recipes and graph documents. ``CouplingGraph`` checks the weights."""
+    numeric g, the first bad entry reported) of ``build_explicit`` and graph
+    documents. ``CouplingGraph`` checks the weights."""
     if not _is_int(n):
         raise GraphError("graph needs at least one node")
     if np.isscalar(omega):
@@ -451,17 +452,6 @@ def _barabasi_albert(n, kappa, m0, g, omega0, seed) -> CouplingGraph:
     return build_barabasi_albert(n, kappa, kappa if m0 is None else m0, g, omega0, seed)
 
 
-def _one_omega(omega, omega0):
-    """The node frequencies of an explicit recipe or graph document."""
-    if (omega is None) == (omega0 is None):
-        raise GraphError("an explicit graph needs exactly one of 'omega' and 'omega0'")
-    return omega0 if omega is None else omega
-
-
-def _explicit(n, omega, omega0, edges) -> CouplingGraph:
-    return build_explicit(n, _one_omega(omega, omega0), edges)
-
-
 _N = _Field("integer", ..., *_at_least(1))
 _G = _Field("number", ..., *_POSITIVE)
 _OMEGA0 = _Field("number", ..., *_POSITIVE)
@@ -485,13 +475,6 @@ _RECIPES: dict[str, tuple[Callable[..., CouplingGraph], dict[str, _Field]]] = {
         {
             "n": _N, "kappa": _Field("integer"), "m0": _Field("integer", None), "g": _G,
             "omega0": _OMEGA0, "seed": _SEED,
-        },
-    ),
-    "explicit": (
-        _explicit,
-        {
-            "n": _N, "omega": _Field("number or numbers", None, *_POSITIVE),
-            "omega0": _Field("number", None, *_POSITIVE), "edges": _Field("edges"),
         },
     ),
 }
@@ -559,14 +542,14 @@ def load_graph(doc: Mapping[str, object] | str) -> CouplingGraph:
         except json.JSONDecodeError as exc:
             raise GraphError(f"graph document is not valid JSON: {exc}") from exc
     f = _fields(doc, _DOCUMENT_FIELDS, "graph document")
-    omega, couplings = _explicit_parts(f["nodes"], _one_omega(f["omega"], f["omega0"]), f["edges"])
-    probe, recipe = None, None
+    if (f["omega"] is None) == (f["omega0"] is None):
+        raise GraphError("graph document needs exactly one of 'omega' and 'omega0'")
+    omega, couplings = _explicit_parts(f["nodes"], f["omega"] or f["omega0"], f["edges"])
+    probe, recipe = None, f["recipe"]
     if f["probe"] is not None:
         p = _fields(f["probe"], _PROBE_FIELDS, "graph document probe")
         probe = ProbeSpec(p["site"] - 1, p["k"], p["omega_s"])
-    if f["recipe"] is not None:
-        _recipe(f["recipe"])  # provenance, kept as given once it checks
-        if f["recipe"]["kind"] != "explicit":
-            recipe = f["recipe"]  # the graph keeps a read-only copy
+    if recipe is not None:
+        _recipe(recipe)  # provenance, kept as given (a read-only copy) once it checks
     # one construction: the range checks of every edge run once
     return CouplingGraph(f["nodes"], omega, couplings, probe, recipe)

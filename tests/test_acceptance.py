@@ -27,6 +27,7 @@ from oscnet.probes import (
     suggest_tmax,
     sweep_spectral_density,
 )
+from oscnet.probes import _sample_second_moments
 from oscnet.symplectic import bloch_messiah, symplectic_residual
 
 from conftest import PAPER_STATES, paper_networks, random_stable_graph
@@ -197,6 +198,37 @@ def test_criterion_5_fidelity_oracles():
     assert worst_self < 1e-12
 
 
+def test_criterion_5_at_the_start_of_qnm_trace():
+    # qnm reads its preparations through the probe rows (_purified_moments),
+    # not through ``fidelity``: at t = 0 the rows are the identity and F is the
+    # preparations' own fidelity, checked against criterion 5's references
+    model = on.assemble_model(paper_networks()[1])
+    db = 20.0 / np.log(10.0)  # r in dB: a pure state is -db r along its axis, +db r across
+    worst = 0.0
+    for r1 in np.linspace(0.0, 1.2, 20):
+        for r2 in np.linspace(0.0, 1.2, 20):
+            for phi0 in np.linspace(0.0, np.pi, 9):
+                rho1 = SqueezedSpec(-db * r1, db * r1, 0.0)
+                rho2 = SqueezedSpec(-db * r2, db * r2, phi0 / 2)
+                f0 = qnm_trace(model, rho1, rho2, [0.0, 1.0]).f_raw[0]
+                worst = max(worst, abs(f0 - pure_fidelity_reference(r1, r2, phi0)))
+    worst_paper = 0.0
+    rho1, rho2 = PAPER_STATES
+    f_ref = fidelity(squeezed_state(rho1), squeezed_state(rho2))
+    for graph in paper_networks().values():
+        trace = qnm_trace(on.assemble_model(graph), rho1, rho2, np.linspace(0.0, 500.0, 251))
+        worst_paper = max(worst_paper, abs(trace.f_raw[0] - f_ref))
+    ok = worst < 1e-12 and worst_paper < 1e-12
+    report(
+        5,
+        ok,
+        f"qnm_trace at t = 0: 3600-point grid dev {worst:.2e}, paper states on nets 1-5 "
+        f"{worst_paper:.2e}",
+    )
+    assert worst < 1e-12
+    assert worst_paper < 1e-12
+
+
 def test_criterion_6_cross_path_consistency():
     # Asserted at the stated tolerances. Known to fail: a 16-mode bath at
     # t_max=150 is partially line-resolved, the two recovery routes apply
@@ -316,6 +348,28 @@ def test_criterion_9_sampling_emulator():
         f"empirical std {spread:.5f} vs sqrt(2/M) law {law:.5f} (dev {dev:.3f}); "
         f"seeded rerun identical: {reproducible}",
     )
+    assert dev < 0.20
+    assert reproducible
+
+
+def test_criterion_9_through_the_sweep_sampler():
+    # the verbs draw through _sample_second_moments (one generator, the exact
+    # law of the sample mean of x^2), not through homodyne_sample
+    M = 10_000
+    v = 0.5
+    estimates = _sample_second_moments(0.0, v, M, 20, 13)
+    spread = float(np.std(estimates, ddof=1))
+    law = v * np.sqrt(2.0 / M)
+    dev = abs(spread - law) / law
+    reproducible = np.array_equal(estimates, _sample_second_moments(0.0, v, M, 20, 13))
+    ok = dev < 0.20 and reproducible
+    report(
+        9,
+        ok,
+        f"_sample_second_moments: empirical std {spread:.5f} vs sqrt(2/M) law {law:.5f} "
+        f"(dev {dev:.3f}); seeded rerun identical: {reproducible}",
+    )
+    assert len(estimates) == 20
     assert dev < 0.20
     assert reproducible
 

@@ -775,6 +775,16 @@ NET1_SWEEP = {"start": 0.2, "stop": 0.7, "points": 120}
             "a network block with 'file' holds only that path string",
         ),
         (["validate"], _net1(network={"file": "absent.json"}), "graph document not found"),
+        (
+            ["validate"],
+            _net1(network={"kind": "explicit", "n": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]}),
+            "unknown recipe kind: 'explicit'; one of linear-periodic, watts-strogatz, "
+            "barabasi-albert",
+        ),
+        *(
+            ([verb], _net1(probe=NET1_PROBE), "a probe block needs 'omega_s' or 'sweep'")
+            for verb in ("validate", "spectral", "qnm", "masks", "evolve")
+        ),
         *(
             (
                 [verb],
@@ -790,7 +800,9 @@ NET1_SWEEP = {"start": 0.2, "stop": 0.7, "points": 120}
         ),
     ],
     ids=[
-        "not-json", "file-block-extra-key", "missing-document", "qnm-no-omega", "masks-no-omega",
+        "not-json", "file-block-extra-key", "missing-document", "explicit-recipe",
+        "validate-no-frequency", "spectral-no-frequency", "qnm-no-frequency",
+        "masks-no-frequency", "evolve-no-frequency", "qnm-no-omega", "masks-no-omega",
         "evolve-no-omega", "points-no-sweep",
     ],
 )
@@ -800,6 +812,31 @@ def test_config_errors_before_any_output(tmp_path, outdir, capsys, argv, config,
     assert run([*argv, "--config", str(p), "--out", str(outdir)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (outdir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "spectral", "qnm", "masks", "evolve"])
+def test_an_inline_graph_document_runs_as_its_file(tmp_path, verb):
+    # network4.cfg names network4.json; that document given inline as the
+    # network block writes the same bytes in every file but the manifest,
+    # whose graph is the same
+    cfg = json.loads(bundled_config_path("network4.cfg").read_text())
+    cfg["network"] = json.loads(bundled_config_path("network4.json").read_text())
+    written, graphs = {}, {}
+    for name, config in (("file", "network4.cfg"), ("inline", _write_config(tmp_path, cfg))):
+        out = tmp_path / name
+        assert run([verb, "--config", config, "--out", str(out)]) == 0
+        written[name] = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+        graphs[name] = json.loads((out / "manifest.json").read_text())["graph"]
+    assert written["file"] and written["inline"] == written["file"]
+    assert graphs["inline"] == graphs["file"]
+
+
+def test_an_inline_document_brings_its_own_probe(tmp_path, outdir):
+    probe = {"site": 1, "k": 0.01, "omega_s": 0.3}
+    doc = {"nodes": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]], "probe": probe}
+    assert run(["validate", "--config", _write_config(tmp_path, {"network": doc}),
+                "--out", str(outdir)]) == 0
+    assert json.loads((outdir / "manifest.json").read_text())["graph"]["probe"] == probe
 
 
 def test_graph_document_errors_are_config_errors(tmp_path, outdir, capsys):

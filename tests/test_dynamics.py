@@ -131,6 +131,14 @@ class TestAssemble:
         g_ok = on.build_explicit(1, 0.25, []).with_probe(1, 0.024, 0.1)
         assemble_model(g_ok)
 
+    def test_a_decomposition_without_a_positive_spectrum_raises(self):
+        # assemble_model's Cholesky check keeps such a V out, but eigh can still
+        # round the lowest eigenvalue of a V that passed it to 0: either way no
+        # frequency is the square root of a non-positive eigenvalue
+        m = on.QuadraticModel(V=np.diag([1.0, -1.0]), frequencies=np.ones(2))
+        with pytest.raises(StabilityError, match="environment block has eigenvalue -1 <= 0"):
+            m.env_freqs
+
     def test_decompositions_are_eigh_of_v_and_its_environment_block(self, net1):
         m = assemble_model(net1)
         evals, vecs = np.linalg.eigh(m.V)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oscnet as on
+from oscnet import netmodel
 from oscnet.cli import SCHEMA, bundled_config_path
 from oscnet.netmodel import _DOCUMENT_FIELDS, _PROBE_FIELDS, _RECIPES, GraphError, _Field, _fields
 
@@ -62,6 +63,33 @@ class TestWattsStrogatz:
         assert a.couplings == b.couplings
         c = on.build_watts_strogatz(50, 4, 0.1, 0.08, 0.25, seed=10)
         assert c.couplings != a.couplings
+
+    def test_a_disconnected_draw_is_redrawn_from_a_derived_seed(self, monkeypatch):
+        connected = []
+        rewire = netmodel._ws_rewire
+
+        def watched(n, K, p, rng):
+            edges = rewire(n, K, p, rng)
+            connected.append(netmodel._connected(n, edges))
+            return edges
+
+        monkeypatch.setattr(netmodel, "_ws_rewire", watched)
+        g = on.build_watts_strogatz(10, 2, 1.0, 0.1, 0.25, seed=16)
+        assert connected == [False, True]  # seed 16 draws a disconnected graph first
+        assert g.is_connected() and g.n_edges == 10
+        assert on.build_watts_strogatz(10, 2, 1.0, 0.1, 0.25, seed=16).couplings == g.couplings
+
+    def test_a_graph_that_stays_disconnected_is_refused(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(netmodel, "_ws_rewire", lambda n, K, p, rng: draws.append(n) or set())
+        with pytest.raises(GraphError, match="stayed disconnected after 100 attempts"):
+            on.build_watts_strogatz(10, 2, 0.5, 0.1, 0.25, seed=1)
+        assert len(draws) == netmodel.MAX_REWIRE_ATTEMPTS
+
+    def test_a_node_joined_to_every_other_keeps_its_edges(self):
+        # on three nodes each node neighbours both others: no rewiring target
+        g = on.build_watts_strogatz(3, 2, 1.0, 0.1, 0.25, seed=0)
+        assert set(g.couplings) == {(0, 1), (0, 2), (1, 2)}
 
     def test_parameter_validation(self):
         with pytest.raises(GraphError):
@@ -120,6 +148,12 @@ class TestDocuments:
         assert g2.omega == g.omega
         assert g2.couplings == g.couplings
         assert g2.probe == g.probe
+
+    def test_round_trip_per_node_frequencies(self):
+        g = on.build_explicit(3, [0.25, 0.3, 0.35], [(1, 2, 0.1), (2, 3, 0.05)])
+        doc = on.save_graph(g.with_probe(2, 0.01, 0.4))
+        assert doc["omega"] == [0.25, 0.3, 0.35] and "omega0" not in doc
+        assert on.load_graph(json.dumps(doc)) == g.with_probe(2, 0.01, 0.4)
 
     def test_asymmetric_document_rejected(self):
         doc = {"nodes": 3, "omega0": 0.25, "edges": [[1, 2, 0.1], [2, 1, 0.2]]}
@@ -226,8 +260,11 @@ LINEAR = {"kind": "linear-periodic", "n": 16, "pattern": [0.1, 0.05], "omega0": 
         ({**LINEAR, "omega0": "0.25"}, "'omega0' must be a number"),
         ({**LINEAR, "omega0": None}, "'omega0' must be a number"),
         ({**LINEAR, "pattern": [0.1, None]}, "'pattern' must be"),
-        ({"kind": "explicit", "n": 2, "edges": [[1, 2, 0.1]]}, "exactly one of"),
-        ({"kind": "explicit", "n": 2, "omega0": 0.25, "edges": [[1, 2.0, 0.1]]}, "'edges' must be"),
+        (
+            {"kind": "explicit", "n": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]},
+            "unknown recipe kind: 'explicit'; one of linear-periodic, watts-strogatz, "
+            "barabasi-albert$",
+        ),
         (
             {"kind": "watts-strogatz", "n": 20, "p": 0.1, "g": 0.08, "omega0": 0.25},
             "missing field 'seed'",
@@ -235,8 +272,7 @@ LINEAR = {"kind": "linear-periodic", "n": 16, "pattern": [0.1, 0.05], "omega0": 
     ],
     ids=[
         "unknown-kind", "unhashable-kind", "unknown-field", "missing-field", "float-integer",
-        "bool-integer", "string-number", "null", "pattern-entry", "explicit-no-omega",
-        "explicit-bad-edge", "ws-no-seed",
+        "bool-integer", "string-number", "null", "pattern-entry", "explicit-kind", "ws-no-seed",
     ],
 )
 def test_malformed_recipe_rejected(recipe, message):
@@ -272,23 +308,25 @@ def test_recipe_is_the_document_that_rebuilds_the_graph(make):
 
 
 EXPLICIT = {"nodes": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]}
-EXPLICIT_RECIPE = {"kind": "explicit", "n": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]}
 
 
 @pytest.mark.parametrize(
     "make",
-    [
-        lambda: on.build_explicit(2, 0.25, [(1, 2, 0.1)]),
-        lambda: on.from_recipe(EXPLICIT_RECIPE),
-        lambda: on.load_graph(EXPLICIT),
-        lambda: on.load_graph({**EXPLICIT, "recipe": EXPLICIT_RECIPE}),
-    ],
-    ids=["build-explicit", "explicit-recipe", "no-recipe-block", "explicit-recipe-block"],
+    [lambda: on.build_explicit(2, 0.25, [(1, 2, 0.1)]), lambda: on.load_graph(EXPLICIT)],
+    ids=["build-explicit", "no-recipe-block"],
 )
 def test_explicit_graph_has_no_recipe(make):
     graph = make()
     assert graph.recipe is None
     assert "recipe" not in on.save_graph(graph)
+
+
+def test_a_document_whose_recipe_block_says_explicit_is_rejected():
+    # a graph document is the one JSON form of an explicit graph; its recipe
+    # block names one of the generators
+    recipe = {"kind": "explicit", "n": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]}
+    with pytest.raises(GraphError, match="unknown recipe kind: 'explicit'"):
+        on.load_graph({**EXPLICIT, "recipe": recipe})
 
 
 def test_recipe_is_not_shared_with_documents():
@@ -357,10 +395,13 @@ def test_graph_keeps_its_own_copies_and_writes_plain_json():
         ({"nodes": 2, "omega0": 0.25, "edges": [[1, 3, 0.1]]}, "missing node"),
         ({"nodes": 2, "omega0": 0.25, "probe": {"site": 1, "k": 0.01}}, "missing field 'omega_s'"),
         ({"nodes": 2, "omega0": 0.25, "omega": [0.25, 0.3]}, "exactly one of"),
+        ({"nodes": 2, "edges": [[1, 2, 0.1]]}, "exactly one of"),
+        ({"nodes": 3, "omega": [0.25, 0.3]}, r"omega list length != n_nodes"),
+        ("[1, 2]", r"graph document must be a JSON object, got \[1, 2\]"),
     ],
     ids=[
         "bad-json", "unknown-field", "no-nodes", "string-nodes", "short-edge", "edge-node",
-        "probe-field", "two-omegas",
+        "probe-field", "two-omegas", "no-omega", "short-omega", "not-an-object",
     ],
 )
 def test_malformed_document_rejected(doc, message):
@@ -420,7 +461,6 @@ def test_document_errors_come_in_order(doc, message):
 def test_documents_recipes_and_build_explicit_share_one_edge_check(edges, message):
     makers = [
         lambda: on.load_graph({"nodes": 3, "omega0": 0.25, "edges": edges}),
-        lambda: on.from_recipe({"kind": "explicit", "n": 3, "omega0": 0.25, "edges": edges}),
         lambda: on.build_explicit(3, 0.25, edges),
     ]
     texts = set()
@@ -491,7 +531,6 @@ def test_graph_refuses_a_zero_node_frequency():
 def test_a_bad_weight_is_reported_under_its_own_nodes(edges, message):
     makers = [
         lambda: on.load_graph({"nodes": 3, "omega0": 0.25, "edges": edges}),
-        lambda: on.from_recipe({"kind": "explicit", "n": 3, "omega0": 0.25, "edges": edges}),
         lambda: on.build_explicit(3, 0.25, [tuple(e) for e in edges]),
     ]
     for make in makers:

@@ -70,11 +70,12 @@ class TestDampingKernel:
         assert np.allclose(damping_kernel(m, ts), (k**2 / w0**2) * np.cos(w0 * ts), rtol=1e-12)
 
     def test_gamma_zero_spectral_identity(self, networks):
-        # gamma(0) = k^2 (V_E^-1)_ll
+        # gamma(0) = k^2 (V_E^-1)_ll = v^T V_E^-1 v, v the environment part of
+        # V's probe row (k at the probe's node l, 0 elsewhere)
         for graph in networks.values():
             m = on.assemble_model(graph)
-            VE = m.V[1:, 1:]
-            expected = m.coupling**2 * np.linalg.inv(VE)[m.site, m.site]
+            v = m.V[0, 1:]
+            expected = v @ np.linalg.solve(m.V[1:, 1:], v)
             assert np.isclose(damping_kernel(m, 0.0), expected, rtol=1e-10)
 
     def test_kernel_decays_then_flattens(self, net1_model):
@@ -378,6 +379,16 @@ class TestProbeJ:
         with pytest.raises(ProbeSaturatedError):
             probe_j(m, t_full, temperature=1.0)
 
+    def test_a_probe_above_the_bath_occupancy_gives_a_positive_J(self, net1):
+        # squeezed r = 1.2 holds n0 = sinh^2 r = 2.28 photons, above N = 1.22 and
+        # 0.99 at omega_S 0.6 and 0.7, T = 1: the occupancy falls from n0 toward
+        # N without crossing it, which is no saturation
+        r = 1.2
+        probe = GaussianState(np.zeros(2), 0.5 * np.diag([np.exp(-2 * r), np.exp(2 * r)]))
+        assert mean_photon(probe) > thermal_occupancy(0.6, 1.0) > thermal_occupancy(0.7, 1.0)
+        j, _ = sweep_spectral_density(model_at(net1, 0.6), [0.6, 0.7], 150.0, probe_state=probe)
+        assert np.all(np.isfinite(j)) and np.all(j > 0)
+
     def test_bad_temperature_rejected(self, net1_model):
         with pytest.raises(ValueError):
             probe_j(net1_model, 150.0, temperature=0.0)
@@ -438,6 +449,10 @@ class TestEnvironmentPreparation:
         assert sq.is_physical()
         assert np.isclose(sq.purity(), 1.0, atol=1e-10)
 
+    def test_unknown_preparation_rejected(self, net1_model):
+        with pytest.raises(ValueError, match="unknown environment preparation 'coherent'"):
+            sweep_spectral_density(net1_model, [0.3], 150.0, env_prep="coherent")
+
     def test_squeezed_emulation_tracks_thermal_J(self, net1_model):
         grid = np.linspace(0.22, 0.68, 24)
         jt, _ = sweep_spectral_density(net1_model, grid, 150.0, env_prep="thermal")
@@ -456,6 +471,25 @@ class TestSampling:
         )
         assert err is not None and err > 0
         assert abs(j_sampled - j_exact) < 5 * err
+
+    @pytest.mark.parametrize(
+        "n_samples, n_reps, message",
+        [(1, 5, "at least 2 samples"), (2, 0, "at least one repetition")],
+        ids=["one-sample", "no-repetition"],
+    )
+    def test_options_need_two_samples_and_a_repetition(self, n_samples, n_reps, message):
+        with pytest.raises(ValueError, match=message):
+            SamplingOptions(n_samples=n_samples, n_reps=n_reps, seed=0)
+
+    def test_a_variance_that_rounds_to_zero_has_no_law(self):
+        # at t = 0 the q variance of a 170 dB squeezed probe, 1/2 + (1e-17 - 1/2)
+        # with the vacuum term, rounds to 0: no chi-square law to draw from
+        m = single_node_probe()
+        probe = GaussianState(np.zeros(2), np.diag([1e-17, 0.25e17]))
+        opts = SamplingOptions(n_samples=10, n_reps=2, seed=0)
+        with pytest.raises(StateError, match="variance is not positive"):
+            sweep_spectral_density(m, [0.25], 0.0, probe_state=probe, env_prep="vacuum",
+                                   sampling=opts)
 
     def test_sampled_determinism(self, net1):
         m = model_at(net1, 0.3)
@@ -713,6 +747,10 @@ class TestBatchedEquivalence:
         with pytest.raises(ProbeSaturatedError, match="omega_s=0.25"):
             sweep_spectral_density(on.assemble_model(g), [0.24, 0.25, 0.26], t_full)
 
+    def test_model_at_needs_a_probe(self):
+        with pytest.raises(ValueError, match="graph has no probe attached"):
+            model_at(on.build_explicit(1, 0.25, []), 0.3)
+
     def test_empty_grid_rejected(self, net1_model):
         with pytest.raises(ValueError, match="empty"):
             sweep_spectral_density(net1_model, [], 150.0)
@@ -805,6 +843,10 @@ class TestWitness:
         f = np.array([0.9, bad, 0.8])
         with pytest.raises(ValueError, match="lie in"):
             FidelityTrace(np.arange(3.0), f)
+
+    def test_a_one_point_trace_rejected(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            blp_witness(np.zeros(1), np.ones(1))
 
     @pytest.mark.parametrize("n_times", [3, 5])
     def test_times_of_another_length_rejected(self, n_times):

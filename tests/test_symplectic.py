@@ -58,6 +58,14 @@ class TestBlochMessiah:
         with pytest.raises(SymplecticError):
             bloch_messiah(np.diag([2.0, 2.0]))
 
+    def test_a_squeezing_without_its_reciprocal_rejected(self):
+        # a q gain just past 1 + PAIR_TOL and a p loss short of it: the product
+        # 1 + 5e-11 passes is_symplectic, but no 1/d pairs with d
+        S = np.diag([1.0 + 1.01e-10, 1.0 - 5e-11])
+        assert is_symplectic(S)[0]
+        with pytest.raises(SymplecticError, match="do not pair reciprocally"):
+            bloch_messiah(S)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_construct_then_decompose(self, m):
         rng = np.random.default_rng(100 + m)
