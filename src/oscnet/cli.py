@@ -1,6 +1,7 @@
 """Batch front-end: config-driven protocol runners with reproducible outputs.
 
-One JSON config per run; command-line flags override config fields and the
+One JSON config per run; command-line flags override config fields, each
+read by the type of its SCHEMA key and checked with the config, and the
 overrides are recorded in the emitted manifest, one JSON line with sorted
 keys. Each verb takes only the flags it reads: every verb ``--config``,
 ``--omega-s`` and ``--out``; ``spectral``, ``evolve`` and ``masks`` also
@@ -467,19 +468,23 @@ def _parser() -> argparse.ArgumentParser:
         if verb in ("spectral", "evolve", "masks"):
             sp.add_argument("--t-max", help="interaction time, or 'auto'")
         if verb == "spectral":
-            sp.add_argument("--points", type=int, help="sweep grid points")
-            sp.add_argument("--method", choices=["analytic", "probe", "both"])
-            sp.add_argument("--samples", type=int, help="homodyne samples per quadrature")
-            sp.add_argument("--reps", type=int, help="sampling repetitions")
-            sp.add_argument("--seed", type=int, help="master seed")
+            sp.add_argument("--points", help="sweep grid points")
+            sp.add_argument("--method", help="analytic, probe or both")
+            sp.add_argument("--samples", help="homodyne samples per quadrature")
+            sp.add_argument("--reps", help="sampling repetitions")
+            sp.add_argument("--seed", help="master seed")
         sp.add_argument("--out", dest="out_dir", help="output directory")
     return parser
 
 
-def _flag_number(text: str) -> float | str:
-    """A numeric flag as a float, or as its text for the schema to reject."""
+def _flag_value(text: str, key: str) -> object:
+    """A flag's text read by the type of its SCHEMA key: an int for an
+    integer key, a float for a number, else the text, which the schema
+    rejects when the key takes no string."""
+    types = SCHEMA[key].types.split(" or ")
+    read = int if "integer" in types else float if "number" in types else str
     try:
-        return float(text)
+        return read(text)
     except ValueError:
         return text
 
@@ -489,22 +494,20 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if v is not None}
     overrides: dict = {}
     if "omega_s" in flags:
-        vals = [_flag_number(v) for v in flags["omega_s"].split(",")]
+        vals = [_flag_value(v, "probe.omega_s") for v in flags["omega_s"].split(",")]
         probe = dict(cfg["probe"]) if isinstance(cfg.get("probe"), dict) else {}
         probe.pop("sweep", None)
         probe["omega_s"] = overrides["omega_s"] = vals if len(vals) > 1 else vals[0]
         cfg["probe"] = probe
-    if "t_max" in flags:
-        cfg["t_max"] = overrides["t_max"] = _flag_number(flags["t_max"])
     if "points" in flags:
         probe = cfg.get("probe")
         if not isinstance(probe, dict) or not isinstance(probe.get("sweep"), dict):
             raise ConfigError("--points needs a sweep block in the config")
-        cfg["probe"] = {**probe, "sweep": {**probe["sweep"], "points": flags["points"]}}
-        overrides["points"] = flags["points"]
-    for name in ("method", "samples", "reps", "seed", "out_dir"):
+        points = overrides["points"] = _flag_value(flags["points"], "probe.sweep.points")
+        cfg["probe"] = {**probe, "sweep": {**probe["sweep"], "points": points}}
+    for name in ("t_max", "method", "samples", "reps", "seed", "out_dir"):
         if name in flags:
-            cfg[name] = overrides[name] = flags[name]
+            cfg[name] = overrides[name] = _flag_value(flags[name], name)
     return overrides
 
 

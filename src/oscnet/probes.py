@@ -456,29 +456,21 @@ def blp_witness(t: NDArray[np.float64], f: NDArray[np.float64]) -> WitnessReport
     """Total decrease of the fidelity series f over the times t, as given
     (discrete BLP back-flow measure); a smoothed f is the caller's.
 
-    N = sum_i max(0, f(t_i) - f(t_i+1)); contributing intervals are maximal
-    runs of consecutive decreases. t and f must have one shape. The
-    maximization over state pairs is the caller's: fix the pair to
-    orthogonally squeezed states for the standard witness.
+    The decreasing runs are the maximal runs of consecutive steps with
+    f(t_i+1) < f(t_i). A run from t_s to t_e drops by f(t_s) - f(t_e), and
+    N is the sum of the drops, so N = sum_i max(0, f(t_i) - f(t_i+1)) up to
+    round-off. t and f must have one shape. The maximization over state
+    pairs is the caller's: fix the pair to orthogonally squeezed states for
+    the standard witness.
     """
     if np.shape(t) != np.shape(f):
         raise ValueError(f"times {np.shape(t)} and fidelities {np.shape(f)} differ in shape")
     if len(f) < 2:
         raise ValueError("trace must have at least two points")
-    diffs = np.diff(f)
-    total = float((-diffs[diffs < 0]).sum())  # +0.0 on a monotone trace
-    intervals = []
-    start = None
-    acc = 0.0
-    for i, d in enumerate(diffs):
-        if d < 0:
-            if start is None:
-                start = t[i]
-                acc = 0.0
-            acc += -d
-        elif start is not None:
-            intervals.append((float(start), float(t[i]), float(acc)))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(t[-1]), float(acc)))
-    return WitnessReport(value=total, intervals=tuple(intervals))
+    t, f = np.asarray(t, float), np.asarray(f, float)
+    # +1 where a run starts and -1 where it ends, by point index
+    edges = np.diff(np.concatenate(([0], np.diff(f) < 0, [0])))
+    s, e = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)
+    drops = f[s] - f[e]
+    intervals = tuple(zip(t[s].tolist(), t[e].tolist(), drops.tolist()))
+    return WitnessReport(value=float(drops.sum()), intervals=intervals)

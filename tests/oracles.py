@@ -6,7 +6,8 @@ batched ``eigh`` probe rows for the Chebyshev omega_S branch of
 ``dynamics.probe_rows``, the direct-cosine damping kernel for
 ``probes._damping_kernel_grid``, the pure-state fidelity closed form and the
 LAPACK route for ``gaussian.fidelity``, the per-outcome homodyne sampler for
-the chi-square draws of the sampled probe path, the multi-mode state calculus
+the chi-square draws of the sampled probe path, the second-order (Fejer
+window) probe-path J of the vacuum probe for its absolute scale, the multi-mode state calculus
 (``JointState`` with its Williamson check and purity, product states,
 symplectic propagation and the single-mode marginal), the thermal state and
 the full-covariance environment states for the probe path's moments, the
@@ -531,6 +532,33 @@ def damping_kernel(model: QuadraticModel, t: float | NDArray) -> float | NDArray
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     out = (amp[None, :] * np.cos(np.outer(tarr, om))).sum(axis=1)
     return float(out[0]) if np.isscalar(t) else out
+
+
+def fejer_spectral_density(
+    model: QuadraticModel, omega_s: float | NDArray, t_max: float, temperature: float
+) -> NDArray[np.float64]:
+    """Probe-path J of the vacuum probe to second order in its coupling k,
+    on a grid.
+
+    For a vacuum probe and a thermal environment, second-order perturbation
+    theory in q_S sum_n c_n Q_n gives n_S(T) = sum_n g_n^2 [N_n W(w - Omega_n)
+    + (N_n + 1) W(w + Omega_n)] with g_n^2 = c_n^2 / (4 w Omega_n),
+    N_n = N(Omega_n) and W(d) = |int_0^T e^(i d t) dt|^2 = 4 sin^2(dT/2) / d^2.
+    The inversion (w/T) ln(N / (N - n_S)) is (w/T) n_S / N to the same order,
+    N = N(w). Its co-rotating part is w sum_n (c_n^2 / Omega_n^2)
+    (Omega_n / w) (N_n / N) sin^2(dT/2) / (T d^2): the Fejer window, of
+    height T/4 at a line where ``spectral_density_analytic``'s Dirichlet
+    window sin(dT) / (2d) has T/2, both of integral pi/2.
+    """
+    w = np.atleast_1d(np.asarray(omega_s, dtype=float))[:, None]
+    c, om = model.bath_couplings(), model.env_freqs
+    n_env = thermal_occupancy(om, temperature)
+
+    def window(d):
+        return (t_max * np.sinc(d * t_max / (2.0 * np.pi))) ** 2
+
+    n_s = (c**2 / (4.0 * w * om)) * (n_env * window(w - om) + (n_env + 1.0) * window(w + om))
+    return w[:, 0] / t_max * n_s.sum(axis=1) / thermal_occupancy(w[:, 0], temperature)
 
 
 def _environment_state(

@@ -487,6 +487,9 @@ class TestEvolve:
         (["qnm", "--omega-s", "nan"], "probe.omega_s must be finite"),
         (["spectral", "--omega-s", "0.5,nan"], "probe.omega_s must be finite"),
         (["spectral", "--method", "analytic", "--samples", "100"], 'samples > 0 needs method "'),
+        (["spectral", "--points", "abc"], "'probe.sweep.points' must be an integer, got \"abc\""),
+        (["spectral", "--method", "xyz"], 'method must be "analytic" or "probe" or "both"'),
+        (["spectral", "--seed", "1.5"], "'seed' must be an integer, got \"1.5\""),
     ],
     ids=[
         "spectral-decreasing-omegas", "spectral-repeated-omega", "qnm-shared-tag",
@@ -494,6 +497,7 @@ class TestEvolve:
         "evolve-tmax-negative", "spectral-tmax-zero", "spectral-tmax-abc", "evolve-tmax-abc",
         "spectral-tmax-nan", "evolve-tmax-nan", "masks-tmax-inf", "qnm-omega-not-a-number",
         "qnm-omega-nan", "spectral-omega-nan", "spectral-analytic-samples",
+        "spectral-points-abc", "spectral-method-xyz", "spectral-seed-fraction",
     ],
 )
 def test_bad_command_line_is_config_error(outdir, capsys, argv, message):

@@ -481,6 +481,21 @@ class TestProbeRows:
         assert np.abs(probe_rows(m, ts[:, None])[:, 0] - ref).max() <= 2.5e-13
         assert np.abs(probe_rows(m, ts) - ref).max() <= 2.5e-13
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_probe_frequency_grid_rows_match_40_digit_rows(self, seed):
+        # the Chebyshev rows of a 4-point grid against each grid point's own
+        # model at 40 digits, t up to the bundled t_max 250: the largest error
+        # on seeds 0-299 is 0.90 eps (1 + Omega_max t) max|row| (4.9e-14)
+        rng = np.random.default_rng(seed)
+        graph = random_stable_graph(rng, max_nodes=7)
+        grid, t = np.sort(rng.uniform(0.3, 1.2, 4)), float(rng.uniform(0.0, 250.0))
+        rows = probe_rows(assemble_model(graph), t, omega_s=grid)
+        for w, got in zip(grid, rows):
+            m = on.model_at(graph, w)
+            ref = rows_mp(m, [t])[0]
+            unit = np.spacing(1.0) * (1.0 + m.freqs_normal.max() * t) * np.abs(ref).max()
+            assert np.abs(got - ref).max() <= 2.0 * unit
+
     def test_commutator_check_rejects_corrupted_rows(self, net1_model):
         rows = probe_rows(net1_model, np.array([0.0, 90.0]))
         _check_commutator(rows * (1 + 1e-11))  # inside the tolerance

@@ -37,6 +37,7 @@ from oscnet.cli import _fmt, _fmt_matrix, _fmt_rows, _witness_text
 from conftest import PAPER_STATES, random_stable_graph
 from oracles import (
     damping_kernel,
+    fejer_spectral_density,
     homodyne_sample,
     joint_vacuum,
     product_state,
@@ -370,6 +371,35 @@ class TestProbeJ:
 
         ratio = at_k(0.004) / at_k(0.002)
         assert abs(ratio - 4.0) < 0.15
+
+    def test_one_mode_meets_the_second_order_form_at_half_the_analytic_line(self):
+        # at T = 16 pi / w0 both counter-rotating terms vanish, so the second-order
+        # form is exactly half of J_analytic at the line; J_probe meets it with a
+        # residual that falls like k^2 (2.8e-2, 6.8e-3, 1.7e-3 and 4.2e-4)
+        w0 = 0.25
+        T = 16 * np.pi / w0
+        residual = []
+        for k in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
+            m = single_node_probe(k, w0)
+            j_fejer = fejer_spectral_density(m, w0, T, 1.0)[0]
+            assert j_fejer / spectral_density_analytic(m, w0, T) == pytest.approx(0.5, abs=1e-14)
+            residual.append(probe_j(m, T)[0] / j_fejer - 1)
+        falls = np.array(residual[:-1]) / residual[1:]
+        assert np.all((3.9 < falls) & (falls < 4.3)) and 0 < residual[-1] < 5e-4
+
+    def test_net1_meets_the_second_order_form(self, net1):
+        # J's absolute scale on a 16-mode bath at criterion 6's T and grid: the
+        # median residual against the Fejer-window form is 2.9e-2, 6.9e-3 and
+        # 1.7e-3 at k = 0.01, 0.005 and 0.0025, falling like k^2
+        grid = np.linspace(0.2, 0.7, 120)
+        median = []
+        for k in (0.01, 0.005, 0.0025):
+            m = on.assemble_model(net1.with_probe(net1.probe.site + 1, k, 0.58))
+            j_probe, _ = sweep_spectral_density(m, grid, 150.0, temperature=1.0)
+            j_fejer = fejer_spectral_density(m, grid, 150.0, 1.0)
+            median.append(np.median(np.abs(j_probe / j_fejer - 1)))
+        falls = np.array(median[:-1]) / median[1:]
+        assert np.all((3.8 < falls) & (falls < 4.4)) and median[-1] < 2e-3
 
     def test_saturation_raises(self):
         # resonant exchange with g_eff t = pi/2 transfers the full bath occupancy
