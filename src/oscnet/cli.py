@@ -186,8 +186,13 @@ def _build_graph(cfg: dict, config_dir: Path | None) -> CouplingGraph:
     return graph
 
 
-def _omega_list(cfg: dict) -> list[float]:
-    omega_s = (cfg.get("probe") or {}).get("omega_s")
+def _omega_list(cfg: dict, graph: CouplingGraph) -> list[float]:
+    """The probe frequencies of a run: the probe block's ``omega_s``, or
+    without a probe block the frequency of the graph document's probe."""
+    probe = cfg.get("probe")
+    if probe is None:
+        return [graph.probe.omega_s]
+    omega_s = probe.get("omega_s")
     if omega_s is None:
         raise ConfigError("this protocol needs 'probe.omega_s'")
     return omega_s if isinstance(omega_s, list) else [omega_s]
@@ -197,7 +202,7 @@ def _tagged_models(cfg: dict, graph: CouplingGraph) -> dict[str, QuadraticModel]
     """The model at each probe frequency by output file tag ``{w:g}``, in
     config order, for the verbs that write one file set per frequency; a
     shared tag would overwrite files."""
-    omegas = _omega_list(cfg)
+    omegas = _omega_list(cfg, graph)
     tags = {f"{w:g}": w for w in omegas}
     if len(tags) < len(omegas):
         raise ConfigError(
@@ -213,10 +218,10 @@ def _increasing(grid: np.ndarray, source: str) -> np.ndarray:
     return grid
 
 
-def _sweep_grid(cfg: dict) -> np.ndarray:
+def _sweep_grid(cfg: dict, graph: CouplingGraph) -> np.ndarray:
     sweep = (cfg.get("probe") or {}).get("sweep")
     if sweep is None:
-        return _increasing(np.asarray(_omega_list(cfg)), "probe.omega_s")
+        return _increasing(np.asarray(_omega_list(cfg, graph)), "probe.omega_s")
     grid = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
     return _increasing(grid, "probe.sweep")
 
@@ -339,7 +344,7 @@ def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> int:
 
 
 def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
-    grid = _sweep_grid(cfg)
+    grid = _sweep_grid(cfg, graph)
     method = cfg["method"]
     sampling = _sampling(cfg)
     # the probe's Schur margin omega_S^2 - gamma(0) grows with omega_S: the

@@ -30,13 +30,19 @@ def db_to_variance(db: float) -> float:
     return 0.5 * 10.0 ** (db / 10.0)
 
 
+def _finite_real(x: object) -> bool:
+    """Whether x is a finite real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and bool(np.isfinite(x))
+
+
 @dataclass(frozen=True)
 class SqueezedSpec:
     """Squeezed single-mode state given in dB.
 
     squeeze_db <= 0 is the variance reduction along ``axis``; antisqueeze_db
-    >= 0 the increase along the orthogonal axis. ``axis`` is 'q', 'p', or a
-    finite angle in radians (the q axis rotated counterclockwise).
+    >= 0 the increase along the orthogonal axis, both finite numbers. ``axis``
+    is 'q', 'p', or a finite angle in radians (the q axis rotated
+    counterclockwise); a bool is neither a level nor an angle.
     """
 
     squeeze_db: float
@@ -44,6 +50,9 @@ class SqueezedSpec:
     axis: str | float = "q"
 
     def __post_init__(self):
+        levels = (self.squeeze_db, self.antisqueeze_db)
+        if not all(_finite_real(v) for v in levels):
+            raise StateError(f"dB levels must be finite numbers, got {levels!r}")
         if self.squeeze_db > 0 or self.antisqueeze_db < 0:
             raise StateError("need squeeze_db <= 0 <= antisqueeze_db")
         if self.squeeze_db + self.antisqueeze_db < 0:
@@ -51,7 +60,7 @@ class SqueezedSpec:
         if isinstance(self.axis, str):
             named = self.axis in ("q", "p")
         else:
-            named = isinstance(self.axis, numbers.Real) and np.isfinite(self.axis)
+            named = _finite_real(self.axis)
         if not named:
             raise StateError(f"axis must be 'q', 'p' or a finite angle, got {self.axis!r}")
 
@@ -110,19 +119,12 @@ def squeezed_state(spec: SqueezedSpec) -> GaussianState:
     return GaussianState(np.zeros(2), cov).require_physical()
 
 
-def mean_photon_from_moments(
-    mean: NDArray[np.float64], var: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """n = (<q^2> + <p^2> + mean_q^2 + mean_p^2 - 1) / 2 over stacks of
-    single-mode (..., 2) means and (..., 2) variances [var_q, var_p]."""
-    return 0.5 * (var[..., 0] + var[..., 1] + mean[..., 0] ** 2 + mean[..., 1] ** 2 - 1.0)
-
-
 def mean_photon(state: GaussianState) -> float:
-    """Mean photon number of a single-mode state; StateError if it violates
-    the uncertainty relation."""
+    """Mean photon number (<q^2> + <p^2> - 1)/2 of a single-mode state;
+    StateError if it violates the uncertainty relation."""
     state.require_physical()
-    return float(mean_photon_from_moments(state.mean, np.diagonal(state.cov)))
+    (q, p), (var_q, var_p) = state.mean, np.diagonal(state.cov)
+    return float(0.5 * (var_q + var_p + q**2 + p**2 - 1.0))
 
 
 def fidelity_from_moments(

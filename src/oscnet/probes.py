@@ -20,6 +20,7 @@ writes every output file).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,8 +127,11 @@ def spectral_density_analytic(
     """Finite-time cosine transform of the damping kernel.
 
     J = omega_S sum_n (c_n^2/Omega_n^2) [sin((W_n-w)T)/(2(W_n-w))
-        + sin((W_n+w)T)/(2(W_n+w))], resonant terms -> T/2.
+        + sin((W_n+w)T)/(2(W_n+w))], resonant terms -> T/2, for a finite
+    T = t_max >= 0.
     """
+    if not 0 <= t_max < np.inf:
+        raise ValueError("t_max must be finite and >= 0")
     om, amp = model.env_freqs, model._kernel_weights
     w = np.atleast_1d(np.asarray(omega_s, dtype=float))
     dm = om[None, :] - w[:, None]
@@ -151,29 +155,13 @@ def thermal_occupancy(omega: float | NDArray, temperature: float) -> float | NDA
     return 1.0 / np.expm1(np.asarray(omega) / temperature)
 
 
-def _environment_variances(
-    model: QuadraticModel, temperature: float, env_prep: str
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Variances (var_q, var_p) of each environment normal mode.
-
-    'thermal' is the Gibbs state: occupancy N(Omega_n) in each mode.
-    'squeezed' emulates it with pure squeezed vacua, sinh^2 r_n = N(Omega_n)
-    and squeezing axes alternating across modes (mirroring alternate-quadrature
-    multimode squeezing sources): the occupancies match the thermal
-    preparation exactly, only the phase-space anisotropy differs.
-    """
-    nbar = np.asarray(thermal_occupancy(model.env_freqs, temperature))
-    if env_prep == "thermal":
-        return nbar + 0.5, nbar + 0.5
-    if env_prep == "squeezed":
-        r = np.arcsinh(np.sqrt(nbar))
-        sign = np.where(np.arange(len(nbar)) % 2 == 0, 1.0, -1.0)
-        return 0.5 * np.exp(-2.0 * r * sign), 0.5 * np.exp(+2.0 * r * sign)
-    raise ValueError(f"unknown environment preparation {env_prep!r}")
-
-
 # ---------------------------------------------------------------------------
 # spectral density, probe path
+
+
+def _integer(x: object) -> bool:
+    """Whether x is an integer, Python or NumPy; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -185,7 +173,9 @@ class SamplingOptions:
     its exact law, the (noncentral) chi-square distribution of the mean of
     n_samples squared Gaussian outcomes, so the cost does not grow with
     n_samples. A sweep draws all of them from one generator seeded with
-    ``seed``; ``sweep_spectral_density`` gives the layout.
+    ``seed``; ``sweep_spectral_density`` gives the layout. The counts are
+    integers and the seed an integer >= 0 or None, Python or NumPy, never a
+    bool.
     """
 
     n_samples: int
@@ -193,6 +183,13 @@ class SamplingOptions:
     seed: int | None
 
     def __post_init__(self):
+        if not (_integer(self.n_samples) and _integer(self.n_reps)):
+            raise ValueError(
+                f"sample and repetition counts must be integers, got {self.n_samples!r}, "
+                f"{self.n_reps!r}"
+            )
+        if not (self.seed is None or _integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0 or None, got {self.seed!r}")
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples per quadrature")
         if self.n_reps < 1:
@@ -246,34 +243,45 @@ def _probe_variances(
     diagonal of S_p (Sigma_probe + Sigma_env) S_p^T for the (..., 2, 2M)
     probe rows S_p and the initial probe covariance ``probe_cov``.
 
-    The environment term is two row dot products over the columns in which
-    the preparation is diagonal: every column with weight 1/2 for 'vacuum'
-    (1/2 I in the node-renormalized frame, the probe's columns included), the
-    environment normal modes scaled by sqrt(``_environment_variances``)
-    otherwise. The probe adds the diagonal of C E C^T in closed form,
-    C = [[a, b], [c, d]] the probe columns and E its covariance less what the
-    vacuum term counts.
+    ``env_prep`` only picks square-root factors F_q, F_p of the environment
+    covariance on the node q and p columns, and the environment term is the
+    two row dot products of (S_q F_q, S_p F_p): sqrt(1/2) I for 'vacuum'
+    (1/2 I in the node-renormalized frame), else the normal modes scaled by
+    their standard deviations, w O sqrt(var_q / Omega) and
+    O sqrt(Omega var_p) / w, w = sqrt(bare node frequency). 'thermal' is the
+    Gibbs state, occupancy N(Omega_n) per mode; 'squeezed' emulates it with
+    pure squeezed vacua, sinh^2 r_n = N(Omega_n), squeezing axes alternating
+    across modes (as alternate-quadrature multimode squeezing sources): the
+    occupancies match, only the phase-space anisotropy differs. The probe
+    adds the diagonal of C E C^T in closed form, C = [[a, b], [c, d]] the
+    probe columns and E = ``probe_cov``.
     """
     m = model.n_modes
+    env_q, env_p = rows[..., 1:m], rows[..., m + 1 :]
     if env_prep == "vacuum":
-        x, weight, counted = rows, 0.5, 0.5
+        x = np.sqrt(0.5) * np.concatenate([env_q, env_p], axis=-1)
     else:
-        # node q = m_q Q, node p = m_p Pi in the normal modes (Q, Pi)
-        var_q, var_p = _environment_variances(model, temperature, env_prep)
+        nbar = np.asarray(thermal_occupancy(model.env_freqs, temperature))
+        if env_prep == "thermal":
+            var_q = var_p = nbar + 0.5
+        elif env_prep == "squeezed":
+            r = np.arcsinh(np.sqrt(nbar))
+            sign = np.where(np.arange(len(nbar)) % 2 == 0, 1.0, -1.0)
+            var_q, var_p = 0.5 * np.exp(-2.0 * r * sign), 0.5 * np.exp(+2.0 * r * sign)
+        else:
+            raise ValueError(f"unknown environment preparation {env_prep!r}")
         O, om = model.env_modes, model.env_freqs
         w = np.sqrt(model.frequencies[1:])[:, None]
-        m_q = w * O * np.sqrt(var_q / om)
-        m_p = O * np.sqrt(om * var_p) / w
-        x = np.concatenate([rows[..., 1:m] @ m_q, rows[..., m + 1 :] @ m_p], axis=-1)
-        weight, counted = 1.0, 0.0
+        f_q, f_p = w * O * np.sqrt(var_q / om), O * np.sqrt(om * var_p) / w
+        x = np.concatenate([env_q @ f_q, env_p @ f_p], axis=-1)
     xq, xp = x[..., 0, :], x[..., 1, :]
     a, b, c, d = rows[..., 0, 0], rows[..., 0, m], rows[..., 1, 0], rows[..., 1, m]
-    (e_qq, e_qp), (_, e_pp) = probe_cov - counted * np.eye(2)
+    (e_qq, e_qp), (_, e_pp) = probe_cov
     var = np.empty((*rows.shape[:-2], 2))
-    var[..., 0] = weight * np.einsum("...i,...i", xq, xq) + (
+    var[..., 0] = np.einsum("...i,...i", xq, xq) + (
         (a * e_qq + b * e_qp) * a + (a * e_qp + b * e_pp) * b
     )
-    var[..., 1] = weight * np.einsum("...i,...i", xp, xp) + (
+    var[..., 1] = np.einsum("...i,...i", xp, xp) + (
         (c * e_qq + d * e_qp) * c + (c * e_qp + d * e_pp) * d
     )
     return var
@@ -305,23 +313,29 @@ def sweep_spectral_density(
     V(omega_S) (``probe_rows``), with no per-point diagonalization; a grid
     frequency whose potential is not positive definite raises StabilityError,
     and a ``probe_state`` that violates the uncertainty relation StateError.
+    t_max must be > 0, since J divides by it.
 
-    With sampling, each repetition's homodyne second moments of q_S and p_S
-    are drawn from their exact (noncentral) chi-square law given the probe
-    moments, J is inverted per repetition, and stderr is the standard error
-    over repetitions. One generator seeded with ``seed`` fills the stream
-    point by point, q reps then p reps. NumPy's draw count per value depends
-    only on the stream and on whether that value's noncentrality is exactly
-    zero, so point i's draws depend on the seed, the counts, i and which
-    quadrature means before them are exactly zero (all for the vacuum probe,
-    generically none for a displaced one), never on the other grid
-    frequencies: point 0 draws as a one-point sweep at its frequency.
+    One pipeline serves both paths: the second moments m2 of q_S and p_S per
+    point and repetition give n_S = (m2_q + m2_p - 1)/2 and J, averaged over
+    the repetitions. Without sampling m2 is exact, var + mean^2, in one
+    repetition. With sampling, each repetition's homodyne m2 is drawn from
+    its exact (noncentral) chi-square law given the probe moments, and
+    stderr is the standard error over repetitions. One generator seeded with
+    ``seed`` fills the stream point by point, q reps then p reps. NumPy's
+    draw count per value depends only on the stream and on whether that
+    value's noncentrality is exactly zero, so point i's draws depend on the
+    seed, the counts, i and which quadrature means before them are exactly
+    zero (all for the vacuum probe, generically none for a displaced one),
+    never on the other grid frequencies: point 0 draws as a one-point sweep
+    at its frequency.
     """
     omega = np.asarray(list(omega_grid), dtype=float)
     if len(omega) == 0:
         raise ValueError("frequency grid is empty")
     if np.any(np.diff(omega) <= 0):
         raise ValueError("frequency grid must be strictly increasing")
+    if not t_max > 0:
+        raise ValueError("t_max must be > 0: J divides by it")
     probe = g.vacuum_state() if probe_state is None else probe_state
     n0 = g.mean_photon(probe)
     n_bath = np.asarray(thermal_occupancy(omega, temperature))
@@ -330,18 +344,16 @@ def sweep_spectral_density(
     mean = rows[..., [0, model.n_modes]] @ probe.mean
     var = _probe_variances(model, rows, probe.cov, env_prep, temperature)
     if sampling is None:
-        n_s = g.mean_photon_from_moments(mean, var)
-        return _invert_excitation(omega, t_max, n_bath, n0, n_s), None
-
-    if not np.all(var > 0):
+        m2 = (var + mean**2)[..., None]
+    elif np.all(var > 0):
+        m2 = _sample_second_moments(mean, var, sampling.n_samples, sampling.n_reps, sampling.seed)
+    else:
         raise g.StateError("probe quadrature variance is not positive")
-    reps = sampling.n_reps
-    # sample second moments of q_S and p_S per point and rep; they include the means
-    m2 = _sample_second_moments(mean, var, sampling.n_samples, reps, sampling.seed)
     n_s = 0.5 * (m2.sum(axis=1) - 1.0)
     js = _invert_excitation(omega[:, None], t_max, n_bath[:, None], n0, n_s)
+    reps = js.shape[1]
     stderr = js.std(axis=1, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(omega))
-    return js.mean(axis=1), stderr
+    return js.mean(axis=1), None if sampling is None else stderr
 
 
 # ---------------------------------------------------------------------------

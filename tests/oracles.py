@@ -13,8 +13,9 @@ symplectic propagation and the single-mode marginal), the thermal state and
 the full-covariance environment states for the probe path's moments, the
 stacked fidelity trace for ``probes.qnm_trace`` (with a Cauchy-Binet
 det S - 1/4 over each preparation's purified rows), 40-digit mpmath probe
-rows over a time grid, fidelity of two preparations and the ``qnm_trace``
-fidelity over those rows, the SVD route and the vacuum discard
+rows over a time grid, fidelity of two preparations, the ``qnm_trace``
+fidelity over those rows and the probe-path J of every environment
+preparation, the SVD route and the vacuum discard
 for ``symplectic.bloch_messiah``, the unsymmetrized product form of
 ``dynamics.evolve``, the per-mode squeezers and the quadratic energy for the
 propagator, and random (orthogonal) symplectic matrices as decomposition
@@ -140,12 +141,20 @@ def rows_mp(
     float64 entries taken as exact), then rows of cos(Wt), W^-1 sin(Wt) and
     W sin(Wt) and the sqrt(omega) scaling, all in mpmath. Pure Python: keep
     M small (about 8 modes) and T times K to some dozens."""
+    return rows_mp_exact(model, t_grid, modes).astype(float)
+
+
+def rows_mp_exact(
+    model: QuadraticModel, t_grid: Sequence[float], modes: Sequence[int] = (0,)
+) -> NDArray[np.object_]:
+    """``rows_mp`` before its final rounding: an object array of mpf values
+    at ``MP_DIGITS`` digits, for references that carry the rows on."""
     with mp.workdps(MP_DIGITS):
         evals, vecs = mp.eigsy(mp.matrix(model.V.tolist()))
         m, k = model.n_modes, len(modes)
         om = [mp.sqrt(e) for e in evals]
         rt = [mp.sqrt(mp.mpf(float(w))) for w in model.frequencies]
-        out = np.empty((len(t_grid), 2 * k, 2 * m))
+        out = np.empty((len(t_grid), 2 * k, 2 * m), dtype=object)
         for n_t, t in enumerate(t_grid):
             t = mp.mpf(float(t))
             fs = (
@@ -159,10 +168,10 @@ def rows_mp(
                     for row in fs
                 )
                 for j in range(m):
-                    out[n_t, r, j] = float(c[j] * rt[i] / rt[j])
-                    out[n_t, r, m + j] = float(sin_over[j] * rt[i] * rt[j])
-                    out[n_t, k + r, j] = float(-sin_times[j] / (rt[i] * rt[j]))
-                    out[n_t, k + r, m + j] = float(c[j] * rt[j] / rt[i])
+                    out[n_t, r, j] = c[j] * rt[i] / rt[j]
+                    out[n_t, r, m + j] = sin_over[j] * rt[i] * rt[j]
+                    out[n_t, k + r, j] = -sin_times[j] / (rt[i] * rt[j])
+                    out[n_t, k + r, m + j] = c[j] * rt[j] / rt[i]
     return out
 
 
@@ -607,6 +616,91 @@ def squeezed_environment(model: QuadraticModel, temperature: float) -> JointStat
     return _environment_state(
         model, 0.5 * np.exp(-2.0 * r * sign), 0.5 * np.exp(+2.0 * r * sign)
     )
+
+
+def probe_j_mp(
+    models: Sequence[QuadraticModel],
+    t: float,
+    rows: NDArray[np.object_],
+    env_prep: str,
+    probe: GaussianState,
+    temperature: float = 1.0,
+) -> dict[str, NDArray[np.float64]]:
+    """J of ``probes.sweep_spectral_density`` with exact moments at
+    ``MP_DIGITS`` digits, one model per grid frequency (the model at that
+    omega_S), with what it is made of: a dict of float64 arrays "j", "var"
+    (the probe's [var_q, var_p] per point), "n_s", "n_bath" and "n0", each
+    rounded once at the end.
+
+    ``rows`` (G, 2, 2M) holds each model's probe rows at ``t`` from
+    ``rows_mp_exact``, unrounded, so that one set serves several
+    preparations. The environment normal modes come from ``mp.eigsy`` of
+    V's environment block, ascending (the order of the squeezing signs);
+    node q = sqrt(w) O Q / sqrt(Omega) and node p = O sqrt(Omega) Pi / sqrt(w),
+    each normal mode with variances N + 1/2 ('thermal') or
+    1/2 exp(-+2 r_n), sinh^2 r_n = N(Omega_n), signs alternating from + at
+    the lowest mode ('squeezed'); 'vacuum' is 1/2 I on the node columns. The
+    probe adds C E C^T to the variances and (C mu)^2 to the second moments,
+    n_S = (m2_q + m2_p - 1)/2, and J = (omega_S / t) ln((N - n_0) / (N - n_S)),
+    NaN where the log's argument is not positive. Every float64 input (V,
+    the bare frequencies, the probe's moments, t, T) is taken as exact. Pure
+    Python: keep M to about 8 modes and the grid to a few points."""
+    m = models[0].n_modes
+    out = {key: np.empty(len(models)) for key in ("j", "n_s", "n_bath", "n0")}
+    out["var"] = np.empty((len(models), 2))
+    with mp.workdps(MP_DIGITS):
+        temp, t = mp.mpf(float(temperature)), mp.mpf(float(t))
+        cov = [[mp.mpf(float(x)) for x in row] for row in probe.cov]
+        mu = [mp.mpf(float(x)) for x in probe.mean]
+        n0 = (cov[0][0] + cov[1][1] + mu[0] ** 2 + mu[1] ** 2 - 1) / 2
+        factors = _environment_factors_mp(models[0], env_prep, temp)
+        for g, model in enumerate(models):
+            m2 = []
+            for a, row in enumerate(rows[g]):
+                env = [row[1:m], row[m + 1 :]]
+                if factors is None:
+                    env = mp.fsum(x * x for cols in env for x in cols) / 2
+                else:
+                    env = mp.fsum(
+                        mp.fsum(x * f[i][n] for i, x in enumerate(cols)) ** 2
+                        for cols, f in zip(env, factors)
+                        for n in range(m - 1)
+                    )
+                c = (row[0], row[m])
+                var = env + mp.fsum(c[i] * cov[i][j] * c[j] for i in range(2) for j in range(2))
+                out["var"][g, a] = float(var)
+                m2.append(var + (c[0] * mu[0] + c[1] * mu[1]) ** 2)
+            n_s = (m2[0] + m2[1] - 1) / 2
+            w = mp.mpf(float(model.omega_s))
+            n_bath = 1 / mp.expm1(w / temp)
+            ratio = (n_bath - n0) / (n_bath - n_s)
+            j = w / t * mp.log(ratio) if ratio > 0 else mp.nan
+            for key, value in (("j", j), ("n_s", n_s), ("n_bath", n_bath), ("n0", n0)):
+                out[key][g] = float(value)
+    return out
+
+
+def _environment_factors_mp(model: QuadraticModel, env_prep: str, temperature):
+    """For ``probe_j_mp`` (at its precision): the node-to-normal-mode
+    factors (F_q, F_p) as nested lists, each normal-mode column scaled by
+    that mode's standard deviation, or None for 'vacuum'."""
+    if env_prep == "vacuum":
+        return None
+    m = model.n_modes
+    evals, vecs = mp.eigsy(mp.matrix(model.V[1:, 1:].tolist()))
+    order = sorted(range(m - 1), key=lambda n: evals[n])
+    om = [mp.sqrt(evals[n]) for n in order]
+    rt = [mp.sqrt(mp.mpf(float(w))) for w in model.frequencies[1:]]
+    nbar = [1 / mp.expm1(x / temperature) for x in om]
+    if env_prep == "thermal":
+        var_q = var_p = [x + mp.mpf(0.5) for x in nbar]
+    else:
+        r = [mp.asinh(mp.sqrt(x)) * (-1) ** n for n, x in enumerate(nbar)]
+        var_q, var_p = [mp.exp(-2 * x) / 2 for x in r], [mp.exp(2 * x) / 2 for x in r]
+    cols = range(m - 1)
+    f_q = [[rt[i] * vecs[i, order[n]] * mp.sqrt(var_q[n] / om[n]) for n in cols] for i in cols]
+    f_p = [[vecs[i, order[n]] * mp.sqrt(om[n] * var_p[n]) / rt[i] for n in cols] for i in cols]
+    return f_q, f_p
 
 
 def qnm_trace_stacked(

@@ -452,8 +452,9 @@ class TestEvolve:
         config = f"network{idx}.cfg"
         assert run(["evolve", "--config", config, "--out", str(outdir)]) == 0
         cfg, config_dir = _load_config(config)
-        (w,) = _omega_list(cfg)
-        model = model_at(_build_graph(cfg, config_dir), w)
+        graph = _build_graph(cfg, config_dir)
+        (w,) = _omega_list(cfg, graph)
+        model = model_at(graph, w)
         t_max = _resolve_tmax(cfg, model)
         S = oscnet.evolve(model, t_max)
         n = S.shape[0] // 2
@@ -833,6 +834,28 @@ def test_an_inline_graph_document_runs_as_its_file(tmp_path, verb):
         graphs[name] = json.loads((out / "manifest.json").read_text())["graph"]
     assert written["file"] and written["inline"] == written["file"]
     assert graphs["inline"] == graphs["file"]
+
+
+@pytest.mark.parametrize("verb", ["validate", "spectral", "qnm", "masks", "evolve"])
+def test_a_documents_own_probe_serves_every_verb(tmp_path, verb):
+    # network4.json carries probe site 1, k 0.02 and omega_s 0.75: given
+    # inline with no probe block, each verb writes the bytes of network4.cfg
+    # at omega_s 0.75 in every file but the manifest
+    doc = json.loads(bundled_config_path("network4.json").read_text())
+    assert doc["probe"] == {"site": 1, "k": 0.02, "omega_s": 0.75}
+    cfg = json.loads(bundled_config_path("network4.cfg").read_text())
+    del cfg["probe"]
+    cfg["network"] = doc
+    at_075 = ["--omega-s", "0.75"] if verb == "spectral" else []
+    written = {}
+    for name, argv in (
+        ("file", ["--config", "network4.cfg", *at_075]),
+        ("inline", ["--config", _write_config(tmp_path, cfg)]),
+    ):
+        out = tmp_path / name
+        assert run([verb, *argv, "--out", str(out)]) == 0
+        written[name] = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+    assert written["file"] and written["inline"] == written["file"]
 
 
 def test_an_inline_document_brings_its_own_probe(tmp_path, outdir):

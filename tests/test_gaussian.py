@@ -58,13 +58,33 @@ class TestPreparation:
         s = squeezed_state(SqueezedSpec(-1.3, 2.4, "p"))
         assert s.cov[1, 1] < 0.5 < s.cov[0, 0]
 
+    def test_axis_p_is_the_q_axis_turned_a_quarter(self):
+        spec = SqueezedSpec(-1.3, 2.4, "p")
+        assert spec.angle == np.pi / 2
+        cov = squeezed_state(spec).cov
+        assert abs(cov[0, 1]) < 1e-15
+        assert np.allclose(np.diag(cov), [0.5 * 10**0.24, 0.5 * 10**-0.13], rtol=1e-15, atol=0)
+
     def test_uncertainty_violating_spec_rejected(self):
         with pytest.raises(StateError):
             SqueezedSpec(-3.0, 2.0, "q")  # product below vacuum
         with pytest.raises(StateError):
             SqueezedSpec(1.0, 2.0, "q")  # positive squeeze level
 
-    @pytest.mark.parametrize("axis", ["x", "0.5", None, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "levels",
+        [(np.nan, 1.0), (-1.0, np.nan), (-1.0, np.inf), (-np.inf, 1.0), (True, 1.0), (-1.0, True)],
+        ids=["nan-squeeze", "nan-antisqueeze", "inf-antisqueeze", "inf-squeeze", "bool-squeeze",
+             "bool-antisqueeze"],
+    )
+    def test_a_level_that_is_not_a_finite_number_rejected(self, levels):
+        # a NaN or infinite level would fail only later, in the fidelity, and
+        # True would read as 1 dB
+        with pytest.raises(StateError, match="dB levels must be finite numbers"):
+            SqueezedSpec(*levels)
+
+    # a bool is no angle: True would read as 1 rad
+    @pytest.mark.parametrize("axis", ["x", "0.5", None, np.nan, np.inf, True, False, np.True_])
     def test_unknown_axis_rejected(self, axis):
         with pytest.raises(StateError, match="axis"):
             SqueezedSpec(-1.0, 1.0, axis)

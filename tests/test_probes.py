@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from oscnet.probes import (
     sweep_spectral_density,
     thermal_occupancy,
 )
-from oscnet.probes import _damping_kernel_grid, _sample_second_moments
+from oscnet.probes import _damping_kernel_grid, _probe_variances, _sample_second_moments
 
 from oscnet.cli import _fmt, _fmt_matrix, _fmt_rows, _witness_text
 
@@ -40,12 +41,14 @@ from oracles import (
     fejer_spectral_density,
     homodyne_sample,
     joint_vacuum,
+    probe_j_mp,
     product_state,
     propagate,
     pure_fidelity_reference,
     qnm_fidelity_mp,
     qnm_trace_stacked,
     reduce_state,
+    rows_mp_exact,
     squeezed_environment,
     squeezed_fidelity_mp,
     thermal_environment,
@@ -293,6 +296,15 @@ class TestAnalyticJ:
         grid = np.linspace(0.2, 0.7, 20)
         assert np.allclose(spectral_density_analytic(m, grid, 150.0), 0.0)
 
+    @pytest.mark.parametrize("t_max", [-150.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_a_time_that_is_not_finite_and_non_negative_rejected(self, net1_model, t_max):
+        # a negative time would give a negative J, and nan or inf a NaN
+        with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
+            spectral_density_analytic(net1_model, [0.3, 0.4], t_max)
+
+    def test_no_time_reads_no_spectral_density(self, net1_model):
+        assert np.array_equal(spectral_density_analytic(net1_model, [0.3, 0.4], 0.0), [0.0, 0.0])
+
     def test_single_node_resonant_growth(self):
         k, w0, T = 0.002, 0.25, 400.0
         m = single_node_probe(k, w0)
@@ -451,6 +463,72 @@ class TestProbeJ:
             assert abs(j_at(0.8 * r0) - j) / abs(j) < 0.10
 
 
+def j_probe_unit(models, t, ref):
+    """J_probe's round-off scale per grid point, (omega/t) eps
+    [(1 + Omega_max t) (2 n_S + 1) / |N - n_S| + (2 n_0 + 1) / |N - n_0|]:
+    each occupancy is a sum of terms of about 2 n + 1, n_S's carrying the
+    probe rows' eps (1 + Omega_max t) (``test_dynamics``'s row scale), and
+    the inversion divides each by its distance from the bath occupancy.
+    For a vacuum probe at T = 1 that is ``test_covariance.j_probe_roundoff``
+    times 1 + Omega_max t, plus eps / N."""
+    grid = np.array([m.omega_s for m in models])
+    om_max = np.sqrt(max(np.linalg.eigvalsh(m.V).max() for m in models))
+    n_s, n_bath, n0 = ref["n_s"], ref["n_bath"], ref["n0"]
+    return (grid / t) * np.spacing(1.0) * (
+        (1 + om_max * t) * (2 * n_s + 1) / np.abs(n_bath - n_s)
+        + (2 * n0 + 1) / np.abs(n_bath - n0)
+    )
+
+
+class TestProbeJDigits:
+    # random stable graphs of <= 8 modes, 4 grid points in 0.3-1.2, t < 150:
+    # over seeds 0-299 the largest errors were 1.07 units of j_probe_unit
+    # for J (the squeezed probe in a thermal bath; the vacuum probe in a
+    # vacuum bath 0.81) and, on the 40-digit rows, 1.98 eps relative for the
+    # vacuum variances of 3-30 dB probes, 6.5 eps thermal and 24.1 eps
+    # squeezed
+    SQUEEZED_PROBE = SqueezedSpec(-3.0, 3.0, 0.4)
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        graph = random_stable_graph(rng, max_nodes=7)
+        t = float(rng.uniform(0.0, 150.0))
+        models = [model_at(graph, w) for w in np.sort(rng.uniform(0.3, 1.2, 4))]
+        return models, t, np.concatenate([rows_mp_exact(m, [t]) for m in models])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_preparation_matches_40_digits(self, seed):
+        models, t, rows = self.case(seed)
+        grid = [m.omega_s for m in models]
+        squeezed = squeezed_state(self.SQUEEZED_PROBE)
+        for env_prep, probe in [
+            ("thermal", vacuum_state()),
+            ("squeezed", vacuum_state()),
+            ("vacuum", vacuum_state()),
+            ("vacuum", squeezed),
+            ("thermal", squeezed),
+        ]:
+            j, _ = sweep_spectral_density(models[0], grid, t, probe_state=probe, env_prep=env_prep)
+            ref = probe_j_mp(models, t, rows, env_prep, probe)
+            assert np.max(np.abs(j - ref["j"]) / j_probe_unit(models, t, ref)) <= 2.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_probe_variances_match_40_digits(self, seed):
+        # the 40-digit rows, rounded, into _probe_variances: what is left is
+        # the environment and probe terms' own round-off, every term
+        # non-negative (a q-squeezed probe has no off-diagonal covariance for
+        # C E C^T to cancel in), so a few eps relative
+        models, t, rows = self.case(seed)
+        for db, (env_prep, bound) in itertools.product(
+            (3.0, 30.0), [("vacuum", 4.0), ("thermal", 10.0), ("squeezed", 40.0)]
+        ):
+            probe = squeezed_state(SqueezedSpec(-db, db))
+            var = _probe_variances(models[0], rows.astype(float), probe.cov, env_prep, 1.0)
+            ref = probe_j_mp(models, t, rows, env_prep, probe)["var"]
+            assert np.max(np.abs(var - ref) / ref) <= bound * np.spacing(1.0)
+
+
 class TestEnvironmentPreparation:
     def test_thermal_node_marginals_are_physical(self, net1_model):
         env = thermal_environment(net1_model, 1.0)
@@ -511,15 +589,50 @@ class TestSampling:
         with pytest.raises(ValueError, match=message):
             SamplingOptions(n_samples=n_samples, n_reps=n_reps, seed=0)
 
-    def test_a_variance_that_rounds_to_zero_has_no_law(self):
-        # at t = 0 the q variance of a 170 dB squeezed probe, 1/2 + (1e-17 - 1/2)
-        # with the vacuum term, rounds to 0: no chi-square law to draw from
+    @pytest.mark.parametrize(
+        "n_samples, n_reps, seed, message",
+        [
+            (2.5, 3, 0, "counts must be integers"),
+            (10, 2.0, 0, "counts must be integers"),
+            (True, 3, 0, "counts must be integers"),
+            (10, 3, 1.5, "seed must be an integer >= 0 or None"),
+            (10, 3, True, "seed must be an integer >= 0 or None"),
+            (10, 3, -1, "seed must be an integer >= 0 or None"),
+        ],
+        ids=["fractional-samples", "float-reps", "bool-samples", "fractional-seed",
+             "bool-seed", "negative-seed"],
+    )
+    def test_options_take_integers(self, n_samples, n_reps, seed, message):
+        # numpy would draw a chi-square with 2.5 degrees of freedom, and run
+        # seed True as seed 1
+        with pytest.raises(ValueError, match=message):
+            SamplingOptions(n_samples=n_samples, n_reps=n_reps, seed=seed)
+
+    def test_options_take_numpy_integers(self, net1_model):
+        grid = [0.3, 0.4]
+        given = SamplingOptions(np.int64(200), np.int32(3), np.uint64(5))
+        j = sweep_spectral_density(net1_model, grid, 150.0, sampling=given)
+        ref = sweep_spectral_density(net1_model, grid, 150.0, sampling=SamplingOptions(200, 3, 5))
+        assert np.array_equal(j, ref)
+
+    def test_a_variance_that_rounds_to_zero_has_no_law(self, monkeypatch):
+        # a zero variance has no chi-square law to draw from; no physical
+        # input reaches one (a 170 dB squeezed probe keeps its 1e-17, below),
+        # so the variances are replaced by zeros
         m = single_node_probe()
-        probe = GaussianState(np.zeros(2), np.diag([1e-17, 0.25e17]))
+        monkeypatch.setattr(on.probes, "_probe_variances", lambda *args: np.zeros((1, 2)))
         opts = SamplingOptions(n_samples=10, n_reps=2, seed=0)
         with pytest.raises(StateError, match="variance is not positive"):
-            sweep_spectral_density(m, [0.25], 0.0, probe_state=probe, env_prep="vacuum",
-                                   sampling=opts)
+            sweep_spectral_density(m, [0.25], 1.0, env_prep="vacuum", sampling=opts)
+
+    def test_a_170_db_probe_keeps_its_variances_at_the_start(self):
+        # at t = 0 the rows are (1, 0, ..) and (.., 1, ..) and the vacuum
+        # environment's columns are zero: the variances are the probe's own,
+        # exactly, with nothing to cancel
+        m = single_node_probe()
+        cov = np.diag([1e-17, 0.25e17])
+        var = _probe_variances(m, on.probe_rows(m, 0.0, [0.25]), cov, "vacuum")
+        assert np.array_equal(var, [[1e-17, 0.25e17]])
 
     def test_sampled_determinism(self, net1):
         m = model_at(net1, 0.3)
@@ -574,6 +687,23 @@ class TestSweep:
             net1_model, grid, 150.0, sampling=SamplingOptions(n_samples=200, n_reps=3, seed=1)
         )
         assert isinstance(stderr, np.ndarray) and stderr.shape == (4,)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_a_time_that_is_not_positive_rejected(self, net1_model, t_max):
+        # J divides by t_max
+        with pytest.raises(ValueError, match="t_max must be > 0"):
+            sweep_spectral_density(net1_model, [0.3, 0.4], t_max)
+
+    def test_one_repetition_has_no_spread_and_two_have_one(self, net1_model):
+        grid = [0.25, 0.3]
+        stderr = {
+            reps: sweep_spectral_density(
+                net1_model, grid, 150.0, sampling=SamplingOptions(n_samples=200, n_reps=reps, seed=1)
+            )[1]
+            for reps in (1, 2)
+        }
+        assert np.array_equal(stderr[1], [0.0, 0.0])
+        assert np.all(stderr[2] > 0)
 
     def test_grid_must_increase(self, net1_model):
         with pytest.raises(ValueError, match="strictly increasing"):
