@@ -141,9 +141,9 @@ def _load_config(path: str | None) -> tuple[dict, Path | None]:
     if path is None:
         return {}, None
     p = Path(path)
-    if not p.is_file():
+    if not os.path.isfile(p):
         p = bundled_config_path(path)
-        if not p.is_file():
+        if not os.path.isfile(p):
             raise ConfigError(f"config file not found: {path}")
     try:
         user = json.loads(p.read_text())
@@ -251,9 +251,16 @@ def _out_dir(cfg: dict) -> Path:
 def _write(path: Path, text: str) -> None:
     """Write ``text`` to a new file at ``path``, replacing (not following) any
     file or symlink there: on ext4, truncating a non-empty file forces
-    writeback of its delayed blocks."""
+    writeback of its delayed blocks. The bytes go out through one
+    ``os.open`` and ``os.write``, without a buffered text file object."""
     path.unlink(missing_ok=True)
-    path.write_text(text)
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _write_manifest(out: Path, cfg: dict, overrides: dict, graph: CouplingGraph) -> None:
@@ -300,6 +307,18 @@ def _fmt_matrix(matrix: NDArray, sep: str) -> str:
     words = ("%.17g\n" * k % tuple(bits.view(np.float64).tolist())).split("\n")
     table = np.array(words, dtype=object)[index.reshape(matrix.shape)]
     return "".join([sep.join(row) + "\n" for row in table.tolist()])
+
+
+def _median(x: NDArray[np.float64]) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit: the middle
+    element of the sorted values, or 0.5 (a + b) of the middle two, and NaN
+    if x holds one. ``np.median`` imports ``numpy.ma``, which a fresh process
+    otherwise never loads."""
+    s = np.sort(x)
+    if np.isnan(s[-1]):  # NaNs sort last
+        return float(s[-1])
+    half = len(s) // 2
+    return float(s[half] if len(s) % 2 else 0.5 * (s[half - 1] + s[half]))
 
 
 def _witness_text(report: WitnessReport, omega_s: float) -> str:
@@ -384,7 +403,7 @@ def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
                 else "n/a (one point)"
             )
             summary = (
-                f"cross-path deviation (J > 0.1 max): median {_fmt(float(np.median(rel)))}, "
+                f"cross-path deviation (J > 0.1 max): median {_fmt(_median(rel))}, "
                 f"max {_fmt(float(rel.max()))}, corr {corr}\n"
             )
         else:
@@ -499,8 +518,13 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if v is not None}
     overrides: dict = {}
     if "omega_s" in flags:
+        if not isinstance(cfg.get("probe"), dict):
+            raise ConfigError(
+                "--omega-s needs a 'probe' block in the config; "
+                "it does not retune a graph document's own probe"
+            )
         vals = [_flag_value(v, "probe.omega_s") for v in flags["omega_s"].split(",")]
-        probe = dict(cfg["probe"]) if isinstance(cfg.get("probe"), dict) else {}
+        probe = dict(cfg["probe"])
         probe.pop("sweep", None)
         probe["omega_s"] = overrides["omega_s"] = vals if len(vals) > 1 else vals[0]
         cfg["probe"] = probe

@@ -11,6 +11,7 @@ documents and reports, 0-based internally.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -79,11 +80,17 @@ def _one_of(*choices: str) -> tuple:
 _POSITIVE = ((lambda v: v > 0), "> 0")
 
 
+@functools.cache
+def _type_names(types: str) -> tuple[str, ...]:
+    """The names in a ``_Field.types`` text, split once per distinct text."""
+    return tuple(types.split(" or "))
+
+
 def _value_error(name: str, value: object, field: _Field) -> str | None:
     """What is wrong with ``value`` as the value of ``field`` (its JSON type,
     a number that is not finite, or its range), or None. A list of numbers
     is checked entry by entry, and its first bad entry is reported."""
-    types = field.types.split(" or ")
+    types = _type_names(field.types)
     for kind in types:
         if _JSON_TYPES[kind][1](value):
             break

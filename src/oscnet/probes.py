@@ -107,7 +107,7 @@ def suggest_tmax(model: QuadraticModel) -> float:
         raise PlateauError("search horizon shorter than the envelope window")
     # window ending at idx[i] = w_n + i stride starts at i stride
     env = sliding_window_view(gam, w_n + 1)[::_TMAX_STRIDE].max(axis=1)
-    floor = float(np.quantile(env, _TMAX_QUANTILE))
+    floor = _linear_quantile(env, _TMAX_QUANTILE)
     if floor > 0.5 * gamma0:
         raise PlateauError(
             "damping kernel shows no plateau within the horizon; set t_max manually"
@@ -115,6 +115,22 @@ def suggest_tmax(model: QuadraticModel) -> float:
     threshold = max(_TMAX_PLATEAU * floor, _TMAX_THETA * gamma0)
     # floor is a quantile of env, so min(env) <= floor <= threshold: a hit exists
     return float(ts[idx[np.flatnonzero(env <= threshold)[0]]])
+
+
+def _linear_quantile(x: NDArray[np.float64], q: float) -> float:
+    """``np.quantile(x, q)`` of a non-empty 1-D float array and q in [0, 1],
+    bit for bit: numpy's linear method (virtual index (n - 1) q between two
+    sorted values, in numpy's ``_lerp`` form), and NaN if x holds one.
+    ``np.quantile`` itself imports ``numpy.ma``, which a fresh process
+    otherwise never loads, and costs several times more per call."""
+    s = np.sort(x)
+    if np.isnan(s[-1]):  # NaNs sort last
+        return float(s[-1])
+    v = (len(s) - 1) * q
+    lo = int(v)
+    a, b, t = s[lo], s[min(lo + 1, len(s) - 1)], v - lo
+    diff = b - a
+    return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +345,7 @@ def sweep_spectral_density(
     never on the other grid frequencies: point 0 draws as a one-point sweep
     at its frequency.
     """
-    omega = np.asarray(list(omega_grid), dtype=float)
+    omega = np.array(omega_grid, dtype=float)
     if len(omega) == 0:
         raise ValueError("frequency grid is empty")
     if np.any(np.diff(omega) <= 0):
@@ -412,7 +428,7 @@ def qnm_trace(
     reads its covariance and det S - 1/4 from the rows in one pass
     (``_purified_moments``).
     """
-    t_grid = np.asarray(list(t_grid), dtype=float)
+    t_grid = np.array(t_grid, dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
     covs, excess = _purified_moments(probe_rows(model, t_grid), (rho1, rho2))

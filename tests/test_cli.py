@@ -16,6 +16,7 @@ from oscnet.cli import (
     _build_graph,
     _fmt,
     _load_config,
+    _median,
     _omega_list,
     _parser,
     _resolve_tmax,
@@ -666,6 +667,34 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_validate_and_spectral_do_not_import_numpy_ma():
+    # np.quantile and np.median import numpy.ma, about 10 ms of a cold start
+    src = str(Path(oscnet.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys, tempfile; sys.path.insert(0, sys.argv[1])\n"
+        "from oscnet import cli\n"
+        "out = tempfile.mkdtemp()\n"
+        "for argv in (['validate'], ['spectral', '--method', 'both']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([*argv, '--config', 'network1.cfg', '--out', out]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 120])
+def test_crosspath_median_is_numpys_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n), np.full(n, 0.1)):
+        assert np.float64(_median(x)).tobytes() == np.float64(np.median(x)).tobytes()
+    x = rng.standard_normal(n)
+    x[n // 2] = np.nan
+    assert np.isnan(_median(x))
+
+
 def test_sweep_without_significant_j_writes_crosspath_note(outdir):
     # J_analytic(0.2) is slightly negative on network 1, so no point has
     # J > 0.1 max and the deviation statistics have no support
@@ -856,6 +885,21 @@ def test_a_documents_own_probe_serves_every_verb(tmp_path, verb):
         assert run([verb, *argv, "--out", str(out)]) == 0
         written[name] = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
     assert written["file"] and written["inline"] == written["file"]
+
+
+@pytest.mark.parametrize("verb", ["validate", "spectral", "qnm", "masks", "evolve"])
+def test_omega_s_without_a_probe_block_names_the_flag(tmp_path, outdir, capsys, verb):
+    # the probe comes from the graph document alone; --omega-s overrides only
+    # a probe block's frequency, so the flag is refused by its own name
+    # rather than reported as a missing probe.site the user never wrote
+    doc = json.loads(bundled_config_path("network4.json").read_text())
+    config = _write_config(tmp_path, {"network": doc, "t_max": 90.0})
+    argv = [verb, "--config", config, "--omega-s", "0.6", "--out", str(outdir)]
+    assert run(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--omega-s needs a 'probe' block in the config" in err
+    assert "probe.site" not in err
+    assert not (outdir / "manifest.json").exists()
 
 
 def test_an_inline_document_brings_its_own_probe(tmp_path, outdir):

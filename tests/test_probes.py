@@ -31,7 +31,8 @@ from oscnet.probes import (
     sweep_spectral_density,
     thermal_occupancy,
 )
-from oscnet.probes import _damping_kernel_grid, _probe_variances, _sample_second_moments
+from oscnet.probes import _damping_kernel_grid, _linear_quantile, _probe_variances
+from oscnet.probes import _sample_second_moments
 
 from oscnet.cli import _fmt, _fmt_matrix, _fmt_rows, _witness_text
 
@@ -121,12 +122,9 @@ class TestSuggestTmax:
             suggest_tmax(on.assemble_model(g))
 
 
-def oracle_suggest_tmax(model):
-    """The t_max rule with the direct-cosine kernel and one max per window."""
-    amp = model.bath_couplings() ** 2 / model.env_freqs**2
-    gamma0 = amp.sum()
-    if gamma0 == 0.0:
-        raise PlateauError("probe is uncoupled; damping kernel vanishes")
+def oracle_envelope(model):
+    """The t_max rule's sample times and envelope, with the direct-cosine
+    kernel and one max per window."""
     window = 2.0 * 2.0 * np.pi / model.env_freqs.min()
     ts = np.arange(0.0, 600.0 + 0.05, 0.05)
     gam = np.abs(damping_kernel(model, ts))
@@ -134,7 +132,16 @@ def oracle_suggest_tmax(model):
     idx = np.arange(w_n, len(ts), 20)
     if len(idx) == 0:
         raise PlateauError("search horizon shorter than the envelope window")
-    env = np.array([gam[j - w_n : j + 1].max() for j in idx])
+    return ts[idx], np.array([gam[j - w_n : j + 1].max() for j in idx])
+
+
+def oracle_suggest_tmax(model):
+    """The t_max rule with the oracle envelope and ``np.quantile``."""
+    amp = model.bath_couplings() ** 2 / model.env_freqs**2
+    gamma0 = amp.sum()
+    if gamma0 == 0.0:
+        raise PlateauError("probe is uncoupled; damping kernel vanishes")
+    t_env, env = oracle_envelope(model)
     floor = float(np.quantile(env, 0.10))
     if floor > 0.5 * gamma0:
         raise PlateauError(
@@ -146,7 +153,7 @@ def oracle_suggest_tmax(model):
         raise PlateauError(
             "damping-kernel envelope never flattens below threshold; set t_max manually"
         )
-    return float(ts[idx[hits[0]]])
+    return float(t_env[hits[0]])
 
 
 def outcome(fn, model):
@@ -183,6 +190,50 @@ class TestSuggestTmaxEquivalence:
         got = _damping_kernel_grid(m, dt, len(ts))
         assert got.shape == ts.shape
         assert np.max(np.abs(got - damping_kernel(m, ts))) <= 1e-13 * damping_kernel(m, 0.0)
+
+
+def same_float(a, b):
+    """Equal to the bit, or both NaN."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or np.isnan(a) and np.isnan(b)
+
+
+class TestLinearQuantile:
+    """The t_max floor is ``np.quantile(env, 0.10)`` to the bit."""
+
+    @pytest.mark.parametrize("idx", [1, 2, 3, 4, 5])
+    def test_networks_match_numpy(self, networks, idx):
+        env = oracle_envelope(on.assemble_model(networks[idx]))[1]
+        assert same_float(_linear_quantile(env, 0.10), np.quantile(env, 0.10))
+
+    def test_random_graphs_match_numpy(self):
+        rng = np.random.default_rng(34)
+        checked = 0
+        for _ in range(120):
+            model = on.assemble_model(random_stable_graph(rng))
+            try:
+                env = oracle_envelope(model)[1]
+            except PlateauError:  # the window outlasts the horizon
+                continue
+            assert same_float(_linear_quantile(env, 0.10), np.quantile(env, 0.10))
+            checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 11, 12, 101])
+    @pytest.mark.parametrize("q", [0.0, 0.10, 0.25, 0.5, 0.75, 0.95, 1.0])
+    def test_sizes_and_levels_match_numpy(self, n, q):
+        # the weight t = (n - 1) q - floor((n - 1) q) on both sides of 0.5,
+        # integer indices, and each end
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n), np.full(n, 0.1)):
+            assert same_float(_linear_quantile(x, q), np.quantile(x, q))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_non_finite_entries_match_numpy(self):
+        x = np.array([0.3, np.inf, 0.1, 0.2, -np.inf, 0.4])
+        for q in (0.0, 0.10, 0.5, 1.0):
+            assert same_float(_linear_quantile(x, q), np.quantile(x, q))
+        x[2] = np.nan
+        assert np.isnan(_linear_quantile(x, 0.10))
 
 
 class TestRowFormatter:
@@ -705,6 +756,16 @@ class TestSweep:
         assert np.array_equal(stderr[1], [0.0, 0.0])
         assert np.all(stderr[2] > 0)
 
+    def test_list_tuple_and_array_grids_agree_to_the_bit(self, net1_model):
+        grid = np.linspace(0.25, 0.7, 7)
+        runs = [
+            sweep_spectral_density(net1_model, kind, 150.0, env_prep="squeezed",
+                                   sampling=SamplingOptions(n_samples=200, n_reps=3, seed=1))
+            for kind in (grid.tolist(), tuple(grid.tolist()), grid)
+        ]
+        for j, stderr in runs[1:]:
+            assert np.array_equal(j, runs[0][0]) and np.array_equal(stderr, runs[0][1])
+
     def test_grid_must_increase(self, net1_model):
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep_spectral_density(net1_model, [0.3, 0.3, 0.4], 150.0)
@@ -986,6 +1047,18 @@ class TestQnm:
         rho1, rho2 = PAPER_STATES
         with pytest.raises(ValueError):
             qnm_trace(net1_model, rho1, rho2, [0.0, 0.0, 1.0])
+
+    def test_list_tuple_and_array_grids_agree_to_the_bit(self, net1_model):
+        ts = np.linspace(0.0, 500.0, 251)
+        traces = [
+            qnm_trace(net1_model, *PAPER_STATES, kind)
+            for kind in (ts.tolist(), tuple(ts.tolist()), ts)
+        ]
+        for tr in traces[1:]:
+            assert np.array_equal(tr.t, traces[0].t) and np.array_equal(tr.f_raw, traces[0].f_raw)
+        # the trace keeps its own copy of an array grid
+        ts[0] = -1.0
+        assert traces[2].t[0] == 0.0
 
 
 class TestWitness:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oscnet as on
 from oscnet.cli import bundled_config_path
 from oscnet.symplectic import (
+    SYMPLECTIC_TOL,
     SymplecticError,
     bloch_messiah,
     is_symplectic,
@@ -18,6 +19,7 @@ from oscnet.symplectic import (
 from oracles import discard_passive, random_orthogonal_symplectic, random_symplectic
 
 RNG = np.random.default_rng(20240817)
+EPS = np.finfo(float).eps
 
 
 class TestIsSymplectic:
@@ -35,9 +37,49 @@ class TestIsSymplectic:
         ok, _ = is_symplectic(np.diag([2.0, 0.5]))
         assert ok
 
+    def test_integer_matrices_are_read_as_numbers(self):
+        assert is_symplectic(np.eye(4, dtype=int)) == (True, 0.0)
+        assert not is_symplectic(np.diag([2, 2]))[0]
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(SymplecticError):
             is_symplectic(np.eye(3))
+
+
+def dense_residual(S):
+    """||S^T Omega S - Omega||_F through the dense 2M x 2M Omega."""
+    omega = symplectic_form(len(S) // 2)
+    return float(np.linalg.norm(S.T @ omega @ S - omega))
+
+
+def residual_cases(networks):
+    """Random symplectic matrices up to 2M = 102 and the bundled propagators
+    near t = 0, at t = 3 and at the bundled t_max."""
+    rng = np.random.default_rng(34)
+    for m in (1, 2, 5, 17, 51):
+        for squeeze in (0.1, 1.0, 2.0):
+            yield random_symplectic(m, rng, squeeze)
+    for idx in range(1, 6):
+        t_max = json.loads(bundled_config_path(f"network{idx}.cfg").read_text())["t_max"]
+        model = on.assemble_model(networks[idx])
+        for t in (1e-9, 3.0, t_max):
+            yield on.evolve(model, t)
+
+
+class TestResidual:
+    def test_matches_the_dense_form(self, networks):
+        # the one-block form Y - Y^T - Omega, Y = S_q^T S_p, rounds
+        # differently from S^T Omega S - Omega: within 8 eps |S|_F^2 (0.70
+        # measured), symplectic or not, with the same is_symplectic verdict
+        rng = np.random.default_rng(7)
+        for S in residual_cases(networks):
+            verdicts = []
+            for X in (S, S * (1.0 + 1e-9), S + 1e-7 * rng.standard_normal(S.shape)):
+                res, dense = symplectic_residual(X), dense_residual(X)
+                assert abs(res - dense) <= 8 * EPS * np.linalg.norm(X) ** 2
+                verdicts.append(is_symplectic(X)[0])
+                assert verdicts[-1] == (dense < SYMPLECTIC_TOL)
+            assert verdicts == [True, False, False]
 
 
 class TestBlochMessiah:
