@@ -40,7 +40,6 @@ from .gaussian import (
     vacuum_state,
 )
 from .probes import (
-    FidelityTrace,
     PlateauError,
     ProbeSaturatedError,
     SamplingOptions,

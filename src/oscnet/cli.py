@@ -109,7 +109,7 @@ SCHEMA: dict[str, _Field] = {
     "states.rho2.squeeze_db": _SQUEEZE,
     "states.rho2.antisqueeze_db": _ANTISQUEEZE,
     "states.rho2.axis": _AXIS,
-    "out_dir": _Field("string", None),
+    "out_dir": _Field("string", None, lambda v: v != "", "a non-empty string"),
 }
 
 
@@ -134,6 +134,19 @@ def bundled_config_path(name: str) -> Path:
     return _CONFIGS_DIR / name
 
 
+def _read_json(path: Path, what: str) -> object:
+    """The JSON value of the file at ``path``. ``json.loads`` decodes its
+    bytes, since JSON text is UTF-8 (RFC 8259) and ``read_text`` would use
+    the locale's encoding; a file that cannot be read or parsed is a
+    ConfigError naming it."""
+    try:
+        return json.loads(path.read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a UnicodeDecodeError is one
+        raise ConfigError(f"{what} is not valid JSON ({path}): {exc}") from exc
+
+
 def _load_config(path: str | None) -> tuple[dict, Path | None]:
     """The config file's object ({} without a file), and the directory of the
     file (None without one), against which a relative graph document path is
@@ -145,10 +158,7 @@ def _load_config(path: str | None) -> tuple[dict, Path | None]:
         p = bundled_config_path(path)
         if not os.path.isfile(p):
             raise ConfigError(f"config file not found: {path}")
-    try:
-        user = json.loads(p.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    user = _read_json(p, "config")
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     return user, p.parent
@@ -168,7 +178,7 @@ def _build_graph(cfg: dict, config_dir: Path | None) -> CouplingGraph:
             path = config_dir / path
         if not path.is_file():
             raise ConfigError(f"graph document not found: {path}")
-        graph = load_graph(path.read_text())
+        graph = load_graph(_read_json(path, "graph document"))
     else:
         graph = load_graph(net)
     probe = cfg.get("probe")
@@ -240,7 +250,14 @@ def _resolve_tmax(cfg: dict, model: QuadraticModel) -> float:
 
 
 def _out_dir(cfg: dict) -> Path:
-    path = Path(cfg.get("out_dir") or os.environ.get(OUTDIR_ENV, "oscnet-out"))
+    """The output directory, made if missing: ``out_dir`` (SCHEMA refuses an
+    empty one), else ``$OSCNET_OUT`` unless it is empty, else ``oscnet-out``."""
+    name = cfg["out_dir"]
+    if name is None:
+        name = os.environ.get(OUTDIR_ENV, "oscnet-out")
+        if not name:
+            raise ConfigError(f"{OUTDIR_ENV} is set but empty: name a directory or unset it")
+    path = Path(name)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -339,7 +356,7 @@ def _witness_text(report: WitnessReport, omega_s: float) -> str:
 # protocol runners
 
 
-def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> int:
+def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> None:
     lines = [
         f"nodes = {graph.n_nodes}",
         f"edges = {graph.n_edges}",
@@ -359,10 +376,9 @@ def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     _write(out / "validate.txt", report)
-    return 0
 
 
-def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
+def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> None:
     grid = _sweep_grid(cfg, graph)
     method = cfg["method"]
     sampling = _sampling(cfg)
@@ -413,25 +429,23 @@ def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> int:
         _write(out / "crosspath.txt", summary)
         sys.stdout.write(summary)
     sys.stdout.write(f"spectral sweep done: {len(grid)} points, t_max={_fmt(t_max)}\n")
-    return 0
 
 
-def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> int:
+def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> None:
     tg = cfg["time_grid"]
     t_grid = _increasing(np.linspace(tg["start"], tg["stop"], tg["points"]), "time_grid")
     rho1, rho2 = _state(cfg, "rho1"), _state(cfg, "rho2")
     for tag, model in _tagged_models(cfg, graph).items():
-        trace = qnm_trace(model, rho1, rho2, t_grid)
-        f_smooth = moving_average(trace.f_raw, cfg["smooth_window"])
-        report = blp_witness(trace.t, f_smooth)
-        table = np.column_stack([trace.t, trace.f_raw, f_smooth])
+        f_raw = qnm_trace(model, rho1, rho2, t_grid)
+        f_smooth = moving_average(f_raw, cfg["smooth_window"])
+        report = blp_witness(t_grid, f_smooth)
+        table = np.column_stack([t_grid, f_raw, f_smooth])
         _write(out / f"qnm_w{tag}.csv", "t,F_raw,F_smooth\n" + _fmt_rows(table, ","))
         _write(out / f"witness_w{tag}.txt", _witness_text(report, model.omega_s))
         sys.stdout.write(f"omega_s={tag}: N={_fmt(report.value)}\n")
-    return 0
 
 
-def run_evolve(cfg: dict, graph: CouplingGraph, out: Path) -> int:
+def run_evolve(cfg: dict, graph: CouplingGraph, out: Path) -> None:
     models = _tagged_models(cfg, graph)
     t_max = _resolve_tmax(cfg, next(iter(models.values())))
     for tag, model in models.items():
@@ -443,10 +457,9 @@ def run_evolve(cfg: dict, graph: CouplingGraph, out: Path) -> int:
         )
         _write(out / f"evolution_w{tag}_t{t_max:g}.txt", header + "\n" + _fmt_matrix(S, " "))
         sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={t_max:g}\n")
-    return 0
 
 
-def run_masks(cfg: dict, graph: CouplingGraph, out: Path) -> int:
+def run_masks(cfg: dict, graph: CouplingGraph, out: Path) -> None:
     models = _tagged_models(cfg, graph)
     t_max = _resolve_tmax(cfg, next(iter(models.values())))
     for tag, model in models.items():
@@ -459,7 +472,6 @@ def run_masks(cfg: dict, graph: CouplingGraph, out: Path) -> int:
             text = "mode,q_coefficient,p_coefficient\n" + _fmt_rows(table, ",")
             _write(out / f"mask_{quad}_w{tag}_t{t_max:g}.csv", text)
         sys.stdout.write(f"wrote mask pair at omega_s={tag}, t={t_max:g}\n")
-    return 0
 
 
 RUNNERS = {
@@ -549,9 +561,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _check_config(user)
         out = _out_dir(cfg)
         graph = _build_graph(cfg, config_dir)
-        code = RUNNERS[args.protocol](cfg, graph, out)
+        RUNNERS[args.protocol](cfg, graph, out)
         _write_manifest(out, cfg, overrides, graph)
-        return code
+        return 0
     except (ConfigError, GraphError, PlateauError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -74,19 +74,19 @@ class QuadraticModel:
     def _env(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         return _decompose(self.V[1:, 1:], "environment block")
 
-    @cached_property
+    @property
     def modes(self) -> NDArray[np.float64]:
         return self._normal[0]
 
-    @cached_property
+    @property
     def freqs_normal(self) -> NDArray[np.float64]:
         return self._normal[1]
 
-    @cached_property
+    @property
     def env_modes(self) -> NDArray[np.float64]:
         return self._env[0]
 
-    @cached_property
+    @property
     def env_freqs(self) -> NDArray[np.float64]:
         return self._env[1]
 

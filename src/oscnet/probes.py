@@ -393,18 +393,6 @@ def moving_average(values: NDArray[np.float64], window: int) -> NDArray[np.float
 
 
 @dataclass(frozen=True)
-class FidelityTrace:
-    """Raw probe-state fidelity versus interaction time, each in (0, 1]."""
-
-    t: NDArray[np.float64]
-    f_raw: NDArray[np.float64]
-
-    def __post_init__(self):
-        if not np.all((self.f_raw > 0) & (self.f_raw <= 1.0 + 1e-9)):
-            raise ValueError("fidelity values must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     """Total fidelity back-flow and its contributing time intervals."""
 
@@ -417,9 +405,10 @@ def qnm_trace(
     rho1: SqueezedSpec,
     rho2: SqueezedSpec,
     t_grid: Sequence[float],
-) -> FidelityTrace:
+) -> NDArray[np.float64]:
     """Raw fidelity between two probe preparations evolving in a vacuum
-    network; smoothing is the caller's (``moving_average``).
+    network, one value in (0, 1] per time of ``t_grid``; smoothing is the
+    caller's (``moving_average``).
 
     Both initial probe states (environment in vacuum) evolve under the
     same renormalized propagator; only the probe rows of the propagator
@@ -433,7 +422,9 @@ def qnm_trace(
         raise ValueError("time grid must be strictly increasing with >= 2 points")
     covs, excess = _purified_moments(probe_rows(model, t_grid), (rho1, rho2))
     fs = _fidelity(covs[0], covs[1], *excess)
-    return FidelityTrace(t=t_grid, f_raw=fs)
+    if not np.all((fs > 0) & (fs <= 1.0 + 1e-9)):
+        raise ValueError("fidelity values must lie in (0, 1]")
+    return fs
 
 
 def _purified_moments(

@@ -35,7 +35,7 @@ from oscnet import gaussian as g
 from oscnet.dynamics import QuadraticModel, StabilityError
 from oscnet.gaussian import _PURITY_TOL, GaussianState, SqueezedSpec, StateError
 from oscnet.netmodel import CouplingGraph
-from oscnet.probes import FidelityTrace, thermal_occupancy
+from oscnet.probes import thermal_occupancy
 from oscnet.symplectic import (
     PAIR_TOL,
     SYMPLECTIC_TOL,
@@ -708,7 +708,7 @@ def qnm_trace_stacked(
     rho1: SqueezedSpec,
     rho2: SqueezedSpec,
     t_grid: Sequence[float],
-) -> FidelityTrace:
+) -> NDArray[np.float64]:
     """``probes.qnm_trace`` by matrix stacks, reference for its closed-form
     probe blocks.
 
@@ -732,8 +732,7 @@ def qnm_trace_stacked(
     ]
     excess = [purified_excess_minors(rows, spec) for spec in (rho1, rho2)]
     zero = np.zeros(2)
-    fs = fidelity_from_moments_lapack(zero, covs[0], zero, covs[1], excess)
-    return FidelityTrace(t=t_grid, f_raw=fs)
+    return fidelity_from_moments_lapack(zero, covs[0], zero, covs[1], excess)
 
 
 def purified_excess_minors(rows: NDArray[np.float64], spec: SqueezedSpec) -> NDArray[np.float64]:

@@ -210,14 +210,14 @@ def test_criterion_5_at_the_start_of_qnm_trace():
             for phi0 in np.linspace(0.0, np.pi, 9):
                 rho1 = SqueezedSpec(-db * r1, db * r1, 0.0)
                 rho2 = SqueezedSpec(-db * r2, db * r2, phi0 / 2)
-                f0 = qnm_trace(model, rho1, rho2, [0.0, 1.0]).f_raw[0]
+                f0 = qnm_trace(model, rho1, rho2, [0.0, 1.0])[0]
                 worst = max(worst, abs(f0 - pure_fidelity_reference(r1, r2, phi0)))
     worst_paper = 0.0
     rho1, rho2 = PAPER_STATES
     f_ref = fidelity(squeezed_state(rho1), squeezed_state(rho2))
     for graph in paper_networks().values():
-        trace = qnm_trace(on.assemble_model(graph), rho1, rho2, np.linspace(0.0, 500.0, 251))
-        worst_paper = max(worst_paper, abs(trace.f_raw[0] - f_ref))
+        f_raw = qnm_trace(on.assemble_model(graph), rho1, rho2, np.linspace(0.0, 500.0, 251))
+        worst_paper = max(worst_paper, abs(f_raw[0] - f_ref))
     ok = worst < 1e-12 and worst_paper < 1e-12
     report(
         5,
@@ -271,15 +271,15 @@ def test_criterion_7_qnm_linkage():
     def witness(f):
         return blp_witness(ts, moving_average(f, DEFAULT_SMOOTH_WINDOW)).value
 
-    tr58 = qnm_trace(model_at(nets[1], 0.58), rho1, rho2, ts)
-    tr70 = qnm_trace(model_at(nets[1], 0.70), rho1, rho2, ts)
-    n58 = witness(tr58.f_raw)
-    n70 = witness(tr70.f_raw)
-    flat70 = float(tr70.f_raw.max() - tr70.f_raw.min())
+    f58 = qnm_trace(model_at(nets[1], 0.58), rho1, rho2, ts)
+    f70 = qnm_trace(model_at(nets[1], 0.70), rho1, rho2, ts)
+    n58 = witness(f58)
+    n70 = witness(f70)
+    flat70 = float(f70.max() - f70.min())
 
     ws = {}
     for w in (0.4, 0.75, 0.9):
-        ws[w] = witness(qnm_trace(model_at(nets[4], w), rho1, rho2, ts).f_raw)
+        ws[w] = witness(qnm_trace(model_at(nets[4], w), rho1, rho2, ts))
     elapsed = time.perf_counter() - start
 
     ok = (

@@ -621,7 +621,6 @@ def test_each_run_fills_in_fresh_defaults(tmp_path, monkeypatch):
     def changing_runner(cfg, graph, out):
         seen.append(json.dumps(cfg["states"], sort_keys=True))
         cfg["states"]["rho1"]["squeeze_db"] = -9.0
-        return 0
 
     monkeypatch.setitem(oscnet.cli.RUNNERS, "qnm", changing_runner)
     cfg = json.loads(_net1())
@@ -916,6 +915,61 @@ def test_graph_document_errors_are_config_errors(tmp_path, outdir, capsys):
     argv = ["validate", "--config", _write_config(tmp_path, cfg), "--out", str(outdir)]
     assert run(argv) == EXIT_CONFIG
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_a_graph_document_that_is_not_utf8_is_a_config_error(tmp_path, outdir, capsys):
+    # JSON text is UTF-8: a 0xff byte is invalid JSON, not a traceback
+    (tmp_path / "bad.json").write_bytes(b'{"nodes": 2, "omega0": 0.25, "edges": [[1,2,0.1]]\xff}')
+    cfg = {"network": {"file": "bad.json"}, "probe": {"site": 1, "k": 0.01, "omega_s": 0.5}}
+    argv = ["validate", "--config", _write_config(tmp_path, cfg), "--out", str(outdir)]
+    assert run(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "graph document is not valid JSON" in err and "bad.json" in err
+    assert not (outdir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("unreadable", ["run.cfg", "g.json"])
+def test_a_file_that_cannot_be_read_is_a_config_error(
+    tmp_path, outdir, capsys, monkeypatch, unreadable
+):
+    (tmp_path / "g.json").write_text('{"nodes": 2, "omega0": 0.25, "edges": [[1, 2, 0.1]]}')
+    cfg = {"network": {"file": "g.json"}, "probe": {"site": 1, "k": 0.01, "omega_s": 0.5}}
+    config = _write_config(tmp_path, cfg)
+    read_bytes = Path.read_bytes
+
+    def refuse(path):
+        if path.name == unreadable:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert run(["validate", "--config", config, "--out", str(outdir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot read" in err and unreadable in err and "Permission denied" in err
+    assert not (outdir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "key", "env"])
+def test_an_empty_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, where):
+    # "" is no directory: it ran on the default oscnet-out (flag, key) or
+    # wrote into the current directory (OSCNET_OUT)
+    config_dir = tmp_path / "config"
+    config_dir.mkdir()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv("OSCNET_OUT", raising=False)
+    argv = ["validate", "--config", "network1.cfg"]
+    if where == "flag":
+        argv += ["--out", ""]
+    elif where == "key":
+        cfg = json.loads(bundled_config_path("network1.cfg").read_text())
+        argv[2] = _write_config(config_dir, {**cfg, "out_dir": ""})
+    else:
+        monkeypatch.setenv("OSCNET_OUT", "")
+    assert run(argv) == EXIT_CONFIG
+    assert ("OSCNET_OUT" if where == "env" else "out_dir") in capsys.readouterr().err
+    assert list(cwd.iterdir()) == []
 
 
 def test_private_key_in_config_is_unknown(tmp_path, outdir, capsys):

@@ -117,7 +117,7 @@ def outputs(graph: on.CouplingGraph, t: float, grid: np.ndarray, temperature: fl
         "sampled": sampled(m, grid, t, temperature),
         "j_analytic": spectral_density_analytic(m, grid, t),
         "j_analytic_scale": j_analytic_scale(m, grid, t),
-        "f": qnm_trace(m, *PAPER_STATES, np.linspace(0.0, 2 * t, 41)).f_raw,
+        "f": qnm_trace(m, *PAPER_STATES, np.linspace(0.0, 2 * t, 41)),
         "t_max": t_max,
     }
 

@@ -481,14 +481,23 @@ class TestProbeRows:
         assert np.abs(probe_rows(m, ts[:, None])[:, 0] - ref).max() <= 2.5e-13
         assert np.abs(probe_rows(m, ts) - ref).max() <= 2.5e-13
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", [*range(12), pytest.param(None, id="probe-sets-the-bound")])
     def test_probe_frequency_grid_rows_match_40_digit_rows(self, seed):
         # the Chebyshev rows of a 4-point grid against each grid point's own
         # model at 40 digits, t up to the bundled t_max 250: the largest error
         # on seeds 0-299 is 0.90 eps (1 + Omega_max t) max|row| (4.9e-14)
-        rng = np.random.default_rng(seed)
-        graph = random_stable_graph(rng, max_nodes=7)
-        grid, t = np.sort(rng.uniform(0.3, 1.2, 4)), float(rng.uniform(0.0, 250.0))
+        if seed is None:
+            # omega_S^2 = 0.81 sets the Gershgorin bound b = 0.82, just above
+            # V's top eigenvalue 0.81: a bound below it (omega_S^3 in place of
+            # omega_S^2 gives 0.74) leaves the spectrum outside the expansion;
+            # 0.70 units measured
+            edges = [(1, 2, 0.02), (2, 3, 0.02), (3, 4, 0.02)]
+            graph = on.build_explicit(4, 0.2, edges).with_probe(2, 0.01, 0.7)
+            grid, t = np.linspace(0.6, 0.9, 4), 150.0
+        else:
+            rng = np.random.default_rng(seed)
+            graph = random_stable_graph(rng, max_nodes=7)
+            grid, t = np.sort(rng.uniform(0.3, 1.2, 4)), float(rng.uniform(0.0, 250.0))
         rows = probe_rows(assemble_model(graph), t, omega_s=grid)
         for w, got in zip(grid, rows):
             m = on.model_at(graph, w)

@@ -42,7 +42,6 @@ EXPORTED = {
     "squeezed_state",
     "vacuum_state",
     # probes
-    "FidelityTrace",
     "PlateauError",
     "ProbeSaturatedError",
     "SamplingOptions",
@@ -116,7 +115,7 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == EXPORTED
-    assert len(EXPORTED) == 40
+    assert len(EXPORTED) == 39
 
 
 def test_settable_defaults_are_pinned():

@@ -849,28 +849,28 @@ class TestBatchedEquivalence:
         rho1 = SqueezedSpec(-squeeze[0], squeeze[0] + excess[0], "q")
         rho2 = SqueezedSpec(-squeeze[1], squeeze[1] + excess[1], axis)
         ts = np.linspace(0.0, t_stop, 101)
-        tr = qnm_trace(m, rho1, rho2, ts)
+        f_raw = qnm_trace(m, rho1, rho2, ts)
         ref = qnm_trace_stacked(m, rho1, rho2, ts)
-        assert np.max(np.abs(tr.f_raw - ref.f_raw) / ref.f_raw) <= 1e-12
-        assert np.all((0 < tr.f_raw) & (tr.f_raw <= 1 + 1e-9))
-        for f in (tr.f_raw, moving_average(tr.f_raw, 11)):
-            assert blp_witness(tr.t, f).value >= 0
+        assert np.max(np.abs(f_raw - ref) / ref) <= 1e-12
+        assert np.all((0 < f_raw) & (f_raw <= 1 + 1e-9))
+        for f in (f_raw, moving_average(f_raw, 11)):
+            assert blp_witness(ts, f).value >= 0
 
     @pytest.mark.parametrize("idx", range(1, 6))
     def test_qnm_trace_matches_per_time_oracle(self, networks, idx):
         m = on.assemble_model(networks[idx])
         ts = np.linspace(0, 500, 251)
-        tr = qnm_trace(m, *PAPER_STATES, ts)
+        f_raw = qnm_trace(m, *PAPER_STATES, ts)
         ref = oracle_fidelity_trace(m, *PAPER_STATES, ts)
-        assert np.max(np.abs(tr.f_raw - ref) / ref) <= 1e-12
+        assert np.max(np.abs(f_raw - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize("idx", [1, 5])
     def test_qnm_trace_from_a_nonzero_start_matches_per_time_oracle(self, networks, idx):
         m = on.assemble_model(networks[idx])
         ts = np.linspace(37.5, 537.5, 251)  # uniform: probe rows by angle addition
-        tr = qnm_trace(m, *PAPER_STATES, ts)
+        f_raw = qnm_trace(m, *PAPER_STATES, ts)
         ref = oracle_fidelity_trace(m, *PAPER_STATES, ts)
-        assert np.max(np.abs(tr.f_raw - ref) / ref) <= 1e-12
+        assert np.max(np.abs(f_raw - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize(
         "rho2", [*PAPER_STATES, SqueezedSpec(-2.0, 3.0, 0.7), SqueezedSpec(-2.5, 2.5, 0.7)],
@@ -882,7 +882,7 @@ class TestBatchedEquivalence:
         # now within 6.7e-16 of the 40-digit value
         m = on.assemble_model(random_stable_graph(np.random.default_rng(133595)))
         rho1 = SqueezedSpec(-1.0, 1.0)
-        f0 = qnm_trace(m, rho1, rho2, np.linspace(0.0, 10.0, 11)).f_raw[0]
+        f0 = qnm_trace(m, rho1, rho2, np.linspace(0.0, 10.0, 11))[0]
         assert abs(f0 / squeezed_fidelity_mp(rho1, rho2) - 1) <= 4e-15
         if rho2.squeeze_db + rho2.antisqueeze_db == 0:
             r1, r2 = (-spec.squeeze_db * np.log(10) / 20 for spec in (rho1, rho2))
@@ -897,7 +897,7 @@ class TestBatchedEquivalence:
         m = on.assemble_model(random_stable_graph(np.random.default_rng(17441)))
         rho1, rho2 = SqueezedSpec(-1.0, 1.0), PAPER_STATES[1]
         ts = np.linspace(0.0, 0.1, 3)
-        f = qnm_trace(m, rho1, rho2, ts).f_raw
+        f = qnm_trace(m, rho1, rho2, ts)
         assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1)) <= 2e-15
 
     @pytest.mark.parametrize("excess_db", [0.0, 1e-14, 3e-13, 1e-12, 1e-9, 1e-3, 1.1])
@@ -910,8 +910,26 @@ class TestBatchedEquivalence:
         m = on.assemble_model(random_stable_graph(np.random.default_rng(seed)))
         rho1, rho2 = SqueezedSpec(-1.0, 1.0 + excess_db), PAPER_STATES[1]
         ts = np.linspace(0.0, 0.1, 3)
-        f = qnm_trace(m, rho1, rho2, ts).f_raw
+        f = qnm_trace(m, rho1, rho2, ts)
         assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1)) <= 4e-15
+
+    @pytest.mark.parametrize("pair", ["paper", "mixed-off-axis"])
+    @pytest.mark.parametrize("seed", [*range(10), 64, 159])
+    def test_a_long_grid_keeps_its_digits(self, seed, pair):
+        # the qnm verb's horizon t = 500 on 21 angle-addition points, in units
+        # of eps (1 + Omega_max t): over seeds 0-299 at most 10.0 (seeds 64
+        # and 159, at t = 0, where the float rows are the identity only to
+        # round-off), bound 20
+        m = on.assemble_model(random_stable_graph(np.random.default_rng(seed), max_nodes=5))
+        rho1, rho2 = (
+            PAPER_STATES
+            if pair == "paper"
+            else (SqueezedSpec(-2.0, 3.0, 0.4), SqueezedSpec(-1.5, 2.5, 1.1))
+        )
+        ts = np.linspace(0.0, 500.0, 21)
+        unit = np.finfo(float).eps * (1 + m.freqs_normal.max() * ts)
+        f = qnm_trace(m, rho1, rho2, ts)
+        assert np.max(np.abs(f / qnm_fidelity_mp(m, rho1, rho2, ts) - 1) / unit) <= 20
 
     def test_qnm_trace_never_takes_the_covariance_route(self, monkeypatch, net1_model):
         def refuse(*args):
@@ -921,7 +939,7 @@ class TestBatchedEquivalence:
         ref = oracle_fidelity_trace(net1_model, *PAPER_STATES, ts)
         monkeypatch.setattr(on.gaussian, "_excess", refuse)
         monkeypatch.setattr(on.probes, "_probe_variances", refuse)
-        f = qnm_trace(net1_model, *PAPER_STATES, ts).f_raw
+        f = qnm_trace(net1_model, *PAPER_STATES, ts)
         assert np.max(np.abs(f / ref - 1)) <= 1e-12
 
     @pytest.mark.parametrize("squeezed_probe", [False, True])
@@ -1005,7 +1023,7 @@ class TestSmoothing:
 
     def test_a_one_point_window_returns_its_input(self, net1):
         # the running sums rounded 135 of these 251 one-point means by an ulp
-        f = qnm_trace(model_at(net1, 0.58), *PAPER_STATES, np.linspace(0, 500, 251)).f_raw
+        f = qnm_trace(model_at(net1, 0.58), *PAPER_STATES, np.linspace(0, 500, 251))
         assert np.array_equal(moving_average(f, 1), f)
         for window in range(1, 2 * len(f) + 2, 2):
             assert np.array_equal(moving_average(f, window)[[0, -1]], f[[0, -1]]), window
@@ -1014,32 +1032,32 @@ class TestSmoothing:
 class TestQnm:
     def test_time_zero_matches_direct_fidelity(self, net1_model):
         rho1, rho2 = PAPER_STATES
-        tr = qnm_trace(net1_model, rho1, rho2, np.linspace(0, 10, 6))
+        f = qnm_trace(net1_model, rho1, rho2, np.linspace(0, 10, 6))
         from oscnet.gaussian import fidelity
 
         direct = fidelity(squeezed_state(rho1), squeezed_state(rho2))
-        assert np.isclose(tr.f_raw[0], direct, atol=1e-12)
+        assert np.isclose(f[0], direct, atol=1e-12)
 
     def test_uncoupled_probe_keeps_fidelity_constant(self):
         g = on.build_explicit(2, 0.25, [(1, 2, 0.05)]).with_probe(1, 0.0, 0.58)
         m = on.assemble_model(g)
         rho1, rho2 = PAPER_STATES
-        tr = qnm_trace(m, rho1, rho2, np.linspace(0, 500, 101))
-        assert tr.f_raw.max() - tr.f_raw.min() < 1e-10
-        assert blp_witness(tr.t, moving_average(tr.f_raw, DEFAULT_SMOOTH_WINDOW)).value < 1e-10
+        ts = np.linspace(0, 500, 101)
+        f = qnm_trace(m, rho1, rho2, ts)
+        assert f.max() - f.min() < 1e-10
+        assert blp_witness(ts, moving_average(f, DEFAULT_SMOOTH_WINDOW)).value < 1e-10
 
     def test_network1_edge_vs_gap_frequencies(self, net1):
         rho1, rho2 = PAPER_STATES
         ts = np.linspace(0, 500, 251)
-        tr58 = qnm_trace(model_at(net1, 0.58), rho1, rho2, ts)
-        tr70 = qnm_trace(model_at(net1, 0.70), rho1, rho2, ts)
+        f58 = qnm_trace(model_at(net1, 0.58), rho1, rho2, ts)
+        f70 = qnm_trace(model_at(net1, 0.70), rho1, rho2, ts)
         # revivals at the band edge, near-unitary flat trace in the gap
-        d58 = np.diff(tr58.f_raw)
+        d58 = np.diff(f58)
         assert (d58 < -1e-6).any()  # genuine non-monotonicity
-        assert tr70.f_raw.max() - tr70.f_raw.min() < 0.02
+        assert f70.max() - f70.min() < 0.02
         n58, n70 = (
-            blp_witness(tr.t, moving_average(tr.f_raw, DEFAULT_SMOOTH_WINDOW)).value
-            for tr in (tr58, tr70)
+            blp_witness(ts, moving_average(f, DEFAULT_SMOOTH_WINDOW)).value for f in (f58, f70)
         )
         assert n58 > n70
 
@@ -1054,11 +1072,8 @@ class TestQnm:
             qnm_trace(net1_model, *PAPER_STATES, kind)
             for kind in (ts.tolist(), tuple(ts.tolist()), ts)
         ]
-        for tr in traces[1:]:
-            assert np.array_equal(tr.t, traces[0].t) and np.array_equal(tr.f_raw, traces[0].f_raw)
-        # the trace keeps its own copy of an array grid
-        ts[0] = -1.0
-        assert traces[2].t[0] == 0.0
+        for f in traces[1:]:
+            assert np.array_equal(f, traces[0])
 
 
 class TestWitness:
@@ -1070,12 +1085,16 @@ class TestWitness:
         assert _witness_text(rep, 0.5).splitlines()[1] == "N = 0"
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.1, 1.0 + 1e-8])
-    def test_fidelity_outside_unit_interval_rejected(self, bad):
-        from oscnet.probes import FidelityTrace
-
-        f = np.array([0.9, bad, 0.8])
+    def test_fidelity_outside_unit_interval_rejected(self, bad, monkeypatch, net1_model):
+        monkeypatch.setattr(on.probes, "_fidelity", lambda *args: np.array([0.9, bad, 0.8]))
         with pytest.raises(ValueError, match="lie in"):
-            FidelityTrace(np.arange(3.0), f)
+            qnm_trace(net1_model, *PAPER_STATES, np.arange(3.0))
+
+    def test_fidelity_at_the_ends_of_its_range_passes(self, monkeypatch, net1_model):
+        # (0, 1 + 1e-9]: the smallest positive float and 1 plus the round-off allowance
+        f = np.array([np.nextafter(0.0, 1.0), 1.0, 1.0 + 1e-9])
+        monkeypatch.setattr(on.probes, "_fidelity", lambda *args: f.copy())
+        assert np.array_equal(qnm_trace(net1_model, *PAPER_STATES, np.arange(3.0)), f)
 
     def test_a_one_point_trace_rejected(self):
         with pytest.raises(ValueError, match="at least two points"):
@@ -1103,9 +1122,10 @@ class TestWitness:
 
     def test_equals_total_negative_variation(self, net1_model):
         rho1, rho2 = PAPER_STATES
-        tr = qnm_trace(net1_model, rho1, rho2, np.linspace(0, 200, 101))
-        rep = blp_witness(tr.t, tr.f_raw)
-        d = np.diff(tr.f_raw)
+        ts = np.linspace(0, 200, 101)
+        f = qnm_trace(net1_model, rho1, rho2, ts)
+        rep = blp_witness(ts, f)
+        d = np.diff(f)
         assert np.isclose(rep.value, -d[d < 0].sum(), atol=1e-15)
 
     def test_opposite_phase_maximizes_witness(self, net1):
@@ -1117,7 +1137,7 @@ class TestWitness:
         def witness_at(phi0):
             rho1 = SqueezedSpec(-20 * r / np.log(10), 20 * r / np.log(10), 0.0)
             rho2 = SqueezedSpec(-20 * r / np.log(10), 20 * r / np.log(10), phi0 / 2)
-            f = qnm_trace(m, rho1, rho2, ts).f_raw
+            f = qnm_trace(m, rho1, rho2, ts)
             return blp_witness(ts, moving_average(f, DEFAULT_SMOOTH_WINDOW)).value
 
         w_pi = witness_at(np.pi)
