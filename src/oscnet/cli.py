@@ -9,19 +9,20 @@ keys. Each verb takes only the flags it reads: every verb ``--config``,
 ``--reps`` and ``--seed``. Exit codes: 0 success, 2 configuration error,
 3 unstable network, 4 probe saturation.
 
-The runners format every output file here, each float at 17 significant
-digits; the library returns arrays and dataclasses.
+``main`` checks everything a verb reads before it makes the output
+directory; the runners format every output file here, each float at 17
+significant digits; the library returns arrays and dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -126,7 +127,7 @@ def _check_config(user: dict) -> dict:
     return cfg
 
 
-_CONFIGS_DIR = Path(str(importlib.resources.files("oscnet").joinpath("configs")))
+_CONFIGS_DIR = Path(__file__).parent / "configs"
 
 
 def bundled_config_path(name: str) -> Path:
@@ -165,61 +166,21 @@ def _load_config(path: str | None) -> tuple[dict, Path | None]:
 
 
 def _build_graph(cfg: dict, config_dir: Path | None) -> CouplingGraph:
-    """The run's graph, from a recipe (a block with ``kind``) or a graph
-    document (inline, or ``{"file": path}``), with the probe block attached."""
+    """The run's network, from a recipe (a block with ``kind``) or a graph
+    document (inline, or ``{"file": path}``)."""
     net = cfg["network"]
     if "kind" in net:
-        graph = from_recipe(net)
-    elif "file" in net:
-        if set(net) != {"file"} or not isinstance(net["file"], str):
-            raise ConfigError("a network block with 'file' holds only that path string")
-        path = Path(net["file"])
-        if not path.is_absolute() and config_dir is not None:
-            path = config_dir / path
-        if not path.is_file():
-            raise ConfigError(f"graph document not found: {path}")
-        graph = load_graph(_read_json(path, "graph document"))
-    else:
-        graph = load_graph(net)
-    probe = cfg.get("probe")
-    if probe is not None:
-        if "omega_s" in probe:
-            omega_s = probe["omega_s"]
-            omega_s = omega_s[0] if isinstance(omega_s, list) else omega_s
-        elif "sweep" in probe:
-            omega_s = probe["sweep"]["start"]
-        else:
-            raise ConfigError("a probe block needs 'omega_s' or 'sweep' for its frequency")
-        graph = graph.with_probe(probe["site"], probe["k"], omega_s)
-    if graph.probe is None:
-        raise ConfigError("no probe attached: add a 'probe' block")
-    return graph
-
-
-def _omega_list(cfg: dict, graph: CouplingGraph) -> list[float]:
-    """The probe frequencies of a run: the probe block's ``omega_s``, or
-    without a probe block the frequency of the graph document's probe."""
-    probe = cfg.get("probe")
-    if probe is None:
-        return [graph.probe.omega_s]
-    omega_s = probe.get("omega_s")
-    if omega_s is None:
-        raise ConfigError("this protocol needs 'probe.omega_s'")
-    return omega_s if isinstance(omega_s, list) else [omega_s]
-
-
-def _tagged_models(cfg: dict, graph: CouplingGraph) -> dict[str, QuadraticModel]:
-    """The model at each probe frequency by output file tag ``{w:g}``, in
-    config order, for the verbs that write one file set per frequency; a
-    shared tag would overwrite files."""
-    omegas = _omega_list(cfg, graph)
-    tags = {f"{w:g}": w for w in omegas}
-    if len(tags) < len(omegas):
-        raise ConfigError(
-            f"probe.omega_s values {omegas} share an output file tag; "
-            "they must differ when rounded to 6 significant digits"
-        )
-    return {tag: model_at(graph, w) for tag, w in tags.items()}
+        return from_recipe(net)
+    if "file" not in net:
+        return load_graph(net)
+    if set(net) != {"file"} or not isinstance(net["file"], str):
+        raise ConfigError("a network block with 'file' holds only that path string")
+    path = Path(net["file"])
+    if not path.is_absolute() and config_dir is not None:
+        path = config_dir / path
+    if not path.is_file():
+        raise ConfigError(f"graph document not found: {path}")
+    return load_graph(_read_json(path, "graph document"))
 
 
 def _increasing(grid: np.ndarray, source: str) -> np.ndarray:
@@ -228,12 +189,65 @@ def _increasing(grid: np.ndarray, source: str) -> np.ndarray:
     return grid
 
 
-def _sweep_grid(cfg: dict, graph: CouplingGraph) -> np.ndarray:
-    sweep = (cfg.get("probe") or {}).get("sweep")
-    if sweep is None:
-        return _increasing(np.asarray(_omega_list(cfg, graph)), "probe.omega_s")
-    grid = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
-    return _increasing(grid, "probe.sweep")
+class _Run(NamedTuple):
+    """What a verb runs on, from ``_preflight``."""
+
+    graph: CouplingGraph
+    omegas: NDArray | dict[str, float] | None
+    models: list[QuadraticModel]
+    t_max: float | None
+    t_grid: NDArray | None
+    states: tuple[SqueezedSpec, SqueezedSpec] | None
+
+
+def _preflight(cfg: dict, config_dir: Path | None) -> _Run:
+    """Everything the verb reads, checked in this order before any output:
+    the graph with its probe (at the first ``omega_s``, else the sweep's
+    start, else the graph document's own), ``qnm``'s time grid and states,
+    the probe frequencies (``spectral``'s grid, else ``omega_s`` by output
+    file tag ``{w:g}``, which must differ), every model and t_max."""
+    graph = _build_graph(cfg, config_dir)
+    verb, probe = cfg["protocol"], cfg["probe"]
+    if probe is None:
+        if graph.probe is None:
+            raise ConfigError("no probe attached: add a 'probe' block")
+        omegas, sweep = [graph.probe.omega_s], None
+    else:
+        omegas, sweep = probe.get("omega_s"), probe.get("sweep")
+        if omegas is None and sweep is None:
+            raise ConfigError("a probe block needs 'omega_s' or 'sweep' for its frequency")
+        omegas = omegas if omegas is None or isinstance(omegas, list) else [omegas]
+        omega_s = sweep["start"] if omegas is None else omegas[0]
+        graph = graph.with_probe(probe["site"], probe["k"], omega_s)
+    t_grid = states = t_max = None
+    if verb == "qnm":
+        tg = cfg["time_grid"]
+        t_grid = _increasing(np.linspace(tg["start"], tg["stop"], tg["points"]), "time_grid")
+        states = _state(cfg, "rho1"), _state(cfg, "rho2")
+    if verb == "validate":
+        freqs, models = None, [assemble_model(graph)]
+    elif verb == "spectral":
+        if sweep is None:
+            freqs = _increasing(np.asarray(omegas), "probe.omega_s")
+        else:
+            grid = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
+            freqs = _increasing(grid, "probe.sweep")
+        # the probe's Schur margin omega_S^2 - gamma(0) grows with omega_S: the
+        # model at the lowest grid point checks the stability of the whole grid
+        models = [model_at(graph, freqs[0])]
+    else:
+        if omegas is None:
+            raise ConfigError("this protocol needs 'probe.omega_s'")
+        freqs = {f"{w:g}": w for w in omegas}
+        if len(freqs) < len(omegas):
+            raise ConfigError(
+                f"probe.omega_s values {omegas} share an output file tag; "
+                "they must differ when rounded to 6 significant digits"
+            )
+        models = [model_at(graph, w) for w in freqs.values()]
+    if verb in ("spectral", "evolve", "masks"):
+        t_max = suggest_tmax(models[0]) if cfg["t_max"] == "auto" else cfg["t_max"]
+    return _Run(graph, freqs, models, t_max, t_grid, states)
 
 
 def _sampling(cfg: dict) -> SamplingOptions | None:
@@ -241,12 +255,6 @@ def _sampling(cfg: dict) -> SamplingOptions | None:
     if cfg["samples"] == 0:
         return None
     return SamplingOptions(n_samples=cfg["samples"], n_reps=cfg["reps"], seed=cfg["seed"])
-
-
-def _resolve_tmax(cfg: dict, model: QuadraticModel) -> float:
-    """The configured t_max, or the plateau time of the verb's model."""
-    t = cfg["t_max"]
-    return suggest_tmax(model) if t == "auto" else t
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -356,14 +364,13 @@ def _witness_text(report: WitnessReport, omega_s: float) -> str:
 # protocol runners
 
 
-def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> None:
+def run_validate(cfg: dict, run: _Run, out: Path) -> None:
+    graph, (model,) = run.graph, run.models
     lines = [
         f"nodes = {graph.n_nodes}",
         f"edges = {graph.n_edges}",
         f"connected = {str(graph.is_connected()).lower()}",
     ]
-    # raises StabilityError when the network is unstable
-    model = assemble_model(graph)
     env = model.env_freqs
     lines.append("stable = true")
     lines.append(f"band = [{_fmt(env.min())}, {_fmt(env.max())}]")
@@ -378,14 +385,10 @@ def run_validate(cfg: dict, graph: CouplingGraph, out: Path) -> None:
     _write(out / "validate.txt", report)
 
 
-def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> None:
-    grid = _sweep_grid(cfg, graph)
+def run_spectral(cfg: dict, run: _Run, out: Path) -> None:
+    grid, (model,), t_max = run.omegas, run.models, run.t_max
     method = cfg["method"]
     sampling = _sampling(cfg)
-    # the probe's Schur margin omega_S^2 - gamma(0) grows with omega_S: the
-    # model at the lowest grid point checks the stability of the whole grid
-    model = model_at(graph, grid[0])
-    t_max = _resolve_tmax(cfg, model)
     columns = {"omega_s": grid}  # spectral.csv by header
     if method != "probe":
         columns["J_analytic"] = spectral_density_analytic(model, grid, t_max)
@@ -431,11 +434,9 @@ def run_spectral(cfg: dict, graph: CouplingGraph, out: Path) -> None:
     sys.stdout.write(f"spectral sweep done: {len(grid)} points, t_max={_fmt(t_max)}\n")
 
 
-def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> None:
-    tg = cfg["time_grid"]
-    t_grid = _increasing(np.linspace(tg["start"], tg["stop"], tg["points"]), "time_grid")
-    rho1, rho2 = _state(cfg, "rho1"), _state(cfg, "rho2")
-    for tag, model in _tagged_models(cfg, graph).items():
+def run_qnm(cfg: dict, run: _Run, out: Path) -> None:
+    t_grid, (rho1, rho2) = run.t_grid, run.states
+    for tag, model in zip(run.omegas, run.models):
         f_raw = qnm_trace(model, rho1, rho2, t_grid)
         f_smooth = moving_average(f_raw, cfg["smooth_window"])
         report = blp_witness(t_grid, f_smooth)
@@ -445,33 +446,29 @@ def run_qnm(cfg: dict, graph: CouplingGraph, out: Path) -> None:
         sys.stdout.write(f"omega_s={tag}: N={_fmt(report.value)}\n")
 
 
-def run_evolve(cfg: dict, graph: CouplingGraph, out: Path) -> None:
-    models = _tagged_models(cfg, graph)
-    t_max = _resolve_tmax(cfg, next(iter(models.values())))
-    for tag, model in models.items():
-        S = evolve(model, t_max)
+def run_evolve(cfg: dict, run: _Run, out: Path) -> None:
+    for tag, model in zip(run.omegas, run.models):
+        S = evolve(model, run.t_max)
         n = S.shape[0] // 2
         header = (
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
-            f"t={_fmt(t_max)} omega_s={_fmt(model.omega_s)}"
+            f"t={_fmt(run.t_max)} omega_s={_fmt(model.omega_s)}"
         )
-        _write(out / f"evolution_w{tag}_t{t_max:g}.txt", header + "\n" + _fmt_matrix(S, " "))
-        sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={t_max:g}\n")
+        _write(out / f"evolution_w{tag}_t{run.t_max:g}.txt", header + "\n" + _fmt_matrix(S, " "))
+        sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={run.t_max:g}\n")
 
 
-def run_masks(cfg: dict, graph: CouplingGraph, out: Path) -> None:
-    models = _tagged_models(cfg, graph)
-    t_max = _resolve_tmax(cfg, next(iter(models.values())))
-    for tag, model in models.items():
-        pair = probe_mask(evolve(model, t_max))
+def run_masks(cfg: dict, run: _Run, out: Path) -> None:
+    for tag, model in zip(run.omegas, run.models):
+        pair = probe_mask(evolve(model, run.t_max))
         n = pair.shape[1] // 2
         # the float mode numbers print as integers under %.17g
         modes = np.arange(1.0, n + 1)
         for row, quad in ((0, "q"), (1, "p")):
             table = np.column_stack([modes, pair[row, :n], pair[row, n:]])
             text = "mode,q_coefficient,p_coefficient\n" + _fmt_rows(table, ",")
-            _write(out / f"mask_{quad}_w{tag}_t{t_max:g}.csv", text)
-        sys.stdout.write(f"wrote mask pair at omega_s={tag}, t={t_max:g}\n")
+            _write(out / f"mask_{quad}_w{tag}_t{run.t_max:g}.csv", text)
+        sys.stdout.write(f"wrote mask pair at omega_s={tag}, t={run.t_max:g}\n")
 
 
 RUNNERS = {
@@ -559,10 +556,10 @@ def main(argv: list[str] | None = None) -> int:
         user["protocol"] = args.protocol
         overrides = _apply_overrides(user, args)
         cfg = _check_config(user)
+        run = _preflight(cfg, config_dir)
         out = _out_dir(cfg)
-        graph = _build_graph(cfg, config_dir)
-        RUNNERS[args.protocol](cfg, graph, out)
-        _write_manifest(out, cfg, overrides, graph)
+        RUNNERS[args.protocol](cfg, run, out)
+        _write_manifest(out, cfg, overrides, run.graph)
         return 0
     except (ConfigError, GraphError, PlateauError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

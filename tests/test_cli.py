@@ -13,13 +13,12 @@ from oscnet.cli import (
     EXIT_CONFIG,
     EXIT_SATURATED,
     EXIT_UNSTABLE,
-    _build_graph,
+    _check_config,
     _fmt,
     _load_config,
     _median,
-    _omega_list,
     _parser,
-    _resolve_tmax,
+    _preflight,
     bundled_config_path,
     main,
 )
@@ -453,10 +452,10 @@ class TestEvolve:
         config = f"network{idx}.cfg"
         assert run(["evolve", "--config", config, "--out", str(outdir)]) == 0
         cfg, config_dir = _load_config(config)
-        graph = _build_graph(cfg, config_dir)
-        (w,) = _omega_list(cfg, graph)
-        model = model_at(graph, w)
-        t_max = _resolve_tmax(cfg, model)
+        preflight = _preflight(_check_config({**cfg, "protocol": "evolve"}), config_dir)
+        (w,) = preflight.omegas.values()
+        model = model_at(preflight.graph, w)
+        t_max = preflight.t_max
         S = oscnet.evolve(model, t_max)
         n = S.shape[0] // 2
         expected = (
@@ -541,7 +540,8 @@ def test_manifest_is_one_json_line_with_sorted_keys(outdir, verb, config):
     assert (json.dumps(manifest, sort_keys=True) + "\n").encode() == data
     cfg, config_dir = _load_config(config)
     graph = manifest["graph"]
-    assert save_graph(load_graph(graph)) == graph == save_graph(_build_graph(cfg, config_dir))
+    built = _preflight(_check_config({**cfg, "protocol": verb}), config_dir).graph
+    assert save_graph(load_graph(graph)) == graph == save_graph(built)
 
 
 @pytest.mark.parametrize("config", ["network1.cfg", "network4.cfg"])
@@ -618,7 +618,7 @@ def test_each_run_fills_in_fresh_defaults(tmp_path, monkeypatch):
     # as they were
     seen = []
 
-    def changing_runner(cfg, graph, out):
+    def changing_runner(cfg, run, out):
         seen.append(json.dumps(cfg["states"], sort_keys=True))
         cfg["states"]["rho1"]["squeeze_db"] = -9.0
 
@@ -796,6 +796,13 @@ def _net1(**edit):
 
 NET1_PROBE = {"site": 8, "k": 0.01}
 NET1_SWEEP = {"start": 0.2, "stop": 0.7, "points": 120}
+CHAIN_PROBE = {"site": 1, "k": 0.01, "omega_s": 0.5}
+
+
+def _chain(**edit):
+    # a four-node chain without a damping-kernel plateau
+    chain = {"kind": "linear-periodic", "n": 4, "pattern": [0.1], "omega0": 0.25}
+    return json.dumps({"network": chain, "probe": CHAIN_PROBE, **edit})
 
 
 @pytest.mark.parametrize(
@@ -831,20 +838,65 @@ NET1_SWEEP = {"start": 0.2, "stop": 0.7, "points": 120}
             _net1(probe={**NET1_PROBE, "omega_s": 0.58}),
             "--points needs a sweep block in the config",
         ),
+        (
+            ["validate"],
+            _chain(network={"file": "doc.json"}),
+            "graph document is not valid JSON",
+        ),
+        (
+            ["qnm"],
+            _chain(time_grid={"start": 600.0, "stop": 500.0, "points": 3}),
+            "time_grid must give strictly increasing values",
+        ),
+        (
+            ["qnm"],
+            _chain(states={"rho1": {"squeeze_db": -5.0, "antisqueeze_db": 1.0}, "rho2": RHO1}),
+            "states.rho1: variance product below the uncertainty bound",
+        ),
+        (["qnm", "--omega-s", "0.5,0.5000001"], _chain(), "share an output file tag"),
+        (["evolve"], _chain(t_max="auto"), "damping kernel shows no plateau"),
     ],
     ids=[
         "not-json", "file-block-extra-key", "missing-document", "explicit-recipe",
         "validate-no-frequency", "spectral-no-frequency", "qnm-no-frequency",
         "masks-no-frequency", "evolve-no-frequency", "qnm-no-omega", "masks-no-omega",
-        "evolve-no-omega", "points-no-sweep",
+        "evolve-no-omega", "points-no-sweep", "document-not-utf8", "decreasing-time-grid",
+        "state-below-uncertainty", "shared-tag", "no-plateau",
     ],
 )
 def test_config_errors_before_any_output(tmp_path, outdir, capsys, argv, config, message):
     p = tmp_path / "run.cfg"
     p.write_text(config)
+    (tmp_path / "doc.json").write_bytes(b"\xff")
     assert run([*argv, "--config", str(p), "--out", str(outdir)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (outdir / "manifest.json").exists()
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, omega_s",
+    [
+        ("validate", 0.1),
+        ("spectral", [0.1, 0.5]),
+        *((verb, [0.5, 0.1]) for verb in ("qnm", "masks", "evolve")),
+    ],
+)
+def test_an_unstable_model_makes_no_directory(tmp_path, outdir, capsys, verb, omega_s):
+    # k = 0.05 leaves the chain stable at omega_s 0.5 and unstable at 0.1;
+    # every model a verb reads is built before the output directory
+    p = tmp_path / "run.cfg"
+    p.write_text(_chain(probe={**CHAIN_PROBE, "k": 0.05, "omega_s": omega_s}, t_max=50.0))
+    assert run([verb, "--config", str(p), "--out", str(outdir)]) == EXIT_UNSTABLE
+    assert "unstable network" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_a_run_without_a_config_file_needs_a_network(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["validate", "--out", "o"]) == EXIT_CONFIG
+    assert "run config is missing field 'network'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("verb", ["validate", "spectral", "qnm", "masks", "evolve"])
@@ -986,7 +1038,7 @@ def test_exit_codes_are_the_documented_numbers():
 
 
 def test_internal_key_error_is_not_a_config_error(monkeypatch, outdir):
-    def broken(cfg, graph, out):
+    def broken(cfg, run, out):
         raise KeyError("internal")
 
     monkeypatch.setitem(oscnet.cli.RUNNERS, "validate", broken)
