@@ -9,9 +9,12 @@ keys. Each verb takes only the flags it reads: every verb ``--config``,
 ``--reps`` and ``--seed``. Exit codes: 0 success, 2 configuration error,
 3 unstable network, 4 probe saturation.
 
-``main`` checks everything a verb reads before it makes the output
-directory; the runners format every output file here, each float at 17
-significant digits; the library returns arrays and dataclasses.
+A run has three phases: ``_preflight`` checks and builds everything the
+verb reads; the verb's runner returns its output files by name, each float
+at 17 significant digits, and the text it prints; then ``main`` makes the
+output directory, writes the files, the manifest naming them last, and
+prints. No exit 2, 3 or 4 and no internal error comes after the directory
+is made. The library returns arrays and dataclasses.
 """
 
 from __future__ import annotations
@@ -273,26 +276,22 @@ def _out_dir(cfg: dict) -> Path:
     return path
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str) -> int:
     """Write ``text`` to a new file at ``path``, replacing (not following) any
     file or symlink there: on ext4, truncating a non-empty file forces
     writeback of its delayed blocks. The bytes go out through one
-    ``os.open`` and ``os.write``, without a buffered text file object."""
+    ``os.open`` and ``os.write``, without a buffered text file object.
+    Returns the number of bytes written."""
     path.unlink(missing_ok=True)
     data = memoryview(text.encode())
+    size = len(data)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         while data:
             data = data[os.write(fd, data):]
     finally:
         os.close(fd)
-
-
-def _write_manifest(out: Path, cfg: dict, overrides: dict, graph: CouplingGraph) -> None:
-    manifest = {"tool": "oscnet", "version": __version__, "config": cfg, "overrides": overrides}
-    manifest["graph"] = save_graph(graph)  # resolved input, run is self-contained
-    # one line: indent would force the pure-Python encoder on every run
-    _write(out / "manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
+    return size
 
 
 def _state(cfg: dict, name: str) -> SqueezedSpec:
@@ -361,10 +360,11 @@ def _witness_text(report: WitnessReport, omega_s: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# protocol runners
+# protocol runners: each returns its output files by name, in write order,
+# and the text it prints
 
 
-def run_validate(cfg: dict, run: _Run, out: Path) -> None:
+def run_validate(cfg: dict, run: _Run) -> tuple[dict[str, str], str]:
     graph, (model,) = run.graph, run.models
     lines = [
         f"nodes = {graph.n_nodes}",
@@ -381,11 +381,10 @@ def run_validate(cfg: dict, run: _Run, out: Path) -> None:
     except PlateauError as exc:
         lines.append(f"suggested t_max = n/a ({exc})")
     report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    _write(out / "validate.txt", report)
+    return {"validate.txt": report}, report
 
 
-def run_spectral(cfg: dict, run: _Run, out: Path) -> None:
+def run_spectral(cfg: dict, run: _Run) -> tuple[dict[str, str], str]:
     grid, (model,), t_max = run.omegas, run.models, run.t_max
     method = cfg["method"]
     sampling = _sampling(cfg)
@@ -407,7 +406,8 @@ def run_spectral(cfg: dict, run: _Run, out: Path) -> None:
         if stderr is not None:
             columns["stderr"] = stderr
     table = np.column_stack(list(columns.values()))
-    _write(out / "spectral.csv", ",".join(columns) + "\n" + _fmt_rows(table, ","))
+    files = {"spectral.csv": ",".join(columns) + "\n" + _fmt_rows(table, ",")}
+    summary = ""
     if method == "both":
         # deviation statistics over the significant-J region only
         j_analytic, j_probe = columns["J_analytic"], columns["J_probe"]
@@ -429,24 +429,26 @@ def run_spectral(cfg: dict, run: _Run, out: Path) -> None:
             summary = (
                 f"cross-path deviation (J > 0.1 max): no such point, max J_analytic {_fmt(j_max)}\n"
             )
-        _write(out / "crosspath.txt", summary)
-        sys.stdout.write(summary)
-    sys.stdout.write(f"spectral sweep done: {len(grid)} points, t_max={_fmt(t_max)}\n")
+        files["crosspath.txt"] = summary
+    return files, summary + f"spectral sweep done: {len(grid)} points, t_max={_fmt(t_max)}\n"
 
 
-def run_qnm(cfg: dict, run: _Run, out: Path) -> None:
+def run_qnm(cfg: dict, run: _Run) -> tuple[dict[str, str], str]:
     t_grid, (rho1, rho2) = run.t_grid, run.states
+    files, printed = {}, ""
     for tag, model in zip(run.omegas, run.models):
         f_raw = qnm_trace(model, rho1, rho2, t_grid)
         f_smooth = moving_average(f_raw, cfg["smooth_window"])
         report = blp_witness(t_grid, f_smooth)
         table = np.column_stack([t_grid, f_raw, f_smooth])
-        _write(out / f"qnm_w{tag}.csv", "t,F_raw,F_smooth\n" + _fmt_rows(table, ","))
-        _write(out / f"witness_w{tag}.txt", _witness_text(report, model.omega_s))
-        sys.stdout.write(f"omega_s={tag}: N={_fmt(report.value)}\n")
+        files[f"qnm_w{tag}.csv"] = "t,F_raw,F_smooth\n" + _fmt_rows(table, ",")
+        files[f"witness_w{tag}.txt"] = _witness_text(report, model.omega_s)
+        printed += f"omega_s={tag}: N={_fmt(report.value)}\n"
+    return files, printed
 
 
-def run_evolve(cfg: dict, run: _Run, out: Path) -> None:
+def run_evolve(cfg: dict, run: _Run) -> tuple[dict[str, str], str]:
+    files, printed = {}, ""
     for tag, model in zip(run.omegas, run.models):
         S = evolve(model, run.t_max)
         n = S.shape[0] // 2
@@ -454,11 +456,13 @@ def run_evolve(cfg: dict, run: _Run, out: Path) -> None:
             f"# dim={2 * n} ordering=q_S,q_1..q_{n - 1},p_S,p_1..p_{n - 1} "
             f"t={_fmt(run.t_max)} omega_s={_fmt(model.omega_s)}"
         )
-        _write(out / f"evolution_w{tag}_t{run.t_max:g}.txt", header + "\n" + _fmt_matrix(S, " "))
-        sys.stdout.write(f"wrote evolution matrix at omega_s={tag}, t={run.t_max:g}\n")
+        files[f"evolution_w{tag}_t{run.t_max:g}.txt"] = header + "\n" + _fmt_matrix(S, " ")
+        printed += f"wrote evolution matrix at omega_s={tag}, t={run.t_max:g}\n"
+    return files, printed
 
 
-def run_masks(cfg: dict, run: _Run, out: Path) -> None:
+def run_masks(cfg: dict, run: _Run) -> tuple[dict[str, str], str]:
+    files, printed = {}, ""
     for tag, model in zip(run.omegas, run.models):
         pair = probe_mask(evolve(model, run.t_max))
         n = pair.shape[1] // 2
@@ -467,8 +471,9 @@ def run_masks(cfg: dict, run: _Run, out: Path) -> None:
         for row, quad in ((0, "q"), (1, "p")):
             table = np.column_stack([modes, pair[row, :n], pair[row, n:]])
             text = "mode,q_coefficient,p_coefficient\n" + _fmt_rows(table, ",")
-            _write(out / f"mask_{quad}_w{tag}_t{run.t_max:g}.csv", text)
-        sys.stdout.write(f"wrote mask pair at omega_s={tag}, t={run.t_max:g}\n")
+            files[f"mask_{quad}_w{tag}_t{run.t_max:g}.csv"] = text
+        printed += f"wrote mask pair at omega_s={tag}, t={run.t_max:g}\n"
+    return files, printed
 
 
 RUNNERS = {
@@ -557,9 +562,15 @@ def main(argv: list[str] | None = None) -> int:
         overrides = _apply_overrides(user, args)
         cfg = _check_config(user)
         run = _preflight(cfg, config_dir)
+        files, printed = RUNNERS[args.protocol](cfg, run)
+        # the graph is the resolved input, so the run is self-contained
+        manifest = {"tool": "oscnet", "version": __version__, "config": cfg,
+                    "overrides": overrides, "graph": save_graph(run.graph)}
         out = _out_dir(cfg)
-        RUNNERS[args.protocol](cfg, run, out)
-        _write_manifest(out, cfg, overrides, run.graph)
+        manifest["outputs"] = [[name, _write(out / name, text)] for name, text in files.items()]
+        # one line: indent would force the pure-Python encoder on every run
+        _write(out / "manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
+        sys.stdout.write(printed)
         return 0
     except (ConfigError, GraphError, PlateauError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from oscnet.cli import (
     main,
 )
 from oscnet.netmodel import load_graph, save_graph
-from oscnet.probes import model_at
+from oscnet.probes import model_at, qnm_trace
 from oscnet.symplectic import SymplecticError
 
 
@@ -282,6 +282,14 @@ class TestSpectral:
         code = run(["spectral", "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == EXIT_SATURATED
         assert "saturation" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_probe_path_expansion_range_makes_no_directory(self, outdir, capsys):
+        # t sqrt(b) = 1e6 sqrt(0.5) = 7.1e5 on network 1, found while J is computed
+        args = ["spectral", "--config", "network1.cfg", "--method", "probe", "--t-max", "1e6"]
+        assert run(args + ["--out", str(outdir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: t_max 1000000 ")
+        assert not outdir.exists()
 
     def test_stability_is_checked_over_the_grid_only(self, tmp_path):
         # the probe attaches at probe.omega_s; at 0.01 V is not positive
@@ -536,8 +544,12 @@ def test_manifest_is_one_json_line_with_sorted_keys(outdir, verb, config):
     data = (outdir / "manifest.json").read_bytes()
     assert data.endswith(b"\n") and data.count(b"\n") == 1
     manifest = json.loads(data)
-    assert sorted(manifest) == ["config", "graph", "overrides", "tool", "version"]
+    assert sorted(manifest) == ["config", "graph", "outputs", "overrides", "tool", "version"]
     assert (json.dumps(manifest, sort_keys=True) + "\n").encode() == data
+    # every other file of the run, each once, with its size in bytes
+    written = {f.name: f.stat().st_size for f in outdir.iterdir() if f.name != "manifest.json"}
+    assert len(manifest["outputs"]) == len(written)
+    assert {name: size for name, size in manifest["outputs"]} == written
     cfg, config_dir = _load_config(config)
     graph = manifest["graph"]
     built = _preflight(_check_config({**cfg, "protocol": verb}), config_dir).graph
@@ -618,9 +630,10 @@ def test_each_run_fills_in_fresh_defaults(tmp_path, monkeypatch):
     # as they were
     seen = []
 
-    def changing_runner(cfg, run, out):
+    def changing_runner(cfg, run):
         seen.append(json.dumps(cfg["states"], sort_keys=True))
         cfg["states"]["rho1"]["squeeze_db"] = -9.0
+        return {}, ""
 
     monkeypatch.setitem(oscnet.cli.RUNNERS, "qnm", changing_runner)
     cfg = json.loads(_net1())
@@ -702,6 +715,41 @@ def test_sweep_without_significant_j_writes_crosspath_note(outdir):
     assert "no such point" in (outdir / "crosspath.txt").read_text()
 
 
+def test_an_uncoupled_probe_has_no_significant_j(tmp_path, outdir):
+    # at k = 0 J_analytic is exactly 0 at every point, none above 0.1 of it
+    cfg = json.loads(_net1(method="both"))
+    cfg["probe"] = {**cfg["probe"], "k": 0, "sweep": {"start": 0.2, "stop": 0.7, "points": 5}}
+    assert run(["spectral", "--config", _write_config(tmp_path, cfg), "--out", str(outdir)]) == 0
+    note = "cross-path deviation (J > 0.1 max): no such point, max J_analytic 0\n"
+    assert (outdir / "crosspath.txt").read_text() == note
+
+
+@pytest.mark.parametrize("grid", [["--points", "7"], ["--omega-s", "0.5,0.58"]])
+def test_crosspath_statistics_are_those_of_the_csv(outdir, grid):
+    # the %.17g columns read back to the same floats; two points still
+    # have a correlation
+    args = ["spectral", "--config", "network1.cfg", "--method", "both", *grid]
+    assert run(args + ["--out", str(outdir)]) == 0
+    _, j_analytic, j_probe = np.loadtxt(outdir / "spectral.csv", delimiter=",", skiprows=1).T
+    mask = j_analytic > 0.1 * j_analytic.max()
+    rel = np.abs(j_probe[mask] - j_analytic[mask]) / j_analytic[mask]
+    corr = np.corrcoef(j_analytic, j_probe)[0, 1]
+    assert (outdir / "crosspath.txt").read_text() == (
+        f"cross-path deviation (J > 0.1 max): median {_fmt(float(np.median(rel)))}, "
+        f"max {_fmt(float(rel.max()))}, corr {_fmt(float(corr))}\n"
+    )
+
+
+def test_output_files_take_the_default_mode(outdir):
+    # mode 0o666 less the umask, as a file opened for writing gets
+    umask = os.umask(0o022)
+    try:
+        assert run(["validate", "--config", "network1.cfg", "--out", str(outdir)]) == 0
+    finally:
+        os.umask(umask)
+    assert {f.stat().st_mode & 0o777 for f in outdir.iterdir()} == {0o644}
+
+
 @pytest.mark.filterwarnings("error")
 def test_one_point_sweep_reports_no_correlation(outdir, capsys):
     args = ["spectral", "--config", "network1.cfg", "--omega-s", "0.58", "--out", str(outdir)]
@@ -710,6 +758,36 @@ def test_one_point_sweep_reports_no_correlation(outdir, capsys):
     assert summary.startswith("cross-path deviation (J > 0.1 max): median ")
     assert summary.endswith(", corr n/a (one point)\n")
     assert "nan" not in capsys.readouterr().out
+
+
+def test_manifest_names_only_the_files_of_its_run(outdir):
+    # a second run into the same directory leaves the first run's files; the
+    # manifest tells them apart, naming the files in write order
+    assert run(["qnm", "--config", "network1.cfg", "--out", str(outdir)]) == 0
+    assert run(["qnm", "--config", "network1.cfg", "--omega-s", "0.6", "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    names = ["qnm_w0.6.csv", "witness_w0.6.txt"]
+    assert manifest["outputs"] == [[name, (outdir / name).stat().st_size] for name in names]
+    assert (outdir / "qnm_w0.58.csv").exists() and (outdir / "witness_w0.58.txt").exists()
+
+
+def test_an_error_in_a_later_tag_writes_nothing(monkeypatch, outdir, capsys):
+    # the first tag's trace is computed, the second fails: no file of the
+    # run is written and nothing is printed
+    calls = []
+
+    def failing_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second tag")
+        return qnm_trace(*args)
+
+    monkeypatch.setattr(oscnet.cli, "qnm_trace", failing_second_call)
+    with pytest.raises(RuntimeError, match="second tag"):
+        run(["qnm", "--config", "network1.cfg", "--omega-s", "0.45,0.7", "--out", str(outdir)])
+    assert len(calls) == 2
+    assert not outdir.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_rerun_replaces_longer_stale_outputs(outdir):
@@ -1038,7 +1116,7 @@ def test_exit_codes_are_the_documented_numbers():
 
 
 def test_internal_key_error_is_not_a_config_error(monkeypatch, outdir):
-    def broken(cfg, run, out):
+    def broken(cfg, run):
         raise KeyError("internal")
 
     monkeypatch.setitem(oscnet.cli.RUNNERS, "validate", broken)

@@ -10,8 +10,11 @@ The tree (default: the one holding this script) is any copy of the
 repository, for example a ``git archive`` of another commit unpacked in a
 directory; its ``src`` is imported. Each run writes into a fresh temporary
 directory. A manifest is hashed with ``config.out_dir`` and
-``overrides.out_dir`` removed, because they name that directory. Only the
-standard library is used here; the imported package needs numpy.
+``overrides.out_dir`` removed, because they name that directory. A manifest
+with an ``outputs`` list must name exactly the run's other files, each with
+its size in bytes; the script exits 1 and names the run on stderr when one
+does not (a manifest without the key, as older trees write, is not checked).
+Only the standard library is used here; the imported package needs numpy.
 """
 
 from __future__ import annotations
@@ -55,8 +58,19 @@ def _file_bytes(path: Path) -> bytes:
     return json.dumps(manifest, sort_keys=True).encode()
 
 
-def digest(run, outdir_env: str) -> list[str]:
-    """The ``name sha256`` lines of every run in ``RUNS`` on nets 1-5."""
+def _outputs_mismatch(out: Path) -> bool:
+    """Whether the manifest in ``out`` has an ``outputs`` list that is not
+    the directory's other files with their sizes."""
+    manifest = json.loads((out / "manifest.json").read_bytes())
+    if "outputs" not in manifest:
+        return False
+    found = [(p.name, p.stat().st_size) for p in out.iterdir() if p.name != "manifest.json"]
+    return sorted(map(tuple, manifest["outputs"])) != sorted(found)
+
+
+def digest(run, outdir_env: str, mismatched: list[str]) -> list[str]:
+    """The ``name sha256`` lines of every run in ``RUNS`` on nets 1-5; a run
+    whose manifest misnames its outputs is appended to ``mismatched``."""
     lines = []
     for net in range(1, 6):
         for name, argv in RUNS:
@@ -76,6 +90,8 @@ def digest(run, outdir_env: str) -> list[str]:
                     if env_run:
                         del os.environ[outdir_env]
                 prefix = f"net{net}/{name}"
+                if (out / "manifest.json").is_file() and _outputs_mismatch(out):
+                    mismatched.append(prefix)
                 for path in sorted(out.iterdir()) if out.is_dir() else []:
                     lines.append(f"{prefix}/{path.name} {_sha(_file_bytes(path))}")
                 lines.append(f"{prefix}/stdout {_sha(stdout.getvalue().encode())}")
@@ -95,10 +111,13 @@ def main(argv: list[str] | None = None) -> int:
     from oscnet import cli
 
     os.environ.pop(cli.OUTDIR_ENV, None)
+    mismatched: list[str] = []
     with tempfile.TemporaryDirectory(prefix="oscnet-digest-cwd-") as cwd:
         os.chdir(cwd)  # a run that ignores its output directory lands here
-        print("\n".join(digest(cli.main, cli.OUTDIR_ENV)))
-    return 0
+        print("\n".join(digest(cli.main, cli.OUTDIR_ENV, mismatched)))
+    for prefix in mismatched:
+        print(f"{prefix}: manifest outputs do not match the directory", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
